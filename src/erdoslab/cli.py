@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +41,20 @@ def _parse_phase(text: str) -> complex:
 
 
 def _parse_int(text: str) -> int:
-    # accepts 1e6-style scientific notation for convenience
-    v = float(text)
-    if v != int(v):
-        raise ValueError(f"expected an integer, got {text!r}")
-    return int(v)
+    """Exact integer from a literal such as 10000000000000001 or 1e6.
+
+    Scientific notation is accepted only when its value is an integer.
+    Anything else, including inf, nan and values outside the signed
+    64-bit range the array code works in, raises ValueError.
+    """
+    try:
+        d = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+    # compare before converting: int() of 1e999999999 would build a huge number
+    if not (d.is_finite() and -(2**63) < d < 2**63 and d == d.to_integral_value()):
+        raise ValueError(f"expected an integer in (-2^63, 2^63), got {text!r}")
+    return int(d)
 
 
 def _parse_offsets(text: str) -> OffsetTuple:

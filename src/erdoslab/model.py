@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import BoundsError
 from .primes import PrimeTable
+from .singular import _log_head
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -56,29 +57,18 @@ def _stream_words(seed: int, stream: int, positions: np.ndarray) -> np.ndarray:
 
 def uniform_ints(seed: int, stream: int, count: int, bound: int) -> np.ndarray:
     """count uniform draws from [0, bound), bias-free via rejection."""
-    if bound < 1 or bound >= 1 << 63:
-        raise ValueError(f"bound must be in [1, 2^63), got {bound}")
-    rem = (1 << 64) % bound
-    threshold = _U64((1 << 64) - rem) if rem else None  # None: every word accepted
-    out = np.zeros(count, dtype=np.int64)
-    pending = np.arange(count)
-    for attempt in range(_DRAW_BLOCK):
-        pos = pending.astype(_U64) * _U64(_DRAW_BLOCK) + _U64(attempt)
-        words = _stream_words(seed, stream, pos)
-        ok = np.ones(words.size, dtype=bool) if threshold is None else words < threshold
-        out[pending[ok]] = (words[ok] % _U64(bound)).astype(np.int64)
-        pending = pending[~ok]
-        if pending.size == 0:
-            return out
-    raise RuntimeError(f"rejection sampling exhausted {_DRAW_BLOCK} words for bound={bound}")
+    return residues_for_prime(seed, stream, bound, np.arange(count))
 
 
 def residues_for_prime(seed: int, prime_rank: int, p: int, sample_indices: np.ndarray) -> np.ndarray:
     """Uniform residues mod p for the given samples, one substream per prime.
 
     ``prime_rank`` is the 0-based rank of p among all primes, which keeps
-    the substream identity stable however the cutoff is chosen.
+    the substream identity stable however the cutoff is chosen. Any bound
+    p in [1, 2^63) is accepted.
     """
+    if p < 1 or p >= 1 << 63:
+        raise ValueError(f"bound must be in [1, 2^63), got {p}")
     idx = np.asarray(sample_indices, dtype=np.int64)
     rem = (1 << 64) % p
     threshold = _U64((1 << 64) - rem) if rem else None  # None: every word accepted
@@ -92,15 +82,19 @@ def residues_for_prime(seed: int, prime_rank: int, p: int, sample_indices: np.nd
         pending = pending[~ok]
         if pending.size == 0:
             return out
-    raise RuntimeError(f"rejection sampling exhausted {_DRAW_BLOCK} words for p={p}")
+    raise RuntimeError(f"rejection sampling exhausted {_DRAW_BLOCK} words for bound={p}")
+
+
+def _primes_upto_w(table: PrimeTable, w: int) -> np.ndarray:
+    hi = int(np.searchsorted(table.primes, w, side="right"))
+    return table.primes[:hi]
 
 
 def mertens_product(w: int, table: PrimeTable) -> float:
     """prod_{p <= w} (1 - 1/p)."""
     if w > table.limit:
         raise BoundsError(f"w={w} exceeds table limit {table.limit}")
-    hi = int(np.searchsorted(table.primes, w, side="right"))
-    ps = table.primes[:hi].astype(np.float64)
+    ps = _primes_upto_w(table, w).astype(np.float64)
     return float(np.exp(np.sum(np.log1p(-1.0 / ps).astype(_LD))))
 
 
@@ -157,11 +151,6 @@ class ModelConfig:
         return cls(x=x, lam=float(lam), window_len=window_len, cutoff_z=z, seed=int(seed))
 
 
-def _primes_upto_w(table: PrimeTable, w: int) -> np.ndarray:
-    hi = int(np.searchsorted(table.primes, w, side="right"))
-    return table.primes[:hi]
-
-
 @dataclass
 class SiftedSample:
     """One realization: the drawn residues and the surviving offsets."""
@@ -216,17 +205,9 @@ def membership_probability(tup, w: int, table: PrimeTable) -> float:
     if tup.k == 0:
         return 1.0
     primes = _primes_upto_w(table, w)
-    if primes.size == 0:
-        return 1.0
-    span = tup.span
-    cut = int(np.searchsorted(primes, max(span, tup.k), side="right"))
-    total = _LD(0.0)
-    for p in primes[:cut]:
-        p = int(p)
-        v = len({h % p for h in tup.offsets})
-        if v == p:
-            return 0.0
-        total += _LD(math.log1p(-v / p))
+    total, cut = _log_head(tup, primes, 0)
+    if total is None:
+        return 0.0
     big = primes[cut:].astype(np.float64)
     if big.size:
         total += np.sum(np.log1p(-tup.k / big).astype(_LD))

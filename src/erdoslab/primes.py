@@ -8,6 +8,7 @@ instant reloads of large tables.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from pathlib import Path
@@ -143,13 +144,22 @@ class PrimeTable:
     # -- cache file ----------------------------------------------------
 
     def save(self, path: str | Path) -> Path:
-        """Write the cache file; format is MAGIC, <Q limit, packed bitset."""
+        """Write the cache file; format is MAGIC, <Q limit, packed bitset.
+
+        The bytes go to a temporary file in the same directory, which then
+        replaces ``path`` in one step, so readers never see a partial file.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", self.limit))
-            fh.write(self._bits.tobytes())
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(MAGIC)
+                fh.write(struct.pack("<Q", self.limit))
+                fh.write(self._bits.tobytes())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         return path
 
 
@@ -209,8 +219,8 @@ def load_table(path: str | Path) -> PrimeTable:
     """Load a PrimeTable from its cache file."""
     path = Path(path)
     raw = path.read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path} is not a prime cache file (bad magic)")
+    if raw[: len(MAGIC)] != MAGIC or len(raw) < len(MAGIC) + 8:
+        raise ValueError(f"{path} is not a prime cache file (bad magic or truncated header)")
     (limit,) = struct.unpack_from("<Q", raw, len(MAGIC))
     limit = int(limit)
     bits = np.frombuffer(raw[len(MAGIC) + 8 :], dtype=np.uint8)
@@ -235,12 +245,17 @@ def cache_path(limit: int, cache_dir: str | Path | None = None) -> Path:
 
 
 def load_or_build(limit: int, cache_dir: str | Path | None = None, write: bool = True) -> PrimeTable:
-    """Return a table for ``limit``, reusing the on-disk cache when present."""
+    """Return a table for ``limit``, reusing the on-disk cache when present.
+
+    A cache file that cannot be parsed counts as a miss: the table is
+    rebuilt and, with ``write``, the file is overwritten.
+    """
     path = cache_path(limit, cache_dir)
     if path.exists():
-        table = load_table(path)
-        if table.limit == int(limit):
-            return table
+        with contextlib.suppress(ValueError):
+            table = load_table(path)
+            if table.limit == int(limit):
+                return table
     table = build_table(limit)
     if write:
         table.save(path)

@@ -13,10 +13,8 @@ to better than float64.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -77,26 +75,6 @@ class PartialSumTrace:
         for i, v, c in zip(self.indices, self.values, self.compensations):
             comp = c.real if real else abs(c)
             yield int(i), v.real, v.imag, comp
-
-    def to_csv(self, path: str | Path, header: str | None = None) -> Path:
-        path = Path(path)
-        with open(path, "w") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            fh.write("index,value_re,value_im,compensation\n")
-            for i, re, im, comp in self._rows():
-                fh.write(f"{i},{re!r},{im!r},{comp!r}\n")
-        return path
-
-    def to_json(self, path: str | Path, header: str | None = None) -> Path:
-        path = Path(path)
-        rows = [
-            {"index": i, "value_re": re, "value_im": im, "compensation": comp}
-            for i, re, im, comp in self._rows()
-        ]
-        doc = {"header": header, "rows": rows}
-        path.write_text(json.dumps(doc, indent=1) + "\n")
-        return path
 
 
 def checkpoint_indices(
@@ -191,6 +169,31 @@ def _phase_powers(phase: complex, carry: complex, count: int) -> tuple[np.ndarra
     return pw, nxt
 
 
+def _erdos_terms(table: PrimeTable, phase: complex, first: int, last: int):
+    """Yield chunks (a, t) with t[i] = phase^n * n / p_n at n = a + i, for first <= n <= last.
+
+    Phases +-1 carry exact signs in float64 chunks. Other phases are
+    complex: their powers always come from the renormalized cumprod
+    started at n = 1, so a term never depends on ``first``.
+    """
+    if phase.imag == 0.0 and phase.real in (1.0, -1.0):
+        for a in range(first, last + 1, _REAL_CHUNK):
+            b = min(a + _REAL_CHUNK, last + 1)
+            t = np.arange(a, b, dtype=np.float64) / table.primes[a - 1 : b - 1]
+            if phase.real == -1.0:
+                t[(np.arange(a, b) & 1) == 1] *= -1.0
+            yield a, t
+        return
+    carry = 1.0 + 0.0j  # phase^(a-1) entering the next chunk
+    for a in range(1, last + 1, RENORM_STEPS):
+        b = min(a + RENORM_STEPS, last + 1)
+        pw, carry = _phase_powers(phase, carry, b - a)
+        lo = max(a, first)
+        if lo < b:
+            base = np.arange(lo, b, dtype=np.float64) / table.primes[lo - 1 : b - 1]
+            yield lo, pw[lo - a :] * base
+
+
 def erdos_partial(
     table: PrimeTable,
     n_max: int,
@@ -231,20 +234,8 @@ def erdos_partial(
     cps = checkpoint_indices(1, n_max, ratio, dense_windows, checkpoints)
     real = phase.imag == 0.0 and phase.real in (1.0, -1.0)
     scan = _CompensatedScan(cps, complex_valued=not real)
-    chunk = _REAL_CHUNK if real else RENORM_STEPS
-    carry = 1.0 + 0.0j  # phase^(a-1) entering the next chunk
-
-    for a in range(1, n_max + 1, chunk):
-        b = min(a + chunk, n_max + 1)
-        n = np.arange(a, b, dtype=np.float64)
-        base = n / table.primes[a - 1 : b - 1]
-        if real:
-            if phase.real == -1.0:
-                base[(np.arange(a, b) & 1) == 1] *= -1.0
-            scan.feed(a, base)
-        else:
-            pw, carry = _phase_powers(phase, carry, b - a)
-            scan.feed(a, pw * base)
+    for a, terms in _erdos_terms(table, phase, 1, n_max):
+        scan.feed(a, terms)
     return scan.finish(phase, 1)
 
 
@@ -342,29 +333,6 @@ class EquivalenceReport:
     def consecutive_spreads(self) -> np.ndarray:
         return np.abs(np.diff(self.differences))
 
-    def to_csv(self, path: str | Path, header: str | None = None) -> Path:
-        path = Path(path)
-        with open(path, "w") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            fh.write("x,lhs_re,lhs_im,rhs_re,rhs_im,diff_re,diff_im\n")
-            for x, l, r, d in zip(self.x_values, self.lhs, self.rhs, self.differences):
-                fh.write(f"{int(x)},{l.real!r},{l.imag!r},{r.real!r},{r.imag!r},{d.real!r},{d.imag!r}\n")
-        return path
-
-    def to_json(self, path: str | Path, header: str | None = None) -> Path:
-        rows = [
-            {
-                "x": int(x),
-                "lhs_re": l.real, "lhs_im": l.imag,
-                "rhs_re": r.real, "rhs_im": r.imag,
-                "diff_re": d.real, "diff_im": d.imag,
-            }
-            for x, l, r, d in zip(self.x_values, self.lhs, self.rhs, self.differences)
-        ]
-        Path(path).write_text(json.dumps({"header": header, "rows": rows}, indent=1) + "\n")
-        return Path(path)
-
 
 def verify_equivalence(
     table: PrimeTable, x_values: list[int], phase: complex = -1.0
@@ -413,18 +381,7 @@ def oscillation_stats(
     raw = _LD(0.0)
     avg = _LD(0.0)
     prev_term: complex | None = None
-    chunk = _REAL_CHUNK
-    for a in range(n_lo + 1, n_hi + 1, chunk):
-        b = min(a + chunk, n_hi + 1)
-        n = np.arange(a, b, dtype=np.float64)
-        base = n / table.primes[a - 1 : b - 1]
-        if phase == -1:
-            t = np.where((np.arange(a, b) & 1) == 1, -base, base).astype(np.complex128)
-        elif phase == 1:
-            t = base.astype(np.complex128)
-        else:
-            pw = np.power(phase, np.arange(a, b, dtype=np.float64))
-            t = pw * base
+    for _, t in _erdos_terms(table, phase, n_lo + 1, n_hi):
         raw += np.abs(t).astype(_LD).sum()
         with_prev = np.empty(t.size + 1, dtype=np.complex128)
         with_prev[0] = prev_term if prev_term is not None else 0.0

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -20,8 +19,8 @@ from .errors import BoundsError
 from .primes import PrimeTable, small_sieve
 
 # Multiplicative tail of the omitted p > P factors is bounded by
-# exp(TAIL_CONSTANT * k^2 / P) - 1; validated against brute force for
-# k <= 10 in the test suite.
+# exp(TAIL_CONSTANT * k^2 / P) - 1 for every k; the proof is in the
+# singular_series docstring.
 TAIL_CONSTANT = 2.0
 
 DEFAULT_TRUNCATION = 100_000
@@ -124,6 +123,25 @@ def _primes_upto(limit: int) -> np.ndarray:
     return cached[: np.searchsorted(cached, limit, side="right")]
 
 
+def _log_head(tup: OffsetTuple, primes: np.ndarray, norm_k: int) -> tuple[np.longdouble | None, int]:
+    """Sum of log(1 - nu(p)/p) - norm_k * log(1 - 1/p) over primes p <= max(span, k).
+
+    These are the primes where nu(p) can differ from k; ``primes`` is an
+    increasing array starting at 2. Returns the sum and the number of
+    primes it covers; the sum is None when some nu(p) = p, i.e. the tuple
+    is not admissible and the product vanishes.
+    """
+    cut = int(np.searchsorted(primes, max(tup.span, tup.k), side="right"))
+    total = _LD(0.0)
+    for p in primes[:cut]:
+        p = int(p)
+        v = len({h % p for h in tup.offsets})
+        if v == p:
+            return None, cut
+        total += _LD(math.log1p(-v / p) - norm_k * math.log1p(-1.0 / p))
+    return total, cut
+
+
 @lru_cache(maxsize=64)
 def _cumlog_full_nu(k: int, truncation_prime: int) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative sum of log[(1 - k/p)/(1 - 1/p)^k] over primes <= P.
@@ -142,9 +160,22 @@ def _cumlog_full_nu(k: int, truncation_prime: int) -> tuple[np.ndarray, np.ndarr
 def singular_series(tup: OffsetTuple, truncation_prime: int | None = None) -> SingularValue:
     """Truncated singular-series product prod_{p<=P} (1 - nu(p)/p)/(1 - 1/p)^k.
 
-    The truncation prime must exceed max(2k^2, span) so that nu = k for
-    every omitted prime, which makes the tail formula
-    exp(TAIL_CONSTANT * k^2 / P) - 1 valid.
+    The truncation prime must exceed max(2k^2, span). The tail bound
+    exp(TAIL_CONSTANT * k^2 / P) - 1 then holds for every k:
+
+    * Each omitted prime p > P exceeds the span, so the offsets are
+      distinct mod p and nu(p) = k. Its factor f = (1 - k/p)/(1 - 1/p)^k
+      has log f = sum_{m>=2} (k - k^m) / (m p^m); the m = 1 terms cancel
+      and every remaining term is <= 0, so f <= 1.
+    * For k = 1, f = 1. For k >= 2, p > 2k^2 gives k/p < 1/(2k) <= 1/4,
+      so -log f <= (1/2) sum_{m>=2} (k/p)^m = (k/p)^2 / (2(1 - k/p))
+      < (2/3) (k/p)^2. Hence f lies in [exp(-k^2/p^2), 1].
+    * sum_{p>P} 1/p^2 < sum_{n>P} 1/n^2 < integral_P^inf dt/t^2 = 1/P,
+      so the omitted product lies in [exp(-k^2/P), 1].
+
+    The untruncated value therefore lies in [value * exp(-k^2/P), value],
+    inside [value * (1 - tail), value * (1 + tail)] because
+    1 - exp(-x) <= x <= exp(2x) - 1.
     """
     k = tup.k
     span = tup.span
@@ -159,19 +190,10 @@ def singular_series(tup: OffsetTuple, truncation_prime: int | None = None) -> Si
         return SingularValue(1.0, P, 0.0, True)
 
     tail = float(np.expm1(TAIL_CONSTANT * k * k / P))
-    head_bound = max(span, k)
     primes_all, cum = _cumlog_full_nu(k, P)
-    cut = int(np.searchsorted(primes_all, head_bound, side="right"))
-
-    # explicit factors where nu can differ from k
-    log_head = _LD(0.0)
-    for p in primes_all[:cut]:
-        p = int(p)
-        v = len({h % p for h in tup.offsets})
-        if v == p:
-            return SingularValue(0.0, P, 0.0, False)
-        log_head += _LD(math.log1p(-v / p) - k * math.log1p(-1.0 / p))
-
+    log_head, cut = _log_head(tup, primes_all, k)
+    if log_head is None:
+        return SingularValue(0.0, P, 0.0, False)
     log_tail_part = cum[-1] - (cum[cut - 1] if cut > 0 else _LD(0.0))
     return SingularValue(float(np.exp(log_head + log_tail_part)), P, tail, True)
 
@@ -269,17 +291,3 @@ def gallagher_sum(k: int, H: int, truncation_prime: int = DEFAULT_TRUNCATION) ->
                 total += _LD(sv.value)
         return float(total)
     raise ValueError(f"k={k} unsupported; exact enumeration covers k in 1..3")
-
-
-def pair_table_to_csv(path: str | Path, h_max: int, header: str | None = None,
-                      truncation_prime: int = DEFAULT_TRUNCATION) -> Path:
-    """CSV of (d, pair singular-series value) rows for d in [1, h_max]."""
-    vals = pair_singular_table(h_max, truncation_prime)
-    path = Path(path)
-    with open(path, "w") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("d,singular_value\n")
-        for d in range(1, h_max + 1):
-            fh.write(f"{d},{vals[d]!r}\n")
-    return path

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import erdoslab
-from erdoslab.cli import main
+from erdoslab.cli import _parse_int, main
+from erdoslab.primes import MAGIC, build_table, cache_path, load_table
+from erdoslab.series import checkpoint_indices
 
 
 @pytest.fixture()
@@ -28,6 +30,8 @@ def test_series_csv(workdir):
     assert "cmd=series" in lines[0]
     assert lines[1] == "index,value_re,value_im,compensation"
     assert lines[-1].split(",")[0] == "1000"
+    # one row per checkpoint of the default grid
+    assert len(lines) == 2 + checkpoint_indices(1, 1000).size
 
 
 def test_series_json_mirror(workdir):
@@ -149,6 +153,33 @@ def test_exit_code_invalid(workdir):
 
 def test_exit_code_range(workdir):
     assert main(["series", "--kind=erdos", "--nmax=1000", "--limit=100"]) == 3
+
+
+def test_parse_int_exact():
+    assert _parse_int("10000000000000001") == 10000000000000001  # float would round it
+    assert _parse_int("1e6") == 1_000_000
+
+
+@pytest.mark.parametrize("value", ["1.5", "inf", "nan", "1e400"])
+def test_inexact_int_option_exits_2(workdir, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["tuples", "--tuple=0,2", f"--x={value}"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "keep", [3, len(MAGIC) + 3, -5], ids=["3-byte file", "cut inside header", "short bitset"]
+)
+def test_corrupt_cache_is_rebuilt(workdir, keep):
+    path = build_table(1000).save(cache_path(1000))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError):
+        load_table(path)
+    assert main(["gaps", "blocks", "--limit=1000", "--out=cached.csv"]) == 0
+    assert main(["gaps", "blocks", "--limit=1000", "--no-cache", "--out=fresh.csv"]) == 0
+    assert (workdir / "cached.csv").read_bytes() == (workdir / "fresh.csv").read_bytes()
+    assert load_table(path).primes.tolist() == build_table(1000).primes.tolist()
+    assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left
 
 
 def test_unknown_flag_exits_2(workdir):

@@ -305,5 +305,42 @@ def test_uniform_ints():
     assert np.all(uniform_ints(1, 0, 100, 1) == 0)
     r = uniform_ints(1, 0, 10_000, 7)
     assert r.min() >= 0 and r.max() < 7
-    with pytest.raises(ValueError):
-        uniform_ints(1, 0, 10, 0)
+    for bound in (0, 1 << 63):
+        with pytest.raises(ValueError):
+            uniform_ints(1, 0, 10, bound)
+        with pytest.raises(ValueError):
+            residues_for_prime(1, 0, bound, np.arange(10))
+
+
+# First 20 draws of seed 9, stream 4, recorded before uniform_ints and
+# residues_for_prime shared one rejection loop. Integers, so the pins hold
+# on every platform; a change here invalidates the calibration fixture.
+GOLDEN_P11 = [9, 6, 2, 7, 1, 8, 1, 5, 0, 6, 9, 8, 3, 1, 5, 9, 2, 0, 3, 7]
+GOLDEN_BOUND2 = [0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1]
+# 2^64 mod 3*2^61 = 2^62, so a quarter of all words are rejected
+GOLDEN_BOUND_3_2_61 = [
+    3268241061641798574, 6816209189602061645, 1683393586411192817, 2227845252301050601,
+    3674592715456392676, 6013804888480104807, 501485223970293850, 219008087402004292,
+    6531178815660208717, 1629529549744690226, 4975906563427359184, 6885762842342438298,
+    3703136970131044985, 3792756281846726921, 3778400728081692575, 3548656474549549801,
+    1456344637613012886, 4999176982586255722, 2283426615297328147, 3860798955440215697,
+]
+
+
+def test_golden_draws():
+    assert residues_for_prime(9, 4, 11, np.arange(20)).tolist() == GOLDEN_P11
+    assert uniform_ints(9, 4, 20, 2).tolist() == GOLDEN_BOUND2
+    assert uniform_ints(9, 4, 20, 3 << 61).tolist() == GOLDEN_BOUND_3_2_61
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    stream=st.integers(min_value=0, max_value=1000),
+    count=st.integers(min_value=0, max_value=300),
+    bound=st.one_of(st.integers(min_value=1, max_value=1000),
+                    st.integers(min_value=1, max_value=2**63 - 1)),
+)
+@settings(max_examples=60, deadline=None)
+def test_uniform_ints_is_residues_over_arange(seed, stream, count, bound):
+    got = uniform_ints(seed, stream, count, bound)
+    assert np.array_equal(got, residues_for_prime(seed, stream, bound, np.arange(count)))

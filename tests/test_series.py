@@ -204,17 +204,3 @@ def test_equivalence_errors(big_table):
     small = build_table(1000)
     with pytest.raises(BoundsError):
         verify_equivalence(small, [10**5], -1.0)
-
-
-def test_trace_csv_json_roundtrip(tmp_path):
-    tr = erdos_partial(TABLE, 100, -1.0)
-    csv_path = tr.to_csv(tmp_path / "t.csv", header="probe")
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "# probe"
-    assert lines[1] == "index,value_re,value_im,compensation"
-    assert len(lines) == 2 + len(tr)
-    import json
-
-    doc = json.loads(tr.to_json(tmp_path / "t.json").read_text())
-    assert len(doc["rows"]) == len(tr)
-    assert doc["rows"][-1]["index"] == 100

@@ -16,8 +16,8 @@ from erdoslab.singular import (
     pair_correlation_sum,
     pair_singular_table,
     singular_series,
-    _primes_upto,
 )
+from erdoslab.primes import small_sieve
 
 offsets_strategy = st.lists(
     st.integers(min_value=0, max_value=20), min_size=1, max_size=4, unique=True
@@ -28,7 +28,7 @@ def brute_singular(offsets, P):
     """Independent oracle: direct factor-by-factor product, no shared code."""
     k = len(offsets)
     total = 0.0
-    for p in _primes_upto(P):
+    for p in small_sieve(P):
         p = int(p)
         v = len({h % p for h in offsets})
         if v == p:
@@ -57,7 +57,7 @@ def test_nu_examples():
 @given(offs=offsets_strategy, p_idx=st.integers(min_value=0, max_value=15))
 @settings(max_examples=60)
 def test_nu_bounds_and_shift(offs, p_idx):
-    p = int(_primes_upto(60)[p_idx])
+    p = int(small_sieve(60)[p_idx])
     tup = OffsetTuple(offs)
     v = nu(tup, p)
     assert 1 <= v <= min(tup.k, p)
@@ -131,6 +131,16 @@ def test_tail_bound_certifies_k_up_to_10():
         if rough.admissible:
             lo, hi = rough.interval()
             assert lo <= sharp.value <= hi, k
+
+
+def test_tail_bound_certifies_k12():
+    # past the k <= 10 range above: the docstring proof covers every k
+    tup = OffsetTuple([0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42])
+    truth = brute_singular(tup.offsets, 2 * 10**6)
+    assert truth > 0
+    for P in (289, 1000, 10**4):  # 2k^2 = 288
+        lo, hi = singular_series(tup, P).interval()
+        assert lo <= truth <= hi, P
 
 
 def test_truncation_too_small():
