@@ -33,11 +33,19 @@ from .singular import OffsetTuple
 
 
 def _parse_phase(text: str) -> complex:
-    t = text.strip().replace("i", "j")
-    z = complex(t)
-    if abs(abs(z) - 1.0) > 1e-9:
-        raise ValueError(f"phase {text!r} is not on the unit circle")
-    return z
+    return series_mod._as_phase(complex(text.strip().replace("i", "j")))
+
+
+def _parse_positive(text: str) -> float:
+    """A finite float > 0; inf, nan, zero and negatives raise ValueError."""
+    v = float(text)
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"expected a finite number > 0, got {text!r}")
+    return v
+
+
+def _parse_positives(text: str) -> list[float]:
+    return [_parse_positive(s) for s in text.split(",")]
 
 
 def _parse_int(text: str) -> int:
@@ -259,15 +267,14 @@ def _run_model(args) -> None:
 
 
 def _run_bias(args) -> None:
-    lams = [float(s) for s in args.lambdas.split(",")]
     table = _model_table(args.x, args)
     rows = []
-    for lam in lams:
+    for lam in args.lambdas:
         cfg = model_mod.ModelConfig.from_scale(args.x, lam, table, seed=args.seed)
         est = model_mod.parity_bias(cfg, args.samples, table, workers=args.workers)
         se = model_mod.parity_bias_stderr(est, args.samples)
         rows.append((lam, est, se, math.exp(-2.0 * lam)))
-    config = {"x": args.x, "lambdas": lams, "samples": args.samples, "seed": args.seed}
+    config = {"x": args.x, "lambdas": args.lambdas, "samples": args.samples, "seed": args.seed}
     _emit(args.out, args.format, "bias", config,
           ["lambda", "estimate", "stderr", "exp_minus_2lambda"], rows)
 
@@ -398,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model", help="random sifted-set model")
     _add_common(p)
     p.add_argument("action", choices=("sample", "moments", "bias"))
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--x", type=_parse_positive, required=True)
+    p.add_argument("--lambda", dest="lam", type=_parse_positive, default=1.0)
     p.add_argument("--w", type=_parse_int, default=None)
     p.add_argument("--samples", type=_parse_int, default=10_000)
     p.add_argument("--seed", type=_parse_int, default=0)
@@ -408,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bias", help="model parity-bias curve over lambda")
     _add_common(p)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--lambdas", default="1,2,4")
+    p.add_argument("--x", type=_parse_positive, required=True)
+    p.add_argument("--lambdas", type=_parse_positives, default="1,2,4")
     p.add_argument("--samples", type=_parse_int, default=100_000)
     p.add_argument("--seed", type=_parse_int, default=0)
     p.add_argument("--workers", type=_parse_int, default=1)

@@ -90,7 +90,7 @@ def gap_series_partial(
             t = 1.0 / (n**config.theta * g)
         if config.alternating:
             t[(np.arange(a, b) & 1) == 1] *= -1.0
-        scan.feed(a, t)
+        scan.feed(np.arange(a, b), t)
     return scan.finish(-1.0 if config.alternating else 1.0, start)
 
 

@@ -13,6 +13,7 @@ to better than float64.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -28,13 +29,17 @@ RENORM_STEPS = 1 << 16
 # Real-phase scans carry exact signs, so larger chunks are safe.
 _REAL_CHUNK = 1 << 20
 
+# The parity series is summed term by term below this integer and one
+# prime gap at a time from it on (see parity_partial).
+_BLOCK_CUTOFF = 1 << 16
+
 _LD = np.longdouble
 
 
 def _as_phase(phase: complex) -> complex:
     z = complex(phase)
-    if abs(abs(z) - 1.0) > 1e-9:
-        raise ValueError(f"phase must lie on the unit circle, got |z|={abs(z)!r}")
+    if not cmath.isfinite(z) or abs(abs(z) - 1.0) > 1e-9:
+        raise ValueError(f"phase must be a finite point of the unit circle, got {z!r}")
     return z
 
 
@@ -111,6 +116,7 @@ class _CompensatedScan:
     Terms arrive in chunks (real or complex float64); prefixes inside a
     chunk are accumulated as extended-precision cumulative sums and the
     running cross-chunk total is carried in extended precision as well.
+    ``abs_total`` is only a bound on the rounding error, so it is float64.
     """
 
     def __init__(self, checkpoints: np.ndarray, complex_valued: bool):
@@ -118,31 +124,39 @@ class _CompensatedScan:
         self.complex_valued = complex_valued
         self.total_re = _LD(0.0)
         self.total_im = _LD(0.0)
-        self.abs_total = _LD(0.0)
+        self.abs_total = 0.0
         self._next = 0  # position in checkpoints
         self.out_values = np.zeros(checkpoints.size, dtype=np.complex128)
         self.out_comp = np.zeros(checkpoints.size, dtype=np.complex128)
 
-    def feed(self, first_index: int, terms: np.ndarray) -> None:
-        n = terms.size
-        last_index = first_index + n - 1
-        if self.complex_valued:
-            pre_re = np.cumsum(terms.real.astype(_LD))
-            pre_im = np.cumsum(terms.imag.astype(_LD))
-        else:
-            pre_re = np.cumsum(terms.astype(_LD))
-            pre_im = None
-        self.abs_total += np.abs(terms).astype(_LD).sum()
+    def feed(self, ends: np.ndarray, terms: np.ndarray) -> None:
+        """Add ``terms``; with ``terms[i]`` the sum reaches index ``ends[i]``.
 
-        while self._next < self.checkpoints.size and self.checkpoints[self._next] <= last_index:
-            c = int(self.checkpoints[self._next])
-            off = c - first_index
-            re = self.total_re + pre_re[off]
-            im = self.total_im + (pre_im[off] if pre_im is not None else _LD(0.0))
-            v = complex(float(re), float(im))
-            self.out_values[self._next] = v
-            self.out_comp[self._next] = complex(float(re - _LD(v.real)), float(im - _LD(v.imag)))
-            self._next += 1
+        ``ends`` increases, and every checkpoint up to ``ends[-1]`` not
+        read by an earlier chunk must be one of its entries.
+        """
+        self.abs_total += float(np.abs(terms).sum())
+        if self.complex_valued:
+            pre_re = np.cumsum(terms.real, dtype=_LD)
+            pre_im = np.cumsum(terms.imag, dtype=_LD)
+        else:
+            pre_re = np.cumsum(terms, dtype=_LD)
+            pre_im = None
+
+        hi = int(np.searchsorted(self.checkpoints, ends[-1], side="right"))
+        cps = self.checkpoints[self._next : hi]
+        off = np.searchsorted(ends, cps)
+        if not np.array_equal(ends[off], cps):
+            raise AssertionError("a checkpoint falls inside a term")
+        at = slice(self._next, hi)
+        re = self.total_re + pre_re[off]
+        self.out_values.real[at] = re
+        self.out_comp.real[at] = re - self.out_values.real[at].astype(_LD)
+        if pre_im is not None:
+            im = self.total_im + pre_im[off]
+            self.out_values.imag[at] = im
+            self.out_comp.imag[at] = im - self.out_values.imag[at].astype(_LD)
+        self._next = hi
 
         self.total_re += pre_re[-1]
         if pre_im is not None:
@@ -157,7 +171,7 @@ class _CompensatedScan:
             compensations=self.out_comp,
             phase=phase,
             start_index=start_index,
-            abs_term_total=float(self.abs_total),
+            abs_term_total=self.abs_total,
         )
 
 
@@ -235,8 +249,59 @@ def erdos_partial(
     real = phase.imag == 0.0 and phase.real in (1.0, -1.0)
     scan = _CompensatedScan(cps, complex_valued=not real)
     for a, terms in _erdos_terms(table, phase, 1, n_max):
-        scan.feed(a, terms)
+        scan.feed(np.arange(a, a + terms.size), terms)
     return scan.finish(phase, 1)
+
+
+def _block_sums(edges: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin sums of 1/(m log m) over [edges[i], edges[i+1]) (see parity_partial)."""
+    x = edges.astype(np.float64)
+    log_x = np.log(x)  # log b of one block is log a of the next
+    f = 1.0 / (x * log_x)
+    df = -(log_x + 1.0) * f * f
+    sums = np.log1p(np.log1p(np.diff(x) / x[:-1]) / log_x[:-1])
+    sums += (f[:-1] - f[1:]) / 2.0
+    sums += (df[1:] - df[:-1]) / 12.0
+    return sums
+
+
+def _parity_blocks(table: PrimeTable, m_max: int, checkpoints: np.ndarray, chunk: int):
+    """Cut [2, m_max] into blocks [a, b) on which k = pi(m) is constant.
+
+    Yields, for q = 0, 1, ..., the blocks with k in [1 + q*chunk, (q+1)*chunk]
+    as three arrays: the last index b - 1 of each block, its k, and the sum
+    of 1/(m log m) over it. Below _BLOCK_CUTOFF every integer is a block of
+    its own. From it on a block runs from one prime to the next, cut at
+    _BLOCK_CUTOFF, at m_max + 1 and after every checkpoint.
+    """
+    cut = min(_BLOCK_CUTOFF, m_max + 1)
+    m = np.arange(2, cut, dtype=np.float64)
+    head = (np.arange(2, cut), np.cumsum(table.is_prime_range(2, cut)), 1.0 / (m * np.log(m)))
+    if m_max < _BLOCK_CUTOFF:
+        yield head
+        return
+    primes = table.primes
+    j0, j1 = table.pi(_BLOCK_CUTOFF), table.pi(m_max)  # k of the first and the last block
+    splits = checkpoints[checkpoints >= _BLOCK_CUTOFF] + 1
+    for q in range((j1 - 1) // chunk + 1):
+        lo, hi = max(j0, 1 + q * chunk), min(j1, (q + 1) * chunk)
+        # block k starts at p_k and ends where block k + 1 starts
+        edges = np.empty(hi - lo + 2, dtype=np.int64)
+        edges[:-1] = primes[lo - 1 : hi]
+        edges[-1] = primes[hi] if hi < j1 else m_max + 1
+        if lo == j0:
+            edges[0] = _BLOCK_CUTOFF
+        k = np.arange(lo, hi + 1)
+        s = splits[(splits > edges[0]) & (splits < edges[-1])]
+        pos = np.searchsorted(edges, s)
+        keep = edges[pos] != s
+        s, pos = s[keep], pos[keep]
+        edges = np.insert(edges, pos, s)
+        k = np.insert(k, pos, k[pos - 1])  # both halves of a split block keep its k
+        blocks = (edges[1:] - 1, k, _block_sums(edges))
+        if q == 0:  # pi(_BLOCK_CUTOFF) < chunk, so the head belongs to chunk 0
+            blocks = tuple(np.concatenate(p) for p in zip(head, blocks))
+        yield blocks
 
 
 def parity_partial(
@@ -248,7 +313,29 @@ def parity_partial(
     dense_windows: tuple[tuple[int, int], ...] = (),
     ratio: float = 1.25,
 ) -> PartialSumTrace:
-    """Partial sums of sum_{2<=m<=M} phase^pi(m) / (m log m), natural log."""
+    """Partial sums of sum_{2<=m<=M} phase^pi(m) / (m log m), natural log.
+
+    The sum runs over prime gaps, not over integers. Below C = 2^16 the
+    terms f(m) = 1/(m log m) are added one by one. From C on, pi(m) = k is
+    constant on each block [a, b) between consecutive primes, cut at C, at
+    M + 1 and after every checkpoint, so each block adds phase^k times
+
+        sum_{a<=m<b} f(m) = log1p(log1p(g/a) / log a)
+                            + (f(a) - f(b))/2 + (f'(b) - f'(a))/12 + R,
+
+    where g = b - a and f'(m) = -(log m + 1) f(m)^2. The first term is
+    log log b - log log a, written so that it stays well conditioned when
+    g/a is small. This is Euler-Maclaurin of order 3, whose remainder is
+    |R| <= (2 zeta(3)/(2 pi)^3) int_a^b |f'''| < 0.0097 (f''(a) - f''(b)).
+    The last step uses f''' < 0: f is completely monotone on (1, inf),
+    because 1/x is, 1/log x is 1/t composed with the Bernstein function
+    log x, and products of completely monotone functions are completely
+    monotone. As |phase^k| = 1, the remainders of all blocks together
+    stay below 0.0097 f''(C) = 7.1e-18, where
+    f''(x) = (2 log^2 x + 3 log x + 2) / (x^3 log^3 x). That is under half
+    an ulp of any partial sum of size 1/8 or more. Each block sum carries
+    a rounding error of a few ulps, as each term did.
+    """
     phase = _as_phase(phase)
     m_max = int(m_max)
     if m_max < 2:
@@ -260,27 +347,14 @@ def parity_partial(
     real = phase.imag == 0.0 and phase.real in (1.0, -1.0)
     scan = _CompensatedScan(cps, complex_valued=not real)
     chunk = _REAL_CHUNK if real else RENORM_STEPS
-    parity_carry = 0  # pi(a-1) mod 2
-    carry_pw = 1.0 + 0.0j  # phase^pi(a-1)
-
-    for a in range(2, m_max + 1, chunk):
-        b = min(a + chunk, m_max + 1)
-        m = np.arange(a, b, dtype=np.float64)
-        base = 1.0 / (m * np.log(m))
-        ind = table.is_prime_range(a, b)
-        if real and phase.real == -1.0:
-            par = np.bitwise_xor.accumulate(ind.astype(np.uint8)) ^ parity_carry
-            base[par == 1] *= -1.0
-            parity_carry = int(par[-1])
-            scan.feed(a, base)
-        elif real:
-            scan.feed(a, base)
-        else:
-            step = np.where(ind, phase, 1.0 + 0.0j)
-            pw = carry_pw * np.cumprod(step)
-            carry_pw = complex(pw[-1])
-            carry_pw /= abs(carry_pw)
-            scan.feed(a, pw * base)
+    carry = 1.0 + 0.0j  # phase^(q * chunk) entering chunk q
+    for ends, k, sums in _parity_blocks(table, m_max, cps, chunk):
+        if not real:
+            pw, carry = _phase_powers(phase, carry, chunk)
+            sums = pw[(k - 1) % chunk] * sums
+        elif phase.real == -1.0:
+            sums[(k & 1) == 1] *= -1.0
+        scan.feed(ends, sums)
     return scan.finish(phase, 2)
 
 

@@ -167,6 +167,27 @@ def test_inexact_int_option_exits_2(workdir, value):
     assert exc.value.code == 2
 
 
+def test_nan_phase_exits_2(workdir):
+    assert main(["series", "--nmax=100", "--phase=nan"]) == 2
+    assert not (workdir / "erdoslab-series.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "bias", "--x=inf"],
+        ["model", "bias", "--x=nan"],
+        ["model", "bias", "--x=1e6", "--lambda=0"],
+        ["bias", "--x=1e6", "--lambdas=1,inf"],
+    ],
+    ids=["x=inf", "x=nan", "lambda=0", "lambdas=1,inf"],
+)
+def test_non_finite_float_option_exits_2(workdir, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--samples=100"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "keep", [3, len(MAGIC) + 3, -5], ids=["3-byte file", "cut inside header", "short bitset"]
 )

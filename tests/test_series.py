@@ -102,6 +102,8 @@ def test_complex_phase_erdos_oracle(phase_k):
 def test_phase_validation():
     with pytest.raises(ValueError):
         erdos_partial(TABLE, 10, 0.5)
+    with pytest.raises(ValueError):
+        parity_partial(TABLE, 100, complex("nan"))
     with pytest.raises(DivergentSeriesError):
         erdos_partial(TABLE, 10, 1.0, require_convergent=True)
     # raw trace still computable on demand
