@@ -292,13 +292,12 @@ def _run_gaps(args) -> None:
     elif args.action == "smallgap":
         limit = args.limit or (2 * args.X + 1000)
         table = _get_table(limit, args)
-        lams = [float(s) for s in args.lambdas.split(",")]
         rows = []
-        for lam in lams:
+        for lam in args.lambdas:
             rep = gaps_mod.small_gap_count(table, args.X, lam)
             rows.append((rep.X, rep.lam, rep.count, rep.gallagher_main,
                          rep.density_ratio, rep.in_lambda_range))
-        config = {"action": "smallgap", "X": args.X, "lambdas": lams, "table_limit": limit}
+        config = {"action": "smallgap", "X": args.X, "lambdas": args.lambdas, "table_limit": limit}
         _emit(args.out, args.format, "gaps", config,
               ["X", "lambda", "count", "gallagher_main", "density_ratio",
                "in_lambda_range"], rows)
@@ -369,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("erdos", "parity"), default="erdos")
     p.add_argument("--nmax", type=_parse_int, required=True)
     p.add_argument("--phase", default="-1")
-    p.add_argument("--ratio", type=float, default=1.25)
+    p.add_argument("--ratio", type=_parse_positive, default=1.25)
     p.add_argument("--dense", action="append", default=[], metavar="LO:HI")
     p.add_argument("--average", action="store_true", help="emit pairwise-averaged trace")
     p.set_defaults(run=_run_series)
@@ -398,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--tuple", action="append", required=True, help="comma-separated offsets")
     p.add_argument("--x", type=_parse_int, required=True)
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--eps", type=_parse_positive, default=0.05)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(run=_run_tuples)
 
@@ -426,17 +425,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("action", choices=("series", "smallgap", "blocks"))
     p.add_argument("--kind", choices=gaps_mod.KINDS, default="alternating_gap")
-    p.add_argument("--c", type=float, default=3.0)
-    p.add_argument("--theta", type=float, default=1.0)
+    p.add_argument("--c", type=_parse_positive, default=3.0)
+    p.add_argument("--theta", type=_parse_positive, default=1.0)
     p.add_argument("--nmax", type=_parse_int, default=10_000)
     p.add_argument("--X", type=_parse_int, default=100_000)
-    p.add_argument("--lambdas", default="0.5")
+    p.add_argument("--lambdas", type=_parse_positives, default="0.5")
     p.set_defaults(run=_run_gaps)
 
     p = sub.add_parser("parity", help="parity statistic over real primes")
     _add_common(p)
     p.add_argument("--x", type=_parse_int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=_parse_positive, default=1.0)
     p.add_argument("--points", type=_parse_int, default=100_000)
     p.add_argument("--seed", type=_parse_int, default=0)
     p.set_defaults(run=_run_parity)

@@ -17,6 +17,8 @@ bias.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +36,10 @@ _MIX2 = _U64(0x94D049BB133111EB)
 # 64-bit words reserved per (sample, prime) residue draw; the chance that
 # rejection consumes even two of them is below p * 2^-64 per draw.
 _DRAW_BLOCK = 8
+
+# Samples sifted together: survivor_counts cuts its samples into spans of
+# this size, which bounds the survivor matrix and feeds the thread pool.
+_SPAN = 1 << 14
 
 _LD = np.longdouble
 
@@ -167,30 +173,38 @@ class SiftedSample:
         return int(self.survivors.size)
 
 
+def _sift(config: ModelConfig, primes: np.ndarray, idx: np.ndarray):
+    """Sift the windows of samples idx by each prime in rank order.
+
+    Yields (p, a, alive) after each prime p: a holds the residue drawn for
+    every sample and alive the survivor mask, one row per sample, which is
+    updated in place.
+    """
+    h = np.arange(1, config.window_len + 1, dtype=np.int64)
+    alive = np.ones((idx.size, h.size), dtype=bool)
+    for rank, p in enumerate(primes):
+        p = int(p)
+        a = residues_for_prime(config.seed, rank, p, idx)
+        alive &= (h % p) != a[:, None]
+        yield p, a, alive
+
+
 def draw_sample(
-    config: ModelConfig, w: int | None = None, table: PrimeTable | None = None,
-    sample_index: int = 0,
+    config: ModelConfig, w: int | None = None, *, table: PrimeTable, sample_index: int = 0,
 ) -> SiftedSample:
     """Materialize one sample: residues for every p <= w and the sifted set."""
-    if table is None:
-        raise ValueError("a prime table is required")
     if w is None:
         w = config.cutoff_z
     if w > config.cutoff_z:
         raise ValueError(f"w={w} exceeds the configured cutoff {config.cutoff_z}")
-    primes = _primes_upto_w(table, w)
     idx = np.array([sample_index], dtype=np.int64)
+    alive = np.ones((1, config.window_len), dtype=bool)  # the answer when no prime is <= w
     residues: dict[int, int] = {}
-    alive = np.ones(config.window_len, dtype=bool)
-    h = np.arange(1, config.window_len + 1, dtype=np.int64)
-    for rank, p in enumerate(primes):
-        p = int(p)
-        a = int(residues_for_prime(config.seed, rank, p, idx)[0])
-        residues[p] = a
-        alive &= (h % p) != a
+    for p, a, alive in _sift(config, _primes_upto_w(table, w), idx):
+        residues[p] = int(a[0])
     return SiftedSample(
         residues=residues,
-        survivors=h[alive],
+        survivors=np.flatnonzero(alive[0]) + 1,
         w=int(w),
         window_len=config.window_len,
         sample_index=sample_index,
@@ -226,54 +240,34 @@ def survivor_counts(
 
     Each entry [i, j] is the sifted-set size of absolute sample index
     sample_start + j after removing residue classes for all p <= w_marks[i].
-    Results depend only on (seed, sample index), never on chunking.
+    Samples are sifted in spans of _SPAN, on up to ``workers`` threads
+    (never more than the CPU count); results depend only on (seed, sample
+    index), never on spans or workers.
     """
     marks = sorted(set(int(w) for w in (w_marks or [config.cutoff_z])))
     if marks[-1] > config.cutoff_z:
         raise ValueError(f"w marks exceed cutoff {config.cutoff_z}")
-    L = config.window_len
-    out = np.zeros((len(marks), samples), dtype=np.int64)
-    if samples <= 0:
-        return out
+    primes = _primes_upto_w(table, marks[-1])
+    # row i holds the count after the first sifted[i] primes; 0 primes leave L
+    sifted = np.searchsorted(primes, marks, side="right")
+    taken = set(sifted.tolist())
+    out = np.full((len(marks), samples), config.window_len, dtype=np.int64)
 
-    spans = _worker_spans(samples, workers)
+    def run(lo: int) -> None:
+        span = out[:, lo : lo + _SPAN]
+        idx = np.arange(sample_start + lo, sample_start + lo + span.shape[1], dtype=np.int64)
+        for k, (_, _, alive) in enumerate(_sift(config, primes, idx), 1):
+            if k in taken:
+                span[sifted == k] = alive.sum(axis=1)
 
-    def run(lo: int, hi: int) -> np.ndarray:
-        idx = np.arange(sample_start + lo, sample_start + hi, dtype=np.int64)
-        alive = np.ones((idx.size, L), dtype=bool)
-        h = np.arange(1, L + 1, dtype=np.int64)
-        res = np.zeros((len(marks), idx.size), dtype=np.int64)
-        primes = _primes_upto_w(table, marks[-1])
-        mi = 0
-        for rank, p in enumerate(primes):
-            p = int(p)
-            while mi < len(marks) and marks[mi] < p:
-                res[mi] = alive.sum(axis=1)
-                mi += 1
-            a = residues_for_prime(config.seed, rank, p, idx)
-            if L:
-                alive &= (h[None, :] % p) != a[:, None]
-        while mi < len(marks):
-            res[mi] = alive.sum(axis=1)
-            mi += 1
-        return res
-
-    if len(spans) == 1 or workers <= 1:
-        for lo, hi in spans:
-            out[:, lo:hi] = run(lo, hi)
+    starts = range(0, samples, _SPAN)
+    if workers <= 1:
+        for lo in starts:
+            run(lo)
     else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for (lo, hi), res in zip(spans, pool.map(lambda s: run(*s), spans)):
-                out[:, lo:hi] = res
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+            list(pool.map(run, starts))
     return out
-
-
-def _worker_spans(samples: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, int(workers))
-    step = (samples + workers - 1) // workers
-    return [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
 
 
 @dataclass(frozen=True)
@@ -301,7 +295,6 @@ def moments(
     c_var: float | None = None,
     workers: int = 1,
     allow_out_of_range: bool = False,
-    sample_start: int = 0,
 ) -> MomentReport:
     """Monte Carlo mean/variance of the survivor count at level w.
 
@@ -321,7 +314,7 @@ def moments(
         from .calibration import load_fixture
 
         c_var = float(load_fixture()["model"]["c_var"])
-    sizes = survivor_counts(config, samples, table, [w], sample_start, workers)[0]
+    sizes = survivor_counts(config, samples, table, [w], workers=workers)[0]
     mean = float(sizes.mean())
     var = float(sizes.var(ddof=1)) if samples > 1 else 0.0
     pred_mean = config.window_len * mertens_product(w, table)
@@ -342,12 +335,11 @@ def parity_bias(
     samples: int,
     table: PrimeTable,
     workers: int = 1,
-    sample_start: int = 0,
 ) -> float:
     """Monte Carlo estimate of the mean of (-1)^(survivor count) at the cutoff."""
     if samples < 10_000:
         raise ValueError(f"need at least 10000 samples, got {samples}")
-    sizes = survivor_counts(config, samples, table, None, sample_start, workers)[0]
+    sizes = survivor_counts(config, samples, table, workers=workers)[0]
     odd = int(np.count_nonzero(sizes & 1))
     # same exact rational as binomial_moment_sum, so the r >= max(S)
     # collapse identity holds bit for bit
@@ -391,7 +383,6 @@ def binomial_moment_sum(
     samples: int,
     table: PrimeTable,
     workers: int = 1,
-    sample_start: int = 0,
 ) -> float:
     """Monte Carlo estimate of sum_{k<=r} (-2)^k E C(S, k).
 
@@ -403,7 +394,7 @@ def binomial_moment_sum(
         raise ValueError(f"r must be >= 0, got {r}")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
-    sizes = survivor_counts(config, samples, table, None, sample_start, workers)[0]
+    sizes = survivor_counts(config, samples, table, workers=workers)[0]
     counts = np.bincount(sizes)
     total = sum(
         int(c) * bonferroni_bound(s, r).value for s, c in enumerate(counts) if c

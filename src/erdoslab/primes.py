@@ -24,9 +24,6 @@ MAGIC = b"PRIMECACHE1"
 # non-final segment packs to whole bytes.
 SEGMENT_BITS = 1 << 20
 
-# Rank checkpoints are sampled every 2**16 integers.
-CHECKPOINT_SHIFT = 16
-
 
 def small_sieve(limit: int) -> np.ndarray:
     """Dense sieve returning all primes <= limit as an int64 array.
@@ -65,25 +62,15 @@ class PrimeTable:
         self.primes = primes
         # Packed little-endian bitset; bit i <-> integer 2i+3, set <=> composite.
         self._bits = odd_composite_bits
-        self._checkpoints = self._build_checkpoints()
-
-    def _build_checkpoints(self) -> np.ndarray:
-        n_blocks = (self.limit >> CHECKPOINT_SHIFT) + 2
-        edges = (np.arange(n_blocks, dtype=np.int64)) << CHECKPOINT_SHIFT
-        return np.searchsorted(self.primes, edges, side="right").astype(np.int64)
 
     # -- rank queries ------------------------------------------------
 
     def pi(self, x: int) -> int:
-        """Number of primes <= x. O(log) via checkpoint plus local search."""
+        """Number of primes <= x, by one binary search of the table."""
         x = int(x)
         if x > self.limit:
             raise BoundsError(f"pi({x}) exceeds table limit {self.limit}")
-        if x < 2:
-            return 0
-        j = x >> CHECKPOINT_SHIFT
-        lo, hi = self._checkpoints[j], self._checkpoints[j + 1]
-        return int(lo + np.searchsorted(self.primes[lo:hi], x, side="right"))
+        return int(np.searchsorted(self.primes, x, side="right"))
 
     def nth_prime(self, n: int) -> int:
         """The n-th prime, 1-indexed (nth_prime(1) == 2)."""

@@ -175,17 +175,29 @@ def test_nan_phase_exits_2(workdir):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["model", "bias", "--x=inf"],
-        ["model", "bias", "--x=nan"],
-        ["model", "bias", "--x=1e6", "--lambda=0"],
-        ["bias", "--x=1e6", "--lambdas=1,inf"],
+        ["model", "bias", "--x=inf", "--samples=100"],
+        ["model", "bias", "--x=nan", "--samples=100"],
+        ["model", "bias", "--x=1e6", "--lambda=0", "--samples=100"],
+        ["bias", "--x=1e6", "--lambdas=1,inf", "--samples=100"],
+        ["parity", "--x=100000", "--lambda=inf"],
+        ["gaps", "smallgap", "--lambdas=inf"],
+        ["gaps", "smallgap", "--lambdas=0.5,nan"],
+        ["series", "--nmax=100", "--ratio=inf"],
+        ["gaps", "series", "--kind=reciprocal_weighted", "--c=nan"],
+        ["gaps", "series", "--kind=theta_family", "--theta=inf"],
+        ["tuples", "--tuple=0,2", "--x=1000", "--eps=nan"],
     ],
-    ids=["x=inf", "x=nan", "lambda=0", "lambdas=1,inf"],
+    ids=["x=inf", "x=nan", "lambda=0", "lambdas=1,inf", "parity lambda=inf",
+         "smallgap lambdas=inf", "smallgap lambdas=0.5,nan", "series ratio=inf",
+         "gaps c=nan", "gaps theta=inf", "tuples eps=nan"],
 )
-def test_non_finite_float_option_exits_2(workdir, argv):
+def test_non_finite_float_option_exits_2(workdir, capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--samples=100"])
+        main(argv)
     assert exc.value.code == 2
+    # rejected by the option's own parser, not by some later error
+    assert "invalid _parse_positive" in capsys.readouterr().err
+    assert not any(workdir.glob("erdoslab-*"))
 
 
 @pytest.mark.parametrize(

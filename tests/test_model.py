@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erdoslab import model as model_mod
 from erdoslab.errors import BoundsError
 from erdoslab.model import (
+    _SPAN,
     ModelConfig,
     binomial_moment_sum,
     bonferroni_bound,
@@ -178,12 +181,53 @@ def test_one_step_transition_law():
         assert abs(got - want) < 3 * sd, (s, got, want)
 
 
+def _digest(counts):
+    return hashlib.sha256(np.ascontiguousarray(counts, dtype="<i8").tobytes()).hexdigest()
+
+
 def test_worker_independence():
+    # digests of the counts of the code that cut one span per worker;
+    # 2 * _SPAN + 3 samples make three fixed spans, so the pool has work
     cfg = ModelConfig.from_scale(1e6, 2.0, TABLE, seed=77)
-    a = survivor_counts(cfg, 4000, TABLE, [100, cfg.cutoff_z], workers=1)
-    b = survivor_counts(cfg, 4000, TABLE, [100, cfg.cutoff_z], workers=3)
-    c = survivor_counts(cfg, 4000, TABLE, [100, cfg.cutoff_z], workers=8)
-    assert np.array_equal(a, b) and np.array_equal(b, c)
+    marks = [1, 2, 100, cfg.cutoff_z]
+    for workers in (1, 2, 3):
+        counts = survivor_counts(cfg, 2 * _SPAN + 3, TABLE, marks, workers=workers)
+        assert counts.shape == (4, 2 * _SPAN + 3)
+        assert np.all(counts[0] == cfg.window_len)
+        assert _digest(counts) == "a569992cce6a9903be9fa9e00acf2f9b630f2f9681cab35e96c7e671d4edaca5"
+    # spans start at sample_start, off the multiples of _SPAN
+    counts = survivor_counts(cfg, 20_000, TABLE, marks, sample_start=12_345, workers=2)
+    assert _digest(counts) == "da4da44b351d4d9708468fe29859e08aafdf84ee60407baa152aa3b5f26c2c40"
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, threads", [(100_000, 2, 2), (3, 8, 3), (100_000, None, 1)]
+)
+def test_pool_bounded_by_cpu_count(monkeypatch, workers, cpus, threads):
+    # a recording stand-in for the pool: no thread is ever started
+    made = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(model_mod, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(model_mod.os, "cpu_count", lambda: cpus)
+    cfg = ModelConfig(x=1e6, lam=1.0, window_len=6, cutoff_z=13, seed=1)
+    serial = survivor_counts(cfg, _SPAN + 5, TABLE, workers=1)
+    assert made == []
+    pooled = survivor_counts(cfg, _SPAN + 5, TABLE, workers=workers)
+    assert made == [threads]
+    assert np.array_equal(serial, pooled)
 
 
 def test_sample_start_offsets_compose():
