@@ -33,6 +33,7 @@ from .model import (
     parity_bias,
     parity_bias_stderr,
     sieve_cutoff,
+    sifted_sets,
     survivor_counts,
 )
 from .primes import PrimeTable, build_table, cache_path, load_or_build, load_table, small_sieve
@@ -105,6 +106,7 @@ __all__ = [
     "parity_bias_stderr",
     "parity_partial",
     "sieve_cutoff",
+    "sifted_sets",
     "singular_series",
     "small_gap_count",
     "small_sieve",

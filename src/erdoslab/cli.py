@@ -241,10 +241,8 @@ def _run_model(args) -> None:
     base = {"x": args.x, "lambda": args.lam, "window_len": cfg.window_len,
             "cutoff_z": cfg.cutoff_z, "seed": args.seed}
     if args.action == "sample":
-        rows = []
-        for i in range(args.samples):
-            s = model_mod.draw_sample(cfg, w=args.w, table=table, sample_index=i)
-            rows.append((args.seed, i, s.size, ";".join(map(str, s.survivors.tolist()))))
+        sets = model_mod.sifted_sets(cfg, args.samples, args.w, table=table, workers=args.workers)
+        rows = [(args.seed, i, s.size, ";".join(map(str, s.tolist()))) for i, s in enumerate(sets)]
         config = {**base, "action": "sample", "samples": args.samples, "w": args.w or cfg.cutoff_z}
         _emit(args.out, args.format, "model", config,
               ["seed", "sample_index", "size", "survivors"], rows)

@@ -21,6 +21,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,28 +38,41 @@ _MIX2 = _U64(0x94D049BB133111EB)
 # rejection consumes even two of them is below p * 2^-64 per draw.
 _DRAW_BLOCK = 8
 
-# Samples sifted together: survivor_counts cuts its samples into spans of
-# this size, which bounds the survivor matrix and feeds the thread pool.
+# Samples sifted together: _sift cuts its samples into spans of this size,
+# which bounds the survivor masks and feeds the thread pool.
 _SPAN = 1 << 14
 
 _LD = np.longdouble
 
+# Set bits of every byte, for counting survivors in packed masks, and the
+# 64 one-bit words, for decoding them.
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_BIT = _U64(1) << np.arange(64, dtype=_U64)
+
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+    """SplitMix64 finalizer, applied in place."""
+    z ^= z >> _U64(30)
+    z *= _MIX1
+    z ^= z >> _U64(27)
+    z *= _MIX2
+    z ^= z >> _U64(31)
+    return z
 
 
-def _stream_key(seed: int, stream: int) -> np.ndarray:
+@lru_cache(maxsize=4096)
+def _stream_key(seed: int, stream: int) -> np.uint64:
     mask = 0xFFFFFFFFFFFFFFFF
     start = (seed + (stream + 1) * 0x9E3779B97F4A7C15) & mask
-    return _mix64(np.array([start], dtype=_U64))
+    return _mix64(np.array([start], dtype=_U64))[0]
 
 
 def _stream_words(seed: int, stream: int, positions: np.ndarray) -> np.ndarray:
-    key = _stream_key(seed, stream)
-    return _mix64(key + (positions.astype(_U64) + _U64(1)) * _GOLDEN)
+    """Words at the given uint64 positions of one stream, computed in ``positions``."""
+    positions += _U64(1)
+    positions *= _GOLDEN
+    positions += _stream_key(seed, stream)
+    return _mix64(positions)
 
 
 def uniform_ints(seed: int, stream: int, count: int, bound: int) -> np.ndarray:
@@ -71,24 +85,30 @@ def residues_for_prime(seed: int, prime_rank: int, p: int, sample_indices: np.nd
 
     ``prime_rank`` is the 0-based rank of p among all primes, which keeps
     the substream identity stable however the cutoff is chosen. Any bound
-    p in [1, 2^63) is accepted.
+    p in [1, 2^63) is accepted. Sample i reads word i * _DRAW_BLOCK +
+    attempt, and only the samples whose word was rejected read the next.
     """
     if p < 1 or p >= 1 << 63:
         raise ValueError(f"bound must be in [1, 2^63), got {p}")
     idx = np.asarray(sample_indices, dtype=np.int64)
     rem = (1 << 64) % p
-    threshold = _U64((1 << 64) - rem) if rem else None  # None: every word accepted
-    out = np.zeros(idx.size, dtype=np.int64)
-    pending = np.arange(idx.size)
-    for attempt in range(_DRAW_BLOCK):
+    limit = _U64((1 << 64) - rem) if rem else None  # words from limit on are rejected
+    words = _stream_words(seed, prime_rank, idx.astype(_U64) * _U64(_DRAW_BLOCK))
+    pending = (words >= limit).nonzero()[0] if rem else idx[:0]
+    # words % p, as numpy divides by a scalar several times faster than it takes a remainder
+    words -= words // _U64(p) * _U64(p)
+    out = words.view(np.int64)
+    attempt = 1
+    while pending.size:
+        if attempt == _DRAW_BLOCK:
+            raise RuntimeError(f"rejection sampling exhausted {_DRAW_BLOCK} words for bound={p}")
         pos = idx[pending].astype(_U64) * _U64(_DRAW_BLOCK) + _U64(attempt)
         words = _stream_words(seed, prime_rank, pos)
-        ok = np.ones(words.size, dtype=bool) if threshold is None else words < threshold
-        out[pending[ok]] = (words[ok] % _U64(p)).astype(np.int64)
+        ok = words < limit
+        out[pending[ok]] = (words[ok] % _U64(p)).view(np.int64)
         pending = pending[~ok]
-        if pending.size == 0:
-            return out
-    raise RuntimeError(f"rejection sampling exhausted {_DRAW_BLOCK} words for bound={p}")
+        attempt += 1
+    return out
 
 
 def _primes_upto_w(table: PrimeTable, w: int) -> np.ndarray:
@@ -173,39 +193,108 @@ class SiftedSample:
         return int(self.survivors.size)
 
 
-def _sift(config: ModelConfig, primes: np.ndarray, idx: np.ndarray):
-    """Sift the windows of samples idx by each prime in rank order.
+def _keep_masks(window_len: int, primes: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Packed mask of the whole window and, per prime, the mask each residue keeps.
 
-    Yields (p, a, alive) after each prime p: a holds the residue drawn for
-    every sample and alive the survivor mask, one row per sample, which is
-    updated in place.
+    Offset h in [1, window_len] is bit (h - 1) % 64 of word (h - 1) // 64.
+    Row a of the table of p keeps every offset with h % p != a. A prime
+    above the window meets it in at most the offset h = a, so all of them
+    share the table of p = window_len + 2, read with mode="clip": larger
+    residues land on its last row, which keeps the whole window.
     """
-    h = np.arange(1, config.window_len + 1, dtype=np.int64)
-    alive = np.ones((idx.size, h.size), dtype=bool)
-    for rank, p in enumerate(primes):
-        p = int(p)
-        a = residues_for_prime(config.seed, rank, p, idx)
-        alive &= (h % p) != a[:, None]
-        yield p, a, alive
+    h = np.arange(1, window_len + 1)
+    word = (h - 1) // 64
+    bit = _U64(1) << ((h - 1) % 64).astype(_U64)
+    whole = np.zeros(-(-window_len // 64), dtype=_U64)
+    np.bitwise_or.at(whole, word, bit)
+
+    def table(p: int) -> np.ndarray:
+        keep = np.tile(whole, (p, 1))
+        np.bitwise_and.at(keep, (h % p, word), ~bit)
+        return keep
+
+    shared = table(window_len + 2)
+    return whole, [table(p) if p <= window_len else shared for p in map(int, primes)]
+
+
+def _offsets(alive: np.ndarray) -> list[np.ndarray]:
+    """Surviving offsets of each row of packed masks, in increasing order."""
+    rows, cols = np.nonzero((alive[:, :, None] & _BIT).reshape(len(alive), -1))
+    return np.split(cols + 1, np.cumsum(np.bincount(rows, minlength=len(alive)))[:-1])
+
+
+def _sift(config: ModelConfig, primes: np.ndarray, samples: int, step,
+          sample_start: int = 0, workers: int = 1) -> None:
+    """Sift the windows of samples sample_start + [0, samples) by each prime in rank order.
+
+    Samples go in fixed spans of _SPAN, on up to ``workers`` threads (never
+    more than the CPU count), which share the keep masks read-only. For the
+    span at position lo, ``step(lo, k, a, alive)`` runs before any prime
+    (k = 0, a None) and after the k-th prime, whose residues are a. alive
+    holds the span's packed survivor masks and is updated in place.
+    """
+    whole, keep = _keep_masks(config.window_len, primes)
+
+    def run(lo: int) -> None:
+        idx = np.arange(sample_start + lo, sample_start + min(lo + _SPAN, samples), dtype=np.int64)
+        alive = np.tile(whole, (idx.size, 1))
+        step(lo, 0, None, alive)
+        for k, (p, table) in enumerate(zip(primes, keep), 1):
+            a = residues_for_prime(config.seed, k - 1, int(p), idx)
+            np.bitwise_and(alive, table.take(a, axis=0, mode="clip"), out=alive)
+            step(lo, k, a, alive)
+
+    starts = range(0, samples, _SPAN)
+    if workers <= 1:
+        for lo in starts:
+            run(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+            list(pool.map(run, starts))
+
+
+def _sifting_primes(config: ModelConfig, w: int | None, table: PrimeTable) -> tuple[int, np.ndarray]:
+    if w is None:
+        w = config.cutoff_z
+    if w > config.cutoff_z:
+        raise ValueError(f"w={w} exceeds the configured cutoff {config.cutoff_z}")
+    return int(w), _primes_upto_w(table, w)
+
+
+def sifted_sets(
+    config: ModelConfig, samples: int, w: int | None = None, *, table: PrimeTable, workers: int = 1,
+) -> list[np.ndarray]:
+    """Surviving offsets of samples 0 .. samples - 1 after every p <= w is sifted."""
+    _, primes = _sifting_primes(config, w, table)
+    out: list[np.ndarray] = [None] * samples
+
+    def decode(lo, k, a, alive) -> None:
+        if k == primes.size:
+            out[lo : lo + len(alive)] = _offsets(alive)
+
+    _sift(config, primes, samples, decode, workers=workers)
+    return out
 
 
 def draw_sample(
     config: ModelConfig, w: int | None = None, *, table: PrimeTable, sample_index: int = 0,
 ) -> SiftedSample:
     """Materialize one sample: residues for every p <= w and the sifted set."""
-    if w is None:
-        w = config.cutoff_z
-    if w > config.cutoff_z:
-        raise ValueError(f"w={w} exceeds the configured cutoff {config.cutoff_z}")
-    idx = np.array([sample_index], dtype=np.int64)
-    alive = np.ones((1, config.window_len), dtype=bool)  # the answer when no prime is <= w
+    w, primes = _sifting_primes(config, w, table)
     residues: dict[int, int] = {}
-    for p, a, alive in _sift(config, _primes_upto_w(table, w), idx):
-        residues[p] = int(a[0])
+    survivors: list[np.ndarray] = []
+
+    def record(lo, k, a, alive) -> None:
+        if k:
+            residues[int(primes[k - 1])] = int(a[0])
+        if k == primes.size:
+            survivors.extend(_offsets(alive))
+
+    _sift(config, primes, 1, record, sample_start=sample_index)
     return SiftedSample(
         residues=residues,
-        survivors=np.flatnonzero(alive[0]) + 1,
-        w=int(w),
+        survivors=survivors[0],
+        w=w,
         window_len=config.window_len,
         sample_index=sample_index,
         seed=config.seed,
@@ -251,22 +340,14 @@ def survivor_counts(
     # row i holds the count after the first sifted[i] primes; 0 primes leave L
     sifted = np.searchsorted(primes, marks, side="right")
     taken = set(sifted.tolist())
-    out = np.full((len(marks), samples), config.window_len, dtype=np.int64)
+    out = np.empty((len(marks), samples), dtype=np.int64)
 
-    def run(lo: int) -> None:
-        span = out[:, lo : lo + _SPAN]
-        idx = np.arange(sample_start + lo, sample_start + lo + span.shape[1], dtype=np.int64)
-        for k, (_, _, alive) in enumerate(_sift(config, primes, idx), 1):
-            if k in taken:
-                span[sifted == k] = alive.sum(axis=1)
+    def count(lo, k, a, alive) -> None:
+        if k in taken:
+            sizes = _POPCOUNT8[alive.view(np.uint8)].sum(axis=1, dtype=np.int64)
+            out[sifted == k, lo : lo + len(alive)] = sizes
 
-    starts = range(0, samples, _SPAN)
-    if workers <= 1:
-        for lo in starts:
-            run(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            list(pool.map(run, starts))
+    _sift(config, primes, samples, count, sample_start, workers)
     return out
 
 

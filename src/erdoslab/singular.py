@@ -111,16 +111,11 @@ class SingularValue:
         return (min(lo, hi), max(lo, hi))
 
 
-_prime_cache: dict[str, np.ndarray] = {}
-
-
+@lru_cache(maxsize=8)
 def _primes_upto(limit: int) -> np.ndarray:
-    cached = _prime_cache.get("primes")
-    if cached is None or _prime_cache["limit"] < limit:
-        _prime_cache["primes"] = small_sieve(limit)
-        _prime_cache["limit"] = limit
-        cached = _prime_cache["primes"]
-    return cached[: np.searchsorted(cached, limit, side="right")]
+    primes = small_sieve(limit)
+    primes.flags.writeable = False  # shared by every caller of this limit
+    return primes
 
 
 def _log_head(tup: OffsetTuple, primes: np.ndarray, norm_k: int) -> tuple[np.longdouble | None, int]:

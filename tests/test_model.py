@@ -23,6 +23,7 @@ from erdoslab.model import (
     parity_bias_stderr,
     residues_for_prime,
     sieve_cutoff,
+    sifted_sets,
     survivor_counts,
     uniform_ints,
 )
@@ -388,3 +389,146 @@ def test_golden_draws():
 def test_uniform_ints_is_residues_over_arange(seed, stream, count, bound):
     got = uniform_ints(seed, stream, count, bound)
     assert np.array_equal(got, residues_for_prime(seed, stream, bound, np.arange(count)))
+
+
+# -- the packed sifting kernel against the bool-matrix kernel it replaced --
+
+def _bool_sift(config, primes, idx):
+    """The bool-matrix kernel, one row of window_len flags per sample: the oracle.
+
+    Yields (p, a, alive) after each prime p, as model._sift did before the
+    survivor masks were packed into uint64 words.
+    """
+    h = np.arange(1, config.window_len + 1, dtype=np.int64)
+    alive = np.ones((idx.size, h.size), dtype=bool)
+    for rank, p in enumerate(primes):
+        p = int(p)
+        a = residues_for_prime(config.seed, rank, p, idx)
+        alive &= (h % p) != a[:, None]
+        yield p, a, alive
+
+
+def _oracle_counts(config, samples, marks, sample_start=0):
+    primes = TABLE.primes[TABLE.primes <= max(marks)]
+    idx = np.arange(sample_start, sample_start + samples, dtype=np.int64)
+    out = np.full((len(marks), samples), config.window_len, dtype=np.int64)
+    alive = np.ones((samples, config.window_len), dtype=bool)
+    for k, (_, _, alive) in enumerate(_bool_sift(config, primes, idx), 1):
+        for i, w in enumerate(marks):
+            if np.count_nonzero(primes <= w) == k:
+                out[i] = alive.sum(axis=1)
+    return out, alive
+
+
+@pytest.mark.parametrize("L", [1, 2, 14, 63, 64, 65, 69, 128])
+def test_packed_kernel_matches_bool_oracle(monkeypatch, L):
+    # short spans, so that 250 samples make several spans for the pool
+    monkeypatch.setattr(model_mod, "_SPAN", 64)
+    cfg = ModelConfig(x=1e6, lam=1.0, window_len=L, cutoff_z=2293, seed=1000 + L)
+    # below 2, at a prime, between primes, at the window, at the cutoff
+    marks = sorted({0, 1, 2, 4, 100, L, cfg.cutoff_z})
+    for start in (0, 777):
+        want, alive = _oracle_counts(cfg, 250, marks, sample_start=start)
+        for workers in (1, 2, 3):
+            got = survivor_counts(cfg, 250, TABLE, marks, sample_start=start, workers=workers)
+            assert np.array_equal(got, want), (start, workers)
+    want_sets = [np.flatnonzero(row) + 1 for row in _oracle_counts(cfg, 250, [cfg.cutoff_z])[1]]
+    for workers in (1, 2):
+        got_sets = sifted_sets(cfg, 250, table=TABLE, workers=workers)
+        assert len(got_sets) == 250
+        for got, want in zip(got_sets, want_sets):
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    for i in (0, 63, 64, 249):
+        s = draw_sample(cfg, table=TABLE, sample_index=i)
+        assert s.survivors.tolist() == want_sets[i].tolist()
+        primes = TABLE.primes[TABLE.primes <= cfg.cutoff_z]
+        idx = np.array([i], dtype=np.int64)
+        assert s.residues == {p: int(a[0]) for p, a, _ in _bool_sift(cfg, primes, idx)}
+
+
+@pytest.mark.parametrize("w", [None, 50, 7, 1])
+def test_sifted_sets_are_draw_samples(w):
+    # lambda = 5 makes L = 69, two words per mask; w = 1 sifts no prime
+    cfg = ModelConfig.from_scale(1e6, 5.0, TABLE, seed=11)
+    sets = sifted_sets(cfg, 40, w, table=TABLE)
+    for i, got in enumerate(sets):
+        assert got.tolist() == draw_sample(cfg, w, table=TABLE, sample_index=i).survivors.tolist()
+    if w == 1:
+        assert all(s.tolist() == list(range(1, 70)) for s in sets)
+    with pytest.raises(ValueError):
+        sifted_sets(cfg, 3, cfg.cutoff_z + 1, table=TABLE)
+    assert sifted_sets(cfg, 0, table=TABLE) == []
+
+
+def test_packed_kernel_empty_window():
+    cfg = ModelConfig(x=1e6, lam=0.0, window_len=0, cutoff_z=13, seed=0)
+    assert np.array_equal(survivor_counts(cfg, 5, TABLE, [1, 13]), np.zeros((2, 5), dtype=np.int64))
+    assert [s.tolist() for s in sifted_sets(cfg, 3, table=TABLE)] == [[], [], []]
+    assert draw_sample(cfg, table=TABLE).survivors.tolist() == []
+
+
+def _mix64_copy(z):
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _rejection_oracle(seed, rank, p, sample_indices):
+    """The full rejection loop: every attempt walks the pending index list."""
+    idx = np.asarray(sample_indices, dtype=np.int64)
+    start = (seed + (rank + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    key = _mix64_copy(np.array([start], dtype=np.uint64))
+    rem = (1 << 64) % p
+    threshold = np.uint64((1 << 64) - rem) if rem else None
+    out = np.zeros(idx.size, dtype=np.int64)
+    pending = np.arange(idx.size)
+    for attempt in range(8):
+        pos = idx[pending].astype(np.uint64) * np.uint64(8) + np.uint64(attempt)
+        words = _mix64_copy(key + (pos + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15))
+        ok = np.ones(words.size, dtype=bool) if threshold is None else words < threshold
+        out[pending[ok]] = (words[ok] % np.uint64(p)).astype(np.int64)
+        pending = pending[~ok]
+        if pending.size == 0:
+            return out
+    raise RuntimeError("exhausted")
+
+
+_SHUFFLED = np.random.default_rng(5).permutation(4000)
+
+
+@pytest.mark.parametrize(
+    "bound", [1, 2, 11, 2293, 1 << 40, 1 << 62, 3 << 61, 2**63 - 25], ids=str
+)
+@pytest.mark.parametrize(
+    "indices",
+    [np.arange(3000), _SHUFFLED, np.array([7, 7, 0, 7, 3999, 0]), np.array([], dtype=np.int64),
+     np.arange(2**40, 2**40 + 300)],
+    ids=["arange", "shuffled", "duplicated", "empty", "far"],
+)
+def test_residue_fast_path_matches_rejection_loop(bound, indices):
+    before = indices.copy()
+    got = residues_for_prime(9, 4, bound, indices)
+    want = _rejection_oracle(9, 4, bound, indices)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(indices, before)  # read, never written
+
+
+def test_rejection_reaches_later_attempts():
+    # a quarter of the words are rejected at 3 * 2^61, so the 3000 samples
+    # of the comparison above include many that need a third word
+    start = (9 + 5 * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    key = _mix64_copy(np.array([start], dtype=np.uint64))
+    pos = np.arange(3000, dtype=np.uint64) * np.uint64(8)
+    limit = np.uint64((1 << 64) - (1 << 62))
+    rejected = [_mix64_copy(key + (pos + np.uint64(attempt + 1)) * np.uint64(0x9E3779B97F4A7C15))
+                >= limit for attempt in range(2)]
+    assert np.count_nonzero(rejected[0] & rejected[1]) > 100
+
+
+def test_rejection_exhaustion_raises(monkeypatch):
+    # with one word per draw, a rejected word cannot be replaced
+    monkeypatch.setattr(model_mod, "_DRAW_BLOCK", 1)
+    with pytest.raises(RuntimeError):
+        residues_for_prime(9, 4, 3 << 61, np.arange(50))
+    assert residues_for_prime(9, 4, 1 << 62, np.arange(50)).size == 50

@@ -224,3 +224,14 @@ def test_gallagher_unsupported():
         gallagher_sum(4, 10)
     with pytest.raises(ValueError):
         gallagher_sum(3, 10_000)
+
+
+def test_primes_upto_is_one_shared_sieve_per_limit():
+    from erdoslab.singular import _primes_upto
+
+    for limit in (1, 2, 100, 1000, 10):
+        got = _primes_upto(limit)
+        assert got.tolist() == small_sieve(limit).tolist()
+        assert got is _primes_upto(limit)
+        with pytest.raises(ValueError):
+            got[:1] = 4  # shared by every caller, so it is read-only
