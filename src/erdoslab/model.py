@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundsError
-from .primes import PrimeTable
+from .primes import _POPCOUNT8, PrimeTable
 from .singular import _log_head
 
 _U64 = np.uint64
@@ -44,9 +44,7 @@ _SPAN = 1 << 14
 
 _LD = np.longdouble
 
-# Set bits of every byte, for counting survivors in packed masks, and the
-# 64 one-bit words, for decoding them.
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# The 64 one-bit words, for decoding packed survivor masks.
 _BIT = _U64(1) << np.arange(64, dtype=_U64)
 
 

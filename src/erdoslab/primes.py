@@ -24,6 +24,13 @@ MAGIC = b"PRIMECACHE1"
 # non-final segment packs to whole bytes.
 SEGMENT_BITS = 1 << 20
 
+# Odd-number bits turned into primes per step of _decode; bounds its
+# temporaries to a few MB however large the table. A multiple of 8.
+_DECODE_BITS = 1 << 23
+
+# Set bits of every byte value.
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
 
 def small_sieve(limit: int) -> np.ndarray:
     """Dense sieve returning all primes <= limit as an int64 array.
@@ -46,6 +53,32 @@ def _odd_count(limit: int) -> int:
     return (limit - 1) // 2 if limit >= 3 else 0
 
 
+def _decode(limit: int, bits: np.ndarray) -> np.ndarray:
+    """Every prime <= limit, from the packed odd-composite bitset.
+
+    The primes are counted first, so one array of the exact size is
+    filled in place. The pad bits of the last byte are ignored.
+    """
+    n_bits = _odd_count(limit)
+    n_composite = int(_POPCOUNT8[bits].sum(dtype=np.int64))
+    if n_bits % 8:
+        n_composite -= int(_POPCOUNT8[int(bits[-1]) >> (n_bits % 8)])
+    head = int(limit >= 2)  # the prime 2, which the odd-only bitset leaves out
+    primes = np.empty(head + n_bits - n_composite, dtype=np.int64)
+    primes[:head] = 2
+    k = head
+    for i0 in range(0, n_bits, _DECODE_BITS):
+        i1 = min(i0 + _DECODE_BITS, n_bits)
+        is_prime = np.unpackbits(~bits[i0 >> 3 : (i1 + 7) >> 3], count=i1 - i0, bitorder="little")
+        idx = np.flatnonzero(is_prime.view(bool))
+        out = primes[k : k + idx.size]
+        np.add(idx, i0, out=out)
+        out *= 2
+        out += 3
+        k += idx.size
+    return primes
+
+
 class PrimeTable:
     """Immutable table of all primes <= ``limit``.
 
@@ -60,7 +93,8 @@ class PrimeTable:
     def __init__(self, limit: int, primes: np.ndarray, odd_composite_bits: np.ndarray):
         self.limit = int(limit)
         self.primes = primes
-        # Packed little-endian bitset; bit i <-> integer 2i+3, set <=> composite.
+        # Cache payload only, never queried: packed little-endian bitset,
+        # bit i <-> integer 2i+3, set <=> composite.
         self._bits = odd_composite_bits
 
     # -- rank queries ------------------------------------------------
@@ -92,23 +126,10 @@ class PrimeTable:
             raise BoundsError(f"{v} exceeds table limit {self.limit}")
         if v < 2:
             return False
-        if v == 2:
-            return True
-        if v % 2 == 0:
-            return False
-        i = (v - 3) >> 1
-        return not bool(self._bits[i >> 3] >> (i & 7) & 1)
+        i = int(np.searchsorted(self.primes, v))
+        return i < self.primes.size and int(self.primes[i]) == v
 
     # -- windowed access ----------------------------------------------
-
-    def _unpack(self, i0: int, i1: int) -> np.ndarray:
-        """Composite flags for odd-index range [i0, i1)."""
-        if i0 >= i1:
-            return np.zeros(0, dtype=bool)
-        b0, b1 = i0 >> 3, (i1 + 7) >> 3
-        bits = np.unpackbits(self._bits[b0:b1], bitorder="little")
-        off = i0 - (b0 << 3)
-        return bits[off : off + (i1 - i0)].astype(bool)
 
     def is_prime_range(self, lo: int, hi: int) -> np.ndarray:
         """Boolean primality for every integer in [lo, hi)."""
@@ -116,16 +137,8 @@ class PrimeTable:
         if lo < 0 or hi > self.limit + 1:
             raise BoundsError(f"window [{lo},{hi}) outside [0, {self.limit + 1})")
         out = np.zeros(max(hi - lo, 0), dtype=bool)
-        if hi <= lo:
-            return out
-        if lo <= 2 < hi:
-            out[2 - lo] = True
-        v0 = max(lo | 1, 3)  # first odd >= max(lo, 3)
-        if v0 >= hi:
-            return out
-        v1 = (hi - 1) if (hi - 1) % 2 else hi - 2  # last odd < hi
-        i0, i1 = (v0 - 3) >> 1, ((v1 - 3) >> 1) + 1
-        out[v0 - lo :: 2] = ~self._unpack(i0, i1)
+        a, b = np.searchsorted(self.primes, [lo, hi])
+        out[self.primes[a:b] - lo] = True
         return out
 
     # -- cache file ----------------------------------------------------
@@ -150,33 +163,25 @@ class PrimeTable:
         return path
 
 
-def build_table(limit: int, segment_bits: int = SEGMENT_BITS) -> PrimeTable:
+def build_table(limit: int) -> PrimeTable:
     """Sieve all primes <= limit with O(segment) working memory.
 
     Parameters
     ----------
     limit : int
         Inclusive upper bound, at least 2.
-    segment_bits : int
-        Odd-number bits per segment; multiple of 8.
     """
     limit = int(limit)
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    if segment_bits % 8:
-        raise ValueError("segment_bits must be a multiple of 8")
 
     n_bits = _odd_count(limit)
     base = small_sieve(int(limit**0.5) + 1)
     base_odd = base[base > 2]
 
-    packed_parts: list[np.ndarray] = []
-    prime_parts: list[np.ndarray] = [np.array([2], dtype=np.int64)]
-
-    for i0 in range(0, max(n_bits, 1), segment_bits):
-        i1 = min(i0 + segment_bits, n_bits)
-        if i1 <= i0:
-            break
+    bits = np.empty((n_bits + 7) // 8, dtype=np.uint8)
+    for i0 in range(0, n_bits, SEGMENT_BITS):
+        i1 = min(i0 + SEGMENT_BITS, n_bits)
         seg = np.zeros(i1 - i0, dtype=bool)  # True <=> composite
         seg_lo = 2 * i0 + 3
         seg_hi = 2 * (i1 - 1) + 3
@@ -191,15 +196,8 @@ def build_table(limit: int, segment_bits: int = SEGMENT_BITS) -> PrimeTable:
                 continue
             # consecutive odd multiples of p sit p odd-indices apart
             seg[(start - 3) // 2 - i0 :: p] = True
-        prime_parts.append((2 * (i0 + np.flatnonzero(~seg)) + 3).astype(np.int64))
-        packed_parts.append(np.packbits(seg, bitorder="little"))
-
-    if packed_parts:
-        bits = np.concatenate(packed_parts)
-    else:
-        bits = np.zeros(0, dtype=np.uint8)
-    primes = np.concatenate(prime_parts)
-    return PrimeTable(limit, primes, bits)
+        bits[i0 >> 3 : (i1 + 7) >> 3] = np.packbits(seg, bitorder="little")
+    return PrimeTable(limit, _decode(limit, bits), bits)
 
 
 def load_table(path: str | Path) -> PrimeTable:
@@ -210,19 +208,10 @@ def load_table(path: str | Path) -> PrimeTable:
         raise ValueError(f"{path} is not a prime cache file (bad magic or truncated header)")
     (limit,) = struct.unpack_from("<Q", raw, len(MAGIC))
     limit = int(limit)
-    bits = np.frombuffer(raw[len(MAGIC) + 8 :], dtype=np.uint8)
-    n_bits = _odd_count(limit)
-    if bits.size != (n_bits + 7) // 8:
+    bits = np.frombuffer(raw, dtype=np.uint8, offset=len(MAGIC) + 8)  # read-only view
+    if bits.size != (_odd_count(limit) + 7) // 8:
         raise ValueError(f"{path}: bitset length {bits.size} inconsistent with limit {limit}")
-
-    prime_parts = [np.array([2], dtype=np.int64)] if limit >= 2 else []
-    chunk = 1 << 23
-    for i0 in range(0, n_bits, chunk):
-        i1 = min(i0 + chunk, n_bits)
-        b = np.unpackbits(bits[i0 >> 3 : (i1 + 7) >> 3], bitorder="little")[: i1 - i0]
-        prime_parts.append((2 * (i0 + np.flatnonzero(b == 0)) + 3).astype(np.int64))
-    primes = np.concatenate(prime_parts) if prime_parts else np.zeros(0, dtype=np.int64)
-    return PrimeTable(limit, primes, bits.copy())
+    return PrimeTable(limit, _decode(limit, bits), bits)
 
 
 def cache_path(limit: int, cache_dir: str | Path | None = None) -> Path:

@@ -220,6 +220,7 @@ def pair_singular_table(h_max: int, truncation_prime: int = DEFAULT_TRUNCATION) 
         if p == 2:
             continue
         vals[p::p] *= (p - 1.0) / (p - 2.0)
+    vals.flags.writeable = False  # shared by every caller of this truncation prime
     _pair_table_cache[P] = vals
     return vals
 

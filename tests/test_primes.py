@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,55 @@ def test_contains(mid_table):
     assert 100 not in mid_table
 
 
+def _unpack(bits: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Composite flags for odd-index range [i0, i1) of a packed bitset."""
+    if i0 >= i1:
+        return np.zeros(0, dtype=bool)
+    b0, b1 = i0 >> 3, (i1 + 7) >> 3
+    unpacked = np.unpackbits(bits[b0:b1], bitorder="little")
+    off = i0 - (b0 << 3)
+    return unpacked[off : off + (i1 - i0)].astype(bool)
+
+
+def _bitset_is_prime_range(table, lo: int, hi: int) -> np.ndarray:
+    """Oracle: the window read from the odd-composite bitset, not from primes."""
+    out = np.zeros(max(hi - lo, 0), dtype=bool)
+    if hi <= lo:
+        return out
+    if lo <= 2 < hi:
+        out[2 - lo] = True
+    v0 = max(lo | 1, 3)  # first odd >= max(lo, 3)
+    if v0 >= hi:
+        return out
+    v1 = (hi - 1) if (hi - 1) % 2 else hi - 2  # last odd < hi
+    i0, i1 = (v0 - 3) >> 1, ((v1 - 3) >> 1) + 1
+    out[v0 - lo :: 2] = ~_unpack(table._bits, i0, i1)
+    return out
+
+
+@given(lo=st.integers(min_value=0, max_value=2_000_001), width=st.integers(-50, 5000))
+@settings(max_examples=200, deadline=None)
+def test_is_prime_range_matches_bitset_oracle(mid_table, lo, width):
+    hi = min(max(lo + width, 0), mid_table.limit + 1)
+    assert np.array_equal(mid_table.is_prime_range(lo, hi), _bitset_is_prime_range(mid_table, lo, hi))
+
+
+def test_is_prime_range_edge_windows(mid_table):
+    end = mid_table.limit + 1
+    windows = [(0, 0), (3, 3), (end, end), (10, 5), (end, 0), (0, end), (end - 97, end)]
+    windows += [(lo, hi) for lo in range(4) for hi in range(9)]
+    for lo, hi in windows:
+        got = mid_table.is_prime_range(lo, hi)
+        assert got.dtype == bool
+        assert np.array_equal(got, _bitset_is_prime_range(mid_table, lo, hi)), (lo, hi)
+
+
+def test_contains_matches_bitset_oracle(mid_table):
+    end = mid_table.limit + 1
+    for v in [*range(2001), *range(end - 100, end)]:
+        assert (v in mid_table) == bool(_bitset_is_prime_range(mid_table, v, v + 1)[0]), v
+
+
 def test_cache_roundtrip(tmp_path):
     table = build_table(12_345)
     path = table.save(tmp_path / "t.bin")
@@ -139,6 +190,47 @@ def test_cache_roundtrip(tmp_path):
     path2 = loaded.save(tmp_path / "t2.bin")
     assert path.read_bytes() == path2.read_bytes()
     assert path.read_bytes()[: len(MAGIC)] == MAGIC
+
+
+@pytest.mark.parametrize(
+    "limit",
+    # around a 2^20-bit sieve-segment edge, then a 2^23-bit decode-chunk edge
+    [2, 3, 4, 17, 18, 19, *range(2**21 + 1, 2**21 + 6), 2**24 + 1, 2**24 + 3],
+)
+def test_cache_roundtrip_at_decoder_edges(tmp_path, limit):
+    table = build_table(limit)
+    assert np.array_equal(table.primes, small_sieve(limit))
+    path = table.save(tmp_path / "t.bin")
+    loaded = load_table(path)
+    assert loaded.limit == limit
+    assert loaded.primes.dtype == np.int64
+    assert np.array_equal(loaded.primes, table.primes)
+    assert loaded.save(tmp_path / "t2.bin").read_bytes() == path.read_bytes()
+
+
+def test_load_ignores_pad_bits(tmp_path):
+    limit = 12_345
+    n_bits = (limit - 1) // 2
+    assert n_bits % 8  # the last byte holds pad bits
+    table = build_table(limit)
+    path = table.save(tmp_path / "t.bin")
+    raw = bytearray(path.read_bytes())
+    raw[-1] |= (0xFF << (n_bits % 8)) & 0xFF
+    path.write_bytes(bytes(raw))
+    assert np.array_equal(load_table(path).primes, table.primes)
+
+
+def test_load_peak_memory(big_table, tmp_path):
+    # one preallocated primes array plus the file bytes and bounded chunks
+    path = big_table.save(tmp_path / "big.bin")
+    tracemalloc.start()
+    try:
+        loaded = load_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.primes, big_table.primes)
+    assert peak < 1.75 * loaded.primes.nbytes
 
 
 def test_cache_rejects_garbage(tmp_path):

@@ -158,6 +158,14 @@ def test_pair_table_matches_general():
         ), d
 
 
+def test_pair_table_is_read_only():
+    before = pair_correlation_sum(100)
+    vals = pair_singular_table(200)
+    with pytest.raises(ValueError):
+        vals[:] = 0
+    assert pair_correlation_sum(100) == before
+
+
 def test_nu_equals_k_beyond_span():
     tup = OffsetTuple([0, 6, 10])
     for p in (11, 13, 101):
