@@ -3,8 +3,9 @@
 One subcommand per capability, CSV primary output with a JSON mirror,
 and a header line on every artifact embedding the tool version, the
 fully-resolved configuration, and the seed. Outputs are deterministic:
-re-running with the same config and seed, at any worker count, produces
-byte-identical files.
+re-running with the same config and seed produces byte-identical files.
+The sifted-set model runs serially; the --workers option of model and
+bias is accepted and ignored.
 
 Exit codes: 0 success, 2 invalid configuration, 3 range or resource
 errors.
@@ -196,6 +197,8 @@ def _run_singular(args) -> None:
 
 
 def _run_paircorr(args) -> None:
+    if args.step < 1:
+        raise ValueError(f"--step must be >= 1, got {args.step}")
     hs = np.arange(args.hmin, args.hmax + 1, args.step, dtype=np.int64)
     curve = singular_mod.pair_correlation_curve(hs)
     # empirical first H from which the square bound holds through hmax
@@ -240,15 +243,17 @@ def _run_model(args) -> None:
     cfg = _model_config(args, table)
     base = {"x": args.x, "lambda": args.lam, "window_len": cfg.window_len,
             "cutoff_z": cfg.cutoff_z, "seed": args.seed}
+    w = cfg.cutoff_z if args.w is None else args.w
+    if w < 1:
+        raise ValueError(f"--w must be >= 1, got {w}")
     if args.action == "sample":
-        sets = model_mod.sifted_sets(cfg, args.samples, args.w, table=table, workers=args.workers)
+        sets = model_mod.sifted_sets(cfg, args.samples, w, table=table)
         rows = [(args.seed, i, s.size, ";".join(map(str, s.tolist()))) for i, s in enumerate(sets)]
-        config = {**base, "action": "sample", "samples": args.samples, "w": args.w or cfg.cutoff_z}
+        config = {**base, "action": "sample", "samples": args.samples, "w": w}
         _emit(args.out, args.format, "model", config,
               ["seed", "sample_index", "size", "survivors"], rows)
     elif args.action == "moments":
-        w = args.w or cfg.cutoff_z
-        rep = model_mod.moments(cfg, w, args.samples, table, workers=args.workers)
+        rep = model_mod.moments(cfg, w, args.samples, table)
         config = {**base, "action": "moments", "w": w, "samples": args.samples}
         rows = [(rep.w, rep.sample_count, rep.mean, rep.variance,
                  rep.predicted_mean, rep.predicted_variance_bound, rep.in_lemma_range)]
@@ -256,7 +261,7 @@ def _run_model(args) -> None:
               ["w", "samples", "mean", "variance", "predicted_mean",
                "predicted_variance_bound", "in_lemma_range"], rows)
     else:  # bias
-        est = model_mod.parity_bias(cfg, args.samples, table, workers=args.workers)
+        est = model_mod.parity_bias(cfg, args.samples, table)
         se = model_mod.parity_bias_stderr(est, args.samples)
         config = {**base, "action": "bias", "samples": args.samples}
         rows = [(args.lam, est, se, math.exp(-2.0 * args.lam))]
@@ -269,7 +274,7 @@ def _run_bias(args) -> None:
     rows = []
     for lam in args.lambdas:
         cfg = model_mod.ModelConfig.from_scale(args.x, lam, table, seed=args.seed)
-        est = model_mod.parity_bias(cfg, args.samples, table, workers=args.workers)
+        est = model_mod.parity_bias(cfg, args.samples, table)
         se = model_mod.parity_bias_stderr(est, args.samples)
         rows.append((lam, est, se, math.exp(-2.0 * lam)))
     config = {"x": args.x, "lambdas": args.lambdas, "samples": args.samples, "seed": args.seed}
@@ -407,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_parse_int, default=None)
     p.add_argument("--samples", type=_parse_int, default=10_000)
     p.add_argument("--seed", type=_parse_int, default=0)
-    p.add_argument("--workers", type=_parse_int, default=1)
+    p.add_argument("--workers", type=_parse_int, default=1,
+                   help="accepted and ignored: the model sifts serially")
     p.set_defaults(run=_run_model)
 
     p = sub.add_parser("bias", help="model parity-bias curve over lambda")
@@ -416,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", type=_parse_positives, default="1,2,4")
     p.add_argument("--samples", type=_parse_int, default=100_000)
     p.add_argument("--seed", type=_parse_int, default=0)
-    p.add_argument("--workers", type=_parse_int, default=1)
+    p.add_argument("--workers", type=_parse_int, default=1,
+                   help="accepted and ignored: the model sifts serially")
     p.set_defaults(run=_run_bias)
 
     p = sub.add_parser("gaps", help="gap series, small-gap counts, dyadic blocks")

@@ -9,16 +9,15 @@ binomial (Bonferroni) expansions of the parity as exact companions.
 
 Randomness is a SplitMix64 counter stream per prime: the word consumed by
 (seed, prime rank, sample index, attempt) is a pure function of those
-four integers, so results are independent of evaluation order and worker
-count. Residues are drawn by rejection from 64-bit words to avoid modulo
-bias.
+four integers, so results are independent of how the samples are cut
+into spans. Sifting runs serially: each step is one numpy call on a span,
+too short to gain from threads. Residues are drawn by rejection from
+64-bit words to avoid modulo bias.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +38,7 @@ _MIX2 = _U64(0x94D049BB133111EB)
 _DRAW_BLOCK = 8
 
 # Samples sifted together: _sift cuts its samples into spans of this size,
-# which bounds the survivor masks and feeds the thread pool.
+# which bounds the survivor masks.
 _SPAN = 1 << 14
 
 _LD = np.longdouble
@@ -221,34 +220,23 @@ def _offsets(alive: np.ndarray) -> list[np.ndarray]:
     return np.split(cols + 1, np.cumsum(np.bincount(rows, minlength=len(alive)))[:-1])
 
 
-def _sift(config: ModelConfig, primes: np.ndarray, samples: int, step,
-          sample_start: int = 0, workers: int = 1) -> None:
+def _sift(config: ModelConfig, primes: np.ndarray, samples: int, sample_start: int = 0):
     """Sift the windows of samples sample_start + [0, samples) by each prime in rank order.
 
-    Samples go in fixed spans of _SPAN, on up to ``workers`` threads (never
-    more than the CPU count), which share the keep masks read-only. For the
-    span at position lo, ``step(lo, k, a, alive)`` runs before any prime
-    (k = 0, a None) and after the k-th prime, whose residues are a. alive
+    Samples go in fixed spans of _SPAN, which share the keep masks. For the
+    span at position lo, yields (lo, 0, None, alive) before any prime and
+    (lo, k, a, alive) after the k-th prime, whose residues are a. alive
     holds the span's packed survivor masks and is updated in place.
     """
     whole, keep = _keep_masks(config.window_len, primes)
-
-    def run(lo: int) -> None:
+    for lo in range(0, samples, _SPAN):
         idx = np.arange(sample_start + lo, sample_start + min(lo + _SPAN, samples), dtype=np.int64)
         alive = np.tile(whole, (idx.size, 1))
-        step(lo, 0, None, alive)
+        yield lo, 0, None, alive
         for k, (p, table) in enumerate(zip(primes, keep), 1):
             a = residues_for_prime(config.seed, k - 1, int(p), idx)
             np.bitwise_and(alive, table.take(a, axis=0, mode="clip"), out=alive)
-            step(lo, k, a, alive)
-
-    starts = range(0, samples, _SPAN)
-    if workers <= 1:
-        for lo in starts:
-            run(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            list(pool.map(run, starts))
+            yield lo, k, a, alive
 
 
 def _sifting_primes(config: ModelConfig, w: int | None, table: PrimeTable) -> tuple[int, np.ndarray]:
@@ -260,17 +248,16 @@ def _sifting_primes(config: ModelConfig, w: int | None, table: PrimeTable) -> tu
 
 
 def sifted_sets(
-    config: ModelConfig, samples: int, w: int | None = None, *, table: PrimeTable, workers: int = 1,
+    config: ModelConfig, samples: int, w: int | None = None, *, table: PrimeTable,
 ) -> list[np.ndarray]:
     """Surviving offsets of samples 0 .. samples - 1 after every p <= w is sifted."""
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     _, primes = _sifting_primes(config, w, table)
-    out: list[np.ndarray] = [None] * samples
-
-    def decode(lo, k, a, alive) -> None:
+    out: list[np.ndarray] = []
+    for _, k, _, alive in _sift(config, primes, samples):
         if k == primes.size:
-            out[lo : lo + len(alive)] = _offsets(alive)
-
-    _sift(config, primes, samples, decode, workers=workers)
+            out += _offsets(alive)
     return out
 
 
@@ -280,18 +267,12 @@ def draw_sample(
     """Materialize one sample: residues for every p <= w and the sifted set."""
     w, primes = _sifting_primes(config, w, table)
     residues: dict[int, int] = {}
-    survivors: list[np.ndarray] = []
-
-    def record(lo, k, a, alive) -> None:
+    for _, k, a, alive in _sift(config, primes, 1, sample_index):
         if k:
             residues[int(primes[k - 1])] = int(a[0])
-        if k == primes.size:
-            survivors.extend(_offsets(alive))
-
-    _sift(config, primes, 1, record, sample_start=sample_index)
     return SiftedSample(
         residues=residues,
-        survivors=survivors[0],
+        survivors=_offsets(alive)[0],
         w=w,
         window_len=config.window_len,
         sample_index=sample_index,
@@ -327,9 +308,9 @@ def survivor_counts(
 
     Each entry [i, j] is the sifted-set size of absolute sample index
     sample_start + j after removing residue classes for all p <= w_marks[i].
-    Samples are sifted in spans of _SPAN, on up to ``workers`` threads
-    (never more than the CPU count); results depend only on (seed, sample
-    index), never on spans or workers.
+    Samples are sifted serially in spans of _SPAN; results depend only on
+    (seed, sample index), never on spans. ``workers`` is accepted and
+    ignored.
     """
     marks = sorted(set(int(w) for w in (w_marks or [config.cutoff_z])))
     if marks[-1] > config.cutoff_z:
@@ -339,13 +320,10 @@ def survivor_counts(
     sifted = np.searchsorted(primes, marks, side="right")
     taken = set(sifted.tolist())
     out = np.empty((len(marks), samples), dtype=np.int64)
-
-    def count(lo, k, a, alive) -> None:
+    for lo, k, _, alive in _sift(config, primes, samples, sample_start):
         if k in taken:
             sizes = _POPCOUNT8[alive.view(np.uint8)].sum(axis=1, dtype=np.int64)
             out[sifted == k, lo : lo + len(alive)] = sizes
-
-    _sift(config, primes, samples, count, sample_start, workers)
     return out
 
 
@@ -372,7 +350,6 @@ def moments(
     samples: int,
     table: PrimeTable,
     c_var: float | None = None,
-    workers: int = 1,
     allow_out_of_range: bool = False,
 ) -> MomentReport:
     """Monte Carlo mean/variance of the survivor count at level w.
@@ -393,7 +370,7 @@ def moments(
         from .calibration import load_fixture
 
         c_var = float(load_fixture()["model"]["c_var"])
-    sizes = survivor_counts(config, samples, table, [w], workers=workers)[0]
+    sizes = survivor_counts(config, samples, table, [w])[0]
     mean = float(sizes.mean())
     var = float(sizes.var(ddof=1)) if samples > 1 else 0.0
     pred_mean = config.window_len * mertens_product(w, table)
@@ -413,12 +390,11 @@ def parity_bias(
     config: ModelConfig,
     samples: int,
     table: PrimeTable,
-    workers: int = 1,
 ) -> float:
     """Monte Carlo estimate of the mean of (-1)^(survivor count) at the cutoff."""
     if samples < 10_000:
         raise ValueError(f"need at least 10000 samples, got {samples}")
-    sizes = survivor_counts(config, samples, table, workers=workers)[0]
+    sizes = survivor_counts(config, samples, table)[0]
     odd = int(np.count_nonzero(sizes & 1))
     # same exact rational as binomial_moment_sum, so the r >= max(S)
     # collapse identity holds bit for bit
@@ -461,7 +437,6 @@ def binomial_moment_sum(
     r: int,
     samples: int,
     table: PrimeTable,
-    workers: int = 1,
 ) -> float:
     """Monte Carlo estimate of sum_{k<=r} (-2)^k E C(S, k).
 
@@ -473,7 +448,7 @@ def binomial_moment_sum(
         raise ValueError(f"r must be >= 0, got {r}")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
-    sizes = survivor_counts(config, samples, table, workers=workers)[0]
+    sizes = survivor_counts(config, samples, table)[0]
     counts = np.bincount(sizes)
     total = sum(
         int(c) * bonferroni_bound(s, r).value for s, c in enumerate(counts) if c

@@ -104,6 +104,32 @@ def test_model_bias_determinism_across_workers(workdir):
     assert a == (workdir / "c.csv").read_bytes()
 
 
+@pytest.mark.parametrize("w", ["0", "-7"])
+def test_model_w_below_one_exits_2(workdir, capsys, w):
+    # --w=0 used to sift nothing under a header naming the cutoff
+    assert main(["model", "sample", "--x=1e4", "--samples=3", f"--w={w}"]) == 2
+    assert main(["model", "moments", "--x=1e4", "--samples=1000", f"--w={w}"]) == 2
+    assert capsys.readouterr().err.count("--w must be >= 1") == 2
+    assert not any(workdir.glob("erdoslab-*"))
+    # w = 1 sifts no prime, and the header says so
+    assert main(["model", "sample", "--x=1e4", "--samples=1", "--w=1", "--out=one.csv"]) == 0
+    header, _, row = _read(workdir / "one.csv")
+    assert '"w":1,' in header and row == "0,0,9,1;2;3;4;5;6;7;8;9"
+
+
+def test_model_sample_negative_samples_exits_2(workdir, capsys):
+    assert main(["model", "sample", "--x=1e4", "--samples=-3"]) == 2
+    assert "samples must be >= 0" in capsys.readouterr().err
+    assert not any(workdir.glob("erdoslab-*"))
+
+
+@pytest.mark.parametrize("step", ["0", "-2"])
+def test_paircorr_step_below_one_exits_2(workdir, capsys, step):
+    assert main(["paircorr", f"--step={step}"]) == 2
+    assert "--step must be >= 1" in capsys.readouterr().err
+    assert not any(workdir.glob("erdoslab-*"))
+
+
 def test_bias_curve(workdir):
     assert main([
         "bias", "--x=1e6", "--lambdas=1,2", "--samples=10000", "--seed=1", "--out=bias.csv",

@@ -201,36 +201,6 @@ def test_worker_independence():
     assert _digest(counts) == "da4da44b351d4d9708468fe29859e08aafdf84ee60407baa152aa3b5f26c2c40"
 
 
-@pytest.mark.parametrize(
-    "workers, cpus, threads", [(100_000, 2, 2), (3, 8, 3), (100_000, None, 1)]
-)
-def test_pool_bounded_by_cpu_count(monkeypatch, workers, cpus, threads):
-    # a recording stand-in for the pool: no thread is ever started
-    made = []
-
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(model_mod, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(model_mod.os, "cpu_count", lambda: cpus)
-    cfg = ModelConfig(x=1e6, lam=1.0, window_len=6, cutoff_z=13, seed=1)
-    serial = survivor_counts(cfg, _SPAN + 5, TABLE, workers=1)
-    assert made == []
-    pooled = survivor_counts(cfg, _SPAN + 5, TABLE, workers=workers)
-    assert made == [threads]
-    assert np.array_equal(serial, pooled)
-
-
 def test_sample_start_offsets_compose():
     cfg = ModelConfig.from_scale(1e6, 1.0, TABLE, seed=3)
     whole = survivor_counts(cfg, 1000, TABLE)[0]
@@ -422,7 +392,7 @@ def _oracle_counts(config, samples, marks, sample_start=0):
 
 @pytest.mark.parametrize("L", [1, 2, 14, 63, 64, 65, 69, 128])
 def test_packed_kernel_matches_bool_oracle(monkeypatch, L):
-    # short spans, so that 250 samples make several spans for the pool
+    # short spans, so that 250 samples make several spans
     monkeypatch.setattr(model_mod, "_SPAN", 64)
     cfg = ModelConfig(x=1e6, lam=1.0, window_len=L, cutoff_z=2293, seed=1000 + L)
     # below 2, at a prime, between primes, at the window, at the cutoff
@@ -433,11 +403,10 @@ def test_packed_kernel_matches_bool_oracle(monkeypatch, L):
             got = survivor_counts(cfg, 250, TABLE, marks, sample_start=start, workers=workers)
             assert np.array_equal(got, want), (start, workers)
     want_sets = [np.flatnonzero(row) + 1 for row in _oracle_counts(cfg, 250, [cfg.cutoff_z])[1]]
-    for workers in (1, 2):
-        got_sets = sifted_sets(cfg, 250, table=TABLE, workers=workers)
-        assert len(got_sets) == 250
-        for got, want in zip(got_sets, want_sets):
-            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    got_sets = sifted_sets(cfg, 250, table=TABLE)
+    assert len(got_sets) == 250
+    for got, want in zip(got_sets, want_sets):
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
     for i in (0, 63, 64, 249):
         s = draw_sample(cfg, table=TABLE, sample_index=i)
         assert s.survivors.tolist() == want_sets[i].tolist()
@@ -458,6 +427,8 @@ def test_sifted_sets_are_draw_samples(w):
     with pytest.raises(ValueError):
         sifted_sets(cfg, 3, cfg.cutoff_z + 1, table=TABLE)
     assert sifted_sets(cfg, 0, table=TABLE) == []
+    with pytest.raises(ValueError):
+        sifted_sets(cfg, -1, table=TABLE)
 
 
 def test_packed_kernel_empty_window():
