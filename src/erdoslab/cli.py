@@ -182,6 +182,8 @@ def _run_equiv(args) -> None:
 
 
 def _run_singular(args) -> None:
+    if args.hmax < 1:
+        raise ValueError(f"--hmax must be >= 1, got {args.hmax}")
     if args.tuple:
         tup = _parse_offsets(args.tuple)
         sv = singular_mod.singular_series(tup, args.truncation)
@@ -218,6 +220,8 @@ def _run_paircorr(args) -> None:
 
 def _run_tuples(args) -> None:
     tups = [_parse_offsets(t) for t in args.tuple]
+    if not all(t.offsets for t in tups):
+        raise ValueError("--tuple needs at least one offset")
     x = args.x
     limit = args.limit or (x + max(t.offsets[-1] for t in tups) + 10)
     table = _get_table(limit, args)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BoundsError
 from .model import uniform_ints
 from .primes import PrimeTable
-from .series import PartialSumTrace, _CompensatedScan, checkpoint_indices
+from .series import _REAL_CHUNK, PartialSumTrace, _scan, checkpoint_indices
 from .singular import gallagher_sum
 
 KINDS = ("reciprocal_weighted", "alternating_gap", "alternating_weighted_gap", "theta_family")
@@ -74,11 +74,15 @@ def gap_series_partial(
         raise BoundsError(f"need p_(n+1) for n={n_max}; table holds {table.primes.size} primes")
 
     cps = checkpoint_indices(start, n_max, ratio, dense_windows, checkpoints)
-    scan = _CompensatedScan(cps, complex_valued=False)
-    chunk = 1 << 20
-    for a in range(start, n_max + 1, chunk):
-        b = min(a + chunk, n_max + 1)
-        n = np.arange(a, b, dtype=np.float64)
+    return _scan(cps, _gap_terms(table, config, n_max), -1.0 if config.alternating else 1.0, start)
+
+
+def _gap_terms(table: PrimeTable, config: GapSeriesConfig, n_max: int):
+    """Yield chunks (n, t) of the gap series terms for start_index <= n <= n_max."""
+    for a in range(config.start_index, n_max + 1, _REAL_CHUNK):
+        b = min(a + _REAL_CHUNK, n_max + 1)
+        idx = np.arange(a, b)
+        n = idx.astype(np.float64)
         g = (table.primes[a : b] - table.primes[a - 1 : b - 1]).astype(np.float64)
         if config.kind == "reciprocal_weighted":
             t = 1.0 / (n * np.log(np.log(n)) ** config.c * g)
@@ -89,9 +93,8 @@ def gap_series_partial(
         else:
             t = 1.0 / (n**config.theta * g)
         if config.alternating:
-            t[(np.arange(a, b) & 1) == 1] *= -1.0
-        scan.feed(np.arange(a, b), t)
-    return scan.finish(-1.0 if config.alternating else 1.0, start)
+            t[(idx & 1) == 1] *= -1.0
+        yield idx, t
 
 
 @dataclass(frozen=True)

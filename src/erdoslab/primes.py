@@ -220,11 +220,11 @@ def cache_path(limit: int, cache_dir: str | Path | None = None) -> Path:
     return Path(d) / f"primes-{int(limit)}.bin"
 
 
-def load_or_build(limit: int, cache_dir: str | Path | None = None, write: bool = True) -> PrimeTable:
+def load_or_build(limit: int, cache_dir: str | Path | None = None) -> PrimeTable:
     """Return a table for ``limit``, reusing the on-disk cache when present.
 
-    A cache file that cannot be parsed counts as a miss: the table is
-    rebuilt and, with ``write``, the file is overwritten.
+    On a miss the table is built and written to the cache. A cache file
+    that cannot be parsed counts as a miss, so it is overwritten.
     """
     path = cache_path(limit, cache_dir)
     if path.exists():
@@ -233,6 +233,5 @@ def load_or_build(limit: int, cache_dir: str | Path | None = None, write: bool =
             if table.limit == int(limit):
                 return table
     table = build_table(limit)
-    if write:
-        table.save(path)
+    table.save(path)
     return table

@@ -110,69 +110,45 @@ def checkpoint_indices(
     return np.array(sorted(marks), dtype=np.int64)
 
 
-class _CompensatedScan:
-    """Shared accumulation core for the series scans.
+def _scan(checkpoints: np.ndarray, chunks, phase: complex, start_index: int) -> PartialSumTrace:
+    """Compensated partial sums at ``checkpoints`` of a series fed in chunks.
 
-    Terms arrive in chunks (real or complex float64); prefixes inside a
-    chunk are accumulated as extended-precision cumulative sums and the
-    running cross-chunk total is carried in extended precision as well.
-    ``abs_total`` is only a bound on the rounding error, so it is float64.
+    ``chunks`` yields ``(ends, terms)``: with ``terms[i]`` the sum reaches
+    index ``ends[i]``. ``ends`` increases across chunks, and every
+    checkpoint up to ``ends[-1]`` not read by an earlier chunk must be one
+    of its entries. Prefixes inside a chunk are cumulative sums in
+    longdouble (clongdouble for complex terms), and the running total is
+    one clongdouble. ``abs_term_total`` only bounds the rounding error, so
+    it is float64.
     """
-
-    def __init__(self, checkpoints: np.ndarray, complex_valued: bool):
-        self.checkpoints = checkpoints
-        self.complex_valued = complex_valued
-        self.total_re = _LD(0.0)
-        self.total_im = _LD(0.0)
-        self.abs_total = 0.0
-        self._next = 0  # position in checkpoints
-        self.out_values = np.zeros(checkpoints.size, dtype=np.complex128)
-        self.out_comp = np.zeros(checkpoints.size, dtype=np.complex128)
-
-    def feed(self, ends: np.ndarray, terms: np.ndarray) -> None:
-        """Add ``terms``; with ``terms[i]`` the sum reaches index ``ends[i]``.
-
-        ``ends`` increases, and every checkpoint up to ``ends[-1]`` not
-        read by an earlier chunk must be one of its entries.
-        """
-        self.abs_total += float(np.abs(terms).sum())
-        if self.complex_valued:
-            pre_re = np.cumsum(terms.real, dtype=_LD)
-            pre_im = np.cumsum(terms.imag, dtype=_LD)
-        else:
-            pre_re = np.cumsum(terms, dtype=_LD)
-            pre_im = None
-
-        hi = int(np.searchsorted(self.checkpoints, ends[-1], side="right"))
-        cps = self.checkpoints[self._next : hi]
-        off = np.searchsorted(ends, cps)
-        if not np.array_equal(ends[off], cps):
+    values = np.zeros(checkpoints.size, dtype=np.complex128)
+    comps = np.zeros(checkpoints.size, dtype=np.complex128)
+    total = np.clongdouble(0.0)
+    abs_total = 0.0
+    done = 0  # checkpoints read so far
+    for ends, terms in chunks:
+        abs_total += float(np.abs(terms).sum())
+        pre = np.cumsum(terms, dtype=np.clongdouble if np.iscomplexobj(terms) else _LD)
+        hi = int(np.searchsorted(checkpoints, ends[-1], side="right"))
+        off = np.searchsorted(ends, checkpoints[done:hi])
+        if not np.array_equal(ends[off], checkpoints[done:hi]):
             raise AssertionError("a checkpoint falls inside a term")
-        at = slice(self._next, hi)
-        re = self.total_re + pre_re[off]
-        self.out_values.real[at] = re
-        self.out_comp.real[at] = re - self.out_values.real[at].astype(_LD)
-        if pre_im is not None:
-            im = self.total_im + pre_im[off]
-            self.out_values.imag[at] = im
-            self.out_comp.imag[at] = im - self.out_values.imag[at].astype(_LD)
-        self._next = hi
-
-        self.total_re += pre_re[-1]
-        if pre_im is not None:
-            self.total_im += pre_im[-1]
-
-    def finish(self, phase: complex, start_index: int) -> PartialSumTrace:
-        if self._next != self.checkpoints.size:
-            raise AssertionError("scan ended before all checkpoints were reached")
-        return PartialSumTrace(
-            indices=self.checkpoints,
-            values=self.out_values,
-            compensations=self.out_comp,
-            phase=phase,
-            start_index=start_index,
-            abs_term_total=self.abs_total,
-        )
+        at = total + pre[off]
+        values[done:hi] = at
+        comps[done:hi] = at - values[done:hi].astype(np.clongdouble)
+        total += pre[-1]
+        done = hi
+        del pre  # free this chunk's prefixes before the next chunk is made
+    if done != checkpoints.size:
+        raise AssertionError("scan ended before all checkpoints were reached")
+    return PartialSumTrace(
+        indices=checkpoints,
+        values=values,
+        compensations=comps,
+        phase=phase,
+        start_index=start_index,
+        abs_term_total=abs_total,
+    )
 
 
 def _phase_powers(phase: complex, carry: complex, count: int) -> tuple[np.ndarray, complex]:
@@ -246,11 +222,8 @@ def erdos_partial(
         )
 
     cps = checkpoint_indices(1, n_max, ratio, dense_windows, checkpoints)
-    real = phase.imag == 0.0 and phase.real in (1.0, -1.0)
-    scan = _CompensatedScan(cps, complex_valued=not real)
-    for a, terms in _erdos_terms(table, phase, 1, n_max):
-        scan.feed(np.arange(a, a + terms.size), terms)
-    return scan.finish(phase, 1)
+    chunks = ((np.arange(a, a + t.size), t) for a, t in _erdos_terms(table, phase, 1, n_max))
+    return _scan(cps, chunks, phase, 1)
 
 
 def _block_sums(edges: np.ndarray) -> np.ndarray:
@@ -304,6 +277,20 @@ def _parity_blocks(table: PrimeTable, m_max: int, checkpoints: np.ndarray, chunk
         yield blocks
 
 
+def _parity_terms(table: PrimeTable, phase: complex, m_max: int, checkpoints: np.ndarray):
+    """Yield chunks (ends, t): t[i] is phase^k times the i-th block sum of _parity_blocks."""
+    real = phase.imag == 0.0 and phase.real in (1.0, -1.0)
+    chunk = _REAL_CHUNK if real else RENORM_STEPS
+    carry = 1.0 + 0.0j  # phase^(q * chunk) entering chunk q
+    for ends, k, sums in _parity_blocks(table, m_max, checkpoints, chunk):
+        if not real:
+            pw, carry = _phase_powers(phase, carry, chunk)
+            sums = pw[(k - 1) % chunk] * sums
+        elif phase.real == -1.0:
+            sums[(k & 1) == 1] *= -1.0
+        yield ends, sums
+
+
 def parity_partial(
     table: PrimeTable,
     m_max: int,
@@ -344,18 +331,7 @@ def parity_partial(
         raise BoundsError(f"m_max={m_max} exceeds table limit {table.limit}")
 
     cps = checkpoint_indices(2, m_max, ratio, dense_windows, checkpoints)
-    real = phase.imag == 0.0 and phase.real in (1.0, -1.0)
-    scan = _CompensatedScan(cps, complex_valued=not real)
-    chunk = _REAL_CHUNK if real else RENORM_STEPS
-    carry = 1.0 + 0.0j  # phase^(q * chunk) entering chunk q
-    for ends, k, sums in _parity_blocks(table, m_max, cps, chunk):
-        if not real:
-            pw, carry = _phase_powers(phase, carry, chunk)
-            sums = pw[(k - 1) % chunk] * sums
-        elif phase.real == -1.0:
-            sums[(k & 1) == 1] *= -1.0
-        scan.feed(ends, sums)
-    return scan.finish(phase, 2)
+    return _scan(cps, _parity_terms(table, phase, m_max, cps), phase, 2)
 
 
 def average_consecutive(trace: PartialSumTrace) -> PartialSumTrace:
@@ -431,9 +407,7 @@ def verify_equivalence(
     factor = phase / (phase - 1.0)
     lhs = np.array([lhs_trace.value_at(int(x)) for x in xs])
     rhs = factor * np.array([rhs_trace.value_at(int(m)) for m in ms])
-    report = EquivalenceReport(x_values=xs, lhs=lhs, rhs=rhs, phase=phase)
-    # restore ordering the caller asked for is not needed; xs is sorted
-    return report
+    return EquivalenceReport(x_values=xs, lhs=lhs, rhs=rhs, phase=phase)
 
 
 def oscillation_stats(

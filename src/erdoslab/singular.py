@@ -193,22 +193,16 @@ def singular_series(tup: OffsetTuple, truncation_prime: int | None = None) -> Si
     return SingularValue(float(np.exp(log_head + log_tail_part)), P, tail, True)
 
 
-_pair_table_cache: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=16)
 def pair_singular_table(h_max: int, truncation_prime: int = DEFAULT_TRUNCATION) -> np.ndarray:
     """Values of the pair singular series for every gap d in [0, h_max].
 
     Entry d holds the {0, d} value (0 for odd d, and entry 0 is 0 by
     convention since {0, 0} is not a pair). Computed by one sieve pass:
     even gaps start at twice the twin constant and each odd prime divisor
-    p contributes (p-1)/(p-2).
+    p contributes (p-1)/(p-2). The array is cached and read-only.
     """
     P = int(truncation_prime)
-    cached = _pair_table_cache.get(P)
-    if cached is not None and cached.size > h_max:
-        return cached[: h_max + 1]
-
     primes = _primes_upto(P)
     odd = primes[primes > 2].astype(np.float64)
     twin2 = 2.0 * float(np.exp(np.cumsum(np.log1p(-1.0 / (odd - 1.0) ** 2).astype(_LD))[-1]))
@@ -220,8 +214,7 @@ def pair_singular_table(h_max: int, truncation_prime: int = DEFAULT_TRUNCATION) 
         if p == 2:
             continue
         vals[p::p] *= (p - 1.0) / (p - 2.0)
-    vals.flags.writeable = False  # shared by every caller of this truncation prime
-    _pair_table_cache[P] = vals
+    vals.flags.writeable = False  # shared by every caller with these arguments
     return vals
 
 

@@ -130,6 +130,22 @@ def test_paircorr_step_below_one_exits_2(workdir, capsys, step):
     assert not any(workdir.glob("erdoslab-*"))
 
 
+@pytest.mark.parametrize("hmax", ["0", "-4"])
+def test_singular_hmax_below_one_exits_2(workdir, capsys, hmax):
+    assert main(["singular", f"--hmax={hmax}"]) == 2
+    assert "--hmax must be >= 1" in capsys.readouterr().err
+    assert not any(workdir.glob("erdoslab-*"))
+
+
+@pytest.mark.parametrize("offsets", ["", ","])
+def test_tuples_empty_tuple_exits_2(workdir, capsys, offsets):
+    assert main(["tuples", f"--tuple={offsets}", "--x=100"]) == 2
+    assert "--tuple needs at least one offset" in capsys.readouterr().err
+    assert not any(workdir.glob("erdoslab-*"))
+    # for singular the empty tuple is the k = 0 case, with value 1
+    assert main(["singular", f"--tuple={offsets}", "--out=s.csv"]) == 0
+
+
 def test_bias_curve(workdir):
     assert main([
         "bias", "--x=1e6", "--lambdas=1,2", "--samples=10000", "--seed=1", "--out=bias.csv",

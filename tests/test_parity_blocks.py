@@ -13,7 +13,7 @@ from erdoslab.series import (
     _REAL_CHUNK,
     _as_phase,
     _block_sums,
-    _CompensatedScan,
+    _scan,
     checkpoint_indices,
     parity_partial,
 )
@@ -27,36 +27,37 @@ PHASES = [-1.0, 1.0, 1j, complex(math.cos(2 * math.pi / 12), math.sin(2 * math.p
 def _dense_parity_partial(table, m_max, phase=-1.0, *, checkpoints=None, dense_windows=(), ratio=1.25):
     """The per-integer scan that parity_partial ran before it summed per prime gap.
 
-    Kept as the oracle. The loop is the old one; only its ``feed`` calls
-    pass the index array that ``_CompensatedScan.feed`` takes now.
+    Kept as the oracle. The loop is the old one; it now yields each chunk,
+    with its index array, to ``_scan``.
     """
     phase = _as_phase(phase)
     cps = checkpoint_indices(2, m_max, ratio, dense_windows, checkpoints)
     real = phase.imag == 0.0 and phase.real in (1.0, -1.0)
-    scan = _CompensatedScan(cps, complex_valued=not real)
     chunk = _REAL_CHUNK if real else RENORM_STEPS
-    parity_carry = 0  # pi(a-1) mod 2
-    carry_pw = 1.0 + 0.0j  # phase^pi(a-1)
 
-    for a in range(2, m_max + 1, chunk):
-        b = min(a + chunk, m_max + 1)
-        m = np.arange(a, b, dtype=np.float64)
-        base = 1.0 / (m * np.log(m))
-        ind = table.is_prime_range(a, b)
-        if real and phase.real == -1.0:
-            par = np.bitwise_xor.accumulate(ind.astype(np.uint8)) ^ parity_carry
-            base[par == 1] *= -1.0
-            parity_carry = int(par[-1])
-            scan.feed(np.arange(a, b), base)
-        elif real:
-            scan.feed(np.arange(a, b), base)
-        else:
-            step = np.where(ind, phase, 1.0 + 0.0j)
-            pw = carry_pw * np.cumprod(step)
-            carry_pw = complex(pw[-1])
-            carry_pw /= abs(carry_pw)
-            scan.feed(np.arange(a, b), pw * base)
-    return scan.finish(phase, 2)
+    def chunks():
+        parity_carry = 0  # pi(a-1) mod 2
+        carry_pw = 1.0 + 0.0j  # phase^pi(a-1)
+        for a in range(2, m_max + 1, chunk):
+            b = min(a + chunk, m_max + 1)
+            m = np.arange(a, b, dtype=np.float64)
+            base = 1.0 / (m * np.log(m))
+            ind = table.is_prime_range(a, b)
+            if real and phase.real == -1.0:
+                par = np.bitwise_xor.accumulate(ind.astype(np.uint8)) ^ parity_carry
+                base[par == 1] *= -1.0
+                parity_carry = int(par[-1])
+                yield np.arange(a, b), base
+            elif real:
+                yield np.arange(a, b), base
+            else:
+                step = np.where(ind, phase, 1.0 + 0.0j)
+                pw = carry_pw * np.cumprod(step)
+                carry_pw = complex(pw[-1])
+                carry_pw /= abs(carry_pw)
+                yield np.arange(a, b), pw * base
+
+    return _scan(cps, chunks(), phase, 2)
 
 
 def _assert_agree(m_max, phase, **kw):

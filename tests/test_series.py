@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from erdoslab.errors import BoundsError, DivergentSeriesError
 from erdoslab.primes import build_table
 from erdoslab.series import (
+    _REAL_CHUNK,
     PartialSumTrace,
     average_consecutive,
     checkpoint_indices,
@@ -206,3 +208,19 @@ def test_equivalence_errors(big_table):
     small = build_table(1000)
     with pytest.raises(BoundsError):
         verify_equivalence(small, [10**5], -1.0)
+
+
+def test_parity_scan_frees_each_chunk(big_table):
+    # M = 5e7 spans three block chunks of _REAL_CHUNK primes. The peak is one
+    # chunk's block arithmetic, about 12.4 float64 chunk arrays, while the
+    # previous chunk's terms are still alive. Longdouble prefixes kept past
+    # their chunk would add two more.
+    m_max = 5 * 10**7
+    assert big_table.pi(m_max) > 2 * _REAL_CHUNK
+    tracemalloc.start()
+    try:
+        parity_partial(big_table, m_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.5 * 8 * _REAL_CHUNK
