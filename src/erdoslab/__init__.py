@@ -7,7 +7,7 @@ density predictions, a seeded random sifted-set model of primes in short
 windows, and prime-gap statistics.
 """
 
-from .census import TupleCheckReport, check_tuple, count_tuples, log_integral
+from .census import TupleCheckReport, check_tuple, check_tuples, count_tuples, log_integral
 from .errors import BoundsError, DivergentSeriesError
 from .gaps import (
     GapSeriesConfig,
@@ -82,6 +82,7 @@ __all__ = [
     "build_table",
     "cache_path",
     "check_tuple",
+    "check_tuples",
     "count_tuples",
     "draw_sample",
     "dyadic_gap_stats",

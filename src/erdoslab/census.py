@@ -1,9 +1,11 @@
 """Exact prime-tuple counts against their density predictions.
 
-count_tuples walks a bit-vector window and ANDs shifted primality slices,
-log_integral evaluates the density integral int_2^x dy/log^k y by adaptive
-Gauss-Kronrod bisection, and check_tuple packages both sides with a
-normalized error.
+count_tuples walks [1, x] in chunks: each chunk is one boolean primality
+window, built from the sorted ``primes`` array, and every tuple ANDs its
+shifted slices of that window into one reused buffer. log_integral
+evaluates the density integral int_2^x dy/log^k y by adaptive
+Gauss-Kronrod bisection, and check_tuples packages both sides with a
+normalized error, one report per tuple.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import BoundsError
 from .primes import PrimeTable
 from .singular import OffsetTuple, SingularValue, singular_series
 
-_COUNT_CHUNK = 1 << 22
+_COUNT_CHUNK = 1 << 18  # a 256 KB bool buffer that stays in L2
 
 # 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule.
 _XGK = np.array([
@@ -38,24 +40,40 @@ _WG = np.array([
 
 def count_tuples(table: PrimeTable, tup: OffsetTuple, x: int) -> int:
     """Number of n <= x with n + h prime for every offset h."""
+    return _count_many(table, [tup], x)[0]
+
+
+def _check_bound(table: PrimeTable, tup: OffsetTuple, x: int) -> None:
+    if tup.k and x + tup.offsets[-1] > table.limit:
+        raise BoundsError(f"need primality up to {x + tup.offsets[-1]} > table limit {table.limit}")
+
+
+def _count_many(table: PrimeTable, tups: list[OffsetTuple], x: int) -> list[int]:
+    """count_tuples for each tuple, all reading one primality window per chunk."""
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    if tup.k == 0:
-        return x
-    max_off = tup.offsets[-1]
-    if x + max_off > table.limit:
-        raise BoundsError(f"need primality up to {x + max_off} > table limit {table.limit}")
+    for tup in tups:
+        _check_bound(table, tup, x)
+    totals = [0 if tup.k else x for tup in tups]
+    max_off = max((tup.offsets[-1] for tup in tups if tup.k), default=None)
+    if max_off is None:
+        return totals
 
-    total = 0
+    buf = np.empty(min(_COUNT_CHUNK, x), dtype=bool)
     for a in range(1, x + 1, _COUNT_CHUNK):
         b = min(a + _COUNT_CHUNK, x + 1)
         win = table.is_prime_range(a, b + max_off)
-        acc = win[tup.offsets[0] : tup.offsets[0] + (b - a)]
-        for h in tup.offsets[1:]:
-            acc = acc & win[h : h + (b - a)]
-        total += int(np.count_nonzero(acc))
-    return total
+        acc = buf[: b - a]
+        for i, tup in enumerate(tups):
+            if tup.k == 0:
+                continue
+            h0, *rest = tup.offsets
+            np.copyto(acc, win[h0 : h0 + (b - a)])
+            for h in rest:
+                np.logical_and(acc, win[h : h + (b - a)], out=acc)
+            totals[i] += int(np.count_nonzero(acc))
+    return totals
 
 
 def _gk15(f, a: float, b: float) -> tuple[float, float]:
@@ -135,37 +153,62 @@ def check_tuple(
     truncation_prime: int | None = None,
 ) -> TupleCheckReport:
     """Exact count vs singular-series prediction with normalized error."""
+    return check_tuples(table, [tup], x, epsilon, strict_range, truncation_prime)[0]
+
+
+def check_tuples(
+    table: PrimeTable,
+    tups: list[OffsetTuple],
+    x: int,
+    epsilon: float = 0.05,
+    strict_range: bool = False,
+    truncation_prime: int | None = None,
+) -> list[TupleCheckReport]:
+    """check_tuple for each tuple, counted in one shared walk over [1, x].
+
+    Each tuple is checked in input order, completely, before anything is
+    counted, so the first bad tuple raises the error check_tuple raises
+    for it.
+    """
     x = int(x)
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
-    if tup.k == 0:
-        raise ValueError("tuple must have at least one offset")
 
     log2x = math.log(x) ** 2
     loglog5 = math.log(math.log(x)) ** 5
-    in_offset_range = tup.offsets[-1] <= log2x
-    in_k_range = tup.k <= loglog5
-    if strict_range and not (in_offset_range and in_k_range):
-        raise ValueError(
-            f"tuple outside strict ranges at x={x}: offsets<=log^2 x is {in_offset_range}, "
-            f"k<=(loglog x)^5 is {in_k_range}"
-        )
+    sides = []
+    for tup in tups:
+        if tup.k == 0:
+            raise ValueError("tuple must have at least one offset")
+        in_offset_range = tup.offsets[-1] <= log2x
+        in_k_range = tup.k <= loglog5
+        if strict_range and not (in_offset_range and in_k_range):
+            raise ValueError(
+                f"tuple outside strict ranges at x={x}: offsets<=log^2 x is {in_offset_range}, "
+                f"k<=(loglog x)^5 is {in_k_range}"
+            )
+        _check_bound(table, tup, x)
+        sv = singular_series(tup, truncation_prime)
+        prediction = sv.value * log_integral(x, tup.k) if sv.admissible else 0.0
+        sides.append((sv, prediction, in_offset_range, in_k_range))
 
-    count = count_tuples(table, tup, x)
-    sv = singular_series(tup, truncation_prime)
-    prediction = sv.value * log_integral(x, tup.k) if sv.admissible else 0.0
-    abs_error = abs(count - prediction)
-    return TupleCheckReport(
-        tup=tup,
-        x=x,
-        count=count,
-        prediction=prediction,
-        abs_error=abs_error,
-        normalized_error=abs_error / x ** (1.0 - epsilon),
-        epsilon=epsilon,
-        singular=sv,
-        in_offset_range=in_offset_range,
-        in_k_range=in_k_range,
-    )
+    reports = []
+    for tup, count, (sv, prediction, in_offset_range, in_k_range) in zip(
+        tups, _count_many(table, tups, x), sides
+    ):
+        abs_error = abs(count - prediction)
+        reports.append(TupleCheckReport(
+            tup=tup,
+            x=x,
+            count=count,
+            prediction=prediction,
+            abs_error=abs_error,
+            normalized_error=abs_error / x ** (1.0 - epsilon),
+            epsilon=epsilon,
+            singular=sv,
+            in_offset_range=in_offset_range,
+            in_k_range=in_k_range,
+        ))
+    return reports

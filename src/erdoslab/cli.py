@@ -184,7 +184,7 @@ def _run_equiv(args) -> None:
 def _run_singular(args) -> None:
     if args.hmax < 1:
         raise ValueError(f"--hmax must be >= 1, got {args.hmax}")
-    if args.tuple:
+    if args.tuple is not None:
         tup = _parse_offsets(args.tuple)
         sv = singular_mod.singular_series(tup, args.truncation)
         config = {"tuple": list(tup.offsets), "truncation": sv.truncation_prime}
@@ -225,13 +225,11 @@ def _run_tuples(args) -> None:
     x = args.x
     limit = args.limit or (x + max(t.offsets[-1] for t in tups) + 10)
     table = _get_table(limit, args)
-    rows = []
-    for tup in tups:
-        rep = census_mod.check_tuple(table, tup, x, args.eps, args.strict)
-        rows.append((
-            "_".join(map(str, tup.offsets)), x, rep.count, rep.prediction,
-            rep.abs_error, rep.normalized_error, rep.epsilon,
-        ))
+    rows = [
+        ("_".join(map(str, rep.tup.offsets)), x, rep.count, rep.prediction,
+         rep.abs_error, rep.normalized_error, rep.epsilon)
+        for rep in census_mod.check_tuples(table, tups, x, args.eps, args.strict)
+    ]
     config = {"tuples": [list(t.offsets) for t in tups], "x": x, "eps": args.eps,
               "strict": args.strict, "table_limit": limit}
     _emit(args.out, args.format, "tuples", config,

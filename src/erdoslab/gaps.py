@@ -207,6 +207,9 @@ def empirical_parity_statistic(
             f"need primes to {x + spread + window} > table limit {table.limit}"
         )
     n = x + uniform_ints(seed, _PARITY_STREAM, base_points, spread + 1)
+    # only the count of odd (hi - lo) matters, and sorted keys let each
+    # binary search start from the last one's bound
+    n.sort()
     lo = np.searchsorted(table.primes, n, side="right")
     hi = np.searchsorted(table.primes, n + window, side="right")
     odd = int(np.count_nonzero((hi - lo) & 1))

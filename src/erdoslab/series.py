@@ -171,7 +171,7 @@ def _erdos_terms(table: PrimeTable, phase: complex, first: int, last: int):
             b = min(a + _REAL_CHUNK, last + 1)
             t = np.arange(a, b, dtype=np.float64) / table.primes[a - 1 : b - 1]
             if phase.real == -1.0:
-                t[(np.arange(a, b) & 1) == 1] *= -1.0
+                t[(a + 1) % 2 :: 2] *= -1.0  # odd n = a + i
             yield a, t
         return
     carry = 1.0 + 0.0j  # phase^(a-1) entering the next chunk

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from erdoslab.census import check_tuple, count_tuples, log_integral
+from erdoslab import census
+from erdoslab.census import _count_many, check_tuple, check_tuples, count_tuples, log_integral
 from erdoslab.errors import BoundsError
 from erdoslab.primes import build_table
 from erdoslab.singular import OffsetTuple
@@ -16,6 +18,22 @@ TABLE = build_table(200_000)
 
 def brute_count(offsets, x, prime_set):
     return sum(1 for n in range(1, x + 1) if all(n + h in prime_set for h in offsets))
+
+
+def _per_tuple_oracle(table, tup, x, chunk):
+    """The per-tuple window walk that _count_many replaced: one window per tuple and chunk."""
+    if tup.k == 0:
+        return x
+    max_off = tup.offsets[-1]
+    total = 0
+    for a in range(1, x + 1, chunk):
+        b = min(a + chunk, x + 1)
+        win = table.is_prime_range(a, b + max_off)
+        acc = win[tup.offsets[0] : tup.offsets[0] + (b - a)]
+        for h in tup.offsets[1:]:
+            acc = acc & win[h : h + (b - a)]
+        total += int(np.count_nonzero(acc))
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +165,66 @@ def test_strict_range_mode():
     assert not check_tuple(TABLE, tup, 10**5, strict_range=False).in_offset_range
     with pytest.raises(ValueError):
         check_tuple(TABLE, tup, 10**5, strict_range=True)
+
+
+# 1-3 distinct tuples (the empty one and ones not starting at 0 included),
+# then up to 3 repeats drawn from them
+_TUPLE_LISTS = st.lists(
+    st.lists(st.integers(min_value=0, max_value=20), max_size=4, unique=True),
+    min_size=1, max_size=3,
+).flatmap(lambda ts: st.lists(st.sampled_from(ts), max_size=3).map(lambda extra: ts + extra))
+
+
+@given(offs_list=_TUPLE_LISTS, m=st.integers(min_value=0, max_value=40),
+       d=st.integers(min_value=-2, max_value=2))
+@example(offs_list=[[], [3, 5], [0, 2], [3, 5]], m=2, d=0)
+@example(offs_list=[[1], [], []], m=0, d=1)
+@settings(max_examples=60, deadline=None)
+def test_count_many_matches_per_tuple_oracle(offs_list, m, d):
+    # x sits next to a multiple of the 64-integer chunk, so every chunk edge is crossed
+    x = max(64 * m + d, 1)
+    tups = [OffsetTuple(offs) for offs in offs_list]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census, "_COUNT_CHUNK", 64)
+        got = _count_many(TABLE, tups, x)
+        assert [count_tuples(TABLE, t, x) for t in tups] == got
+    assert got == [_per_tuple_oracle(TABLE, t, x, 64) for t in tups]
+
+
+def test_count_many_at_default_chunk():
+    # x past one 2^18 chunk, with a partial last chunk
+    x = census._COUNT_CHUNK + 12_345
+    big = build_table(x + 100)
+    tups = [OffsetTuple(o) for o in ([0], [0, 2], [4, 6], [], [0, 2, 6], [0, 2])]
+    want = [_per_tuple_oracle(big, t, x, 1 << 22) for t in tups]
+    assert _count_many(big, tups, x) == want
+    assert want[0] == big.pi(x)
+
+
+def test_check_tuples_equals_check_tuple():
+    tups = [OffsetTuple(o) for o in ([0], [0, 2], [0, 1], [2, 6, 8], [0, 2], [0, 250])]
+    for x, eps in ((10**5, 0.05), (12_345, 0.2)):
+        reps = check_tuples(TABLE, tups, x, epsilon=eps)
+        assert len(reps) == len(tups)
+        for tup, rep in zip(tups, reps):
+            one = check_tuple(TABLE, tup, x, epsilon=eps)
+            for f in dataclasses.fields(one):
+                a, b = getattr(rep, f.name), getattr(one, f.name)
+                if f.name == "tup":
+                    assert a.offsets == b.offsets == tup.offsets
+                else:
+                    assert a == b, f.name
+    assert check_tuples(TABLE, [], 10**5) == []
+
+
+def test_check_tuples_first_bad_tuple_raises():
+    # tuple 2 overruns the table and tuple 3 breaks the strict range: the
+    # bound error of tuple 2 comes first, as from check_tuple in order
+    tups = [OffsetTuple([0, 2]), OffsetTuple([0, 60]), OffsetTuple([0, 250])]
+    x = TABLE.limit - 50
+    with pytest.raises(BoundsError, match=f"need primality up to {x + 60} > table limit"):
+        check_tuples(TABLE, tups, x, strict_range=True)
+    with pytest.raises(ValueError, match="outside strict ranges"):
+        check_tuples(TABLE, [tups[0], tups[2], tups[1]], x, strict_range=True)
+    with pytest.raises(ValueError, match="at least one offset"):
+        check_tuples(TABLE, [tups[0], OffsetTuple(), tups[1]], x)

@@ -146,6 +146,31 @@ def test_tuples_empty_tuple_exits_2(workdir, capsys, offsets):
     assert main(["singular", f"--tuple={offsets}", "--out=s.csv"]) == 0
 
 
+def test_tuples_bound_error_before_later_strict_error(workdir, capsys):
+    # tuple 2 overruns --limit, tuple 3 is outside the strict range (log^2 x ~ 84.8):
+    # the first bad tuple decides, as when each tuple was checked and counted in turn
+    argv = ["tuples", "--tuple=0,2", "--tuple=0,60", "--tuple=0,100", "--x=10000",
+            "--limit=10050", "--strict"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: range: need primality up to 10060 > table limit 10050\n"
+    )
+    assert not any(workdir.glob("erdoslab-*"))
+    assert main(argv[:3] + argv[4:]) == 3
+    assert main([*argv[:2], argv[3], *argv[4:]]) == 2
+    assert "outside strict ranges" in capsys.readouterr().err
+    assert not any(workdir.glob("erdoslab-*"))
+
+
+def test_singular_empty_tuple_is_k0(workdir):
+    # --tuple= is the empty tuple, like --tuple=,, not a missing option
+    assert main(["singular", "--tuple=", "--out=a.csv"]) == 0
+    assert main(["singular", "--tuple=,", "--out=b.csv"]) == 0
+    a = _read(workdir / "a.csv")
+    assert a == _read(workdir / "b.csv")
+    assert a[1:] == ["offsets,value,tail_bound,admissible", ",1.0,0.0,True"]
+
+
 def test_bias_curve(workdir):
     assert main([
         "bias", "--x=1e6", "--lambdas=1,2", "--samples=10000", "--seed=1", "--out=bias.csv",

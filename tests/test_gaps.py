@@ -133,6 +133,26 @@ def test_parity_statistic_window_one_direct():
     assert rep.estimate == pytest.approx(1.0 - 2.0 * frac_prime, abs=1e-12)
 
 
+def _unsorted_parity_oracle(table, x, lam, base_points, seed):
+    """The statistic as first written: two searchsorted calls on the base points in draw order."""
+    window = int(lam * math.log(x))
+    n = x + uniform_ints(seed, 0x5057, base_points, int(x**0.9) + 1)
+    lo = np.searchsorted(table.primes, n, side="right")
+    hi = np.searchsorted(table.primes, n + window, side="right")
+    est = 1.0 - 2.0 * int(np.count_nonzero((hi - lo) & 1)) / base_points
+    return est, math.sqrt(max(1.0 - est * est, 0.0) / base_points)
+
+
+@pytest.mark.parametrize("x,lam", [(1000, 0.1), (10_000, 0.05), (10_000, 1.0), (50_000, 2.5),
+                                   (200_000, 0.5), (200_000, 1.0)])
+def test_parity_statistic_matches_unsorted_oracle(x, lam):
+    # sorting the base points cannot move the odd count: equal, not close
+    for seed in (0, 1, 7, 42):
+        for pts in (1000, 4321):
+            rep = empirical_parity_statistic(TABLE, x, lam, pts, seed)
+            assert (rep.estimate, rep.stderr) == _unsorted_parity_oracle(TABLE, x, lam, pts, seed)
+
+
 def test_parity_statistic_seeded_reproducible():
     a = empirical_parity_statistic(TABLE, 10_000, 1.0, 2000, seed=5)
     b = empirical_parity_statistic(TABLE, 10_000, 1.0, 2000, seed=5)

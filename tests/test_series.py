@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from erdoslab.errors import BoundsError, DivergentSeriesError
 from erdoslab.primes import build_table
+from erdoslab import series
 from erdoslab.series import (
     _REAL_CHUNK,
     PartialSumTrace,
+    _erdos_terms,
     average_consecutive,
     checkpoint_indices,
     erdos_partial,
@@ -224,3 +226,18 @@ def test_parity_scan_frees_each_chunk(big_table):
     finally:
         tracemalloc.stop()
     assert peak < 13.5 * 8 * _REAL_CHUNK
+
+
+@pytest.mark.parametrize("first", [1, 2, 9, 100])
+def test_strided_sign_matches_mask(monkeypatch, first):
+    # chunks of 7 terms start at odd and even n in turn
+    monkeypatch.setattr(series, "_REAL_CHUNK", 7)
+    last = 150
+    starts = []
+    for a, t in _erdos_terms(TABLE, -1.0, first, last):
+        b = a + t.size
+        want = np.arange(a, b, dtype=np.float64) / TABLE.primes[a - 1 : b - 1]
+        want[(np.arange(a, b) & 1) == 1] *= -1.0
+        assert t.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        starts.append(a)
+    assert {a % 2 for a in starts} == {0, 1} and starts[-1] + 7 > last
