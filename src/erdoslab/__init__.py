@@ -32,6 +32,7 @@ from .model import (
     moments,
     parity_bias,
     parity_bias_stderr,
+    parity_biases,
     sieve_cutoff,
     sifted_sets,
     survivor_counts,
@@ -105,6 +106,7 @@ __all__ = [
     "pair_singular_table",
     "parity_bias",
     "parity_bias_stderr",
+    "parity_biases",
     "parity_partial",
     "sieve_cutoff",
     "sifted_sets",

@@ -14,6 +14,8 @@ import math
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import model as M
 from .primes import PrimeTable
 
@@ -57,12 +59,11 @@ def calibrate_model(table: PrimeTable, samples: int = 100_000, seed: int = 20260
     the estimate +/- max(6 stderr, 0.03), widened to bracket exp(-2).
     """
     x = 1e6
-    ratios = []
-    for lam in (1.0, 2.0, 4.0):
-        cfg = M.ModelConfig.from_scale(x, lam, table, seed=seed)
-        sizes = M.survivor_counts(cfg, max(samples // 10, 1000), table)[0]
-        var = float(sizes.var(ddof=1))
-        ratios.append(var * math.log(cfg.cutoff_z) / cfg.window_len)
+    cfgs = [M.ModelConfig.from_scale(x, lam, table, seed=seed) for lam in (1.0, 2.0, 4.0)]
+    # one sift serves the three windows, which share the seed and the cutoff
+    _, spans = M._span_counts(cfgs, max(samples // 10, 1000), table)
+    sizes = np.concatenate([counts[:, -1] for _, counts in spans], axis=1)
+    ratios = [float(s.var(ddof=1)) * math.log(c.cutoff_z) / c.window_len for c, s in zip(cfgs, sizes)]
     c_var = 1.5 * max(ratios)
 
     cfg1 = M.ModelConfig.from_scale(x, 1.0, table, seed=seed)

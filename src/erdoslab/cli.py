@@ -273,12 +273,11 @@ def _run_model(args) -> None:
 
 def _run_bias(args) -> None:
     table = _model_table(args.x, args)
-    rows = []
-    for lam in args.lambdas:
-        cfg = model_mod.ModelConfig.from_scale(args.x, lam, table, seed=args.seed)
-        est = model_mod.parity_bias(cfg, args.samples, table)
-        se = model_mod.parity_bias_stderr(est, args.samples)
-        rows.append((lam, est, se, math.exp(-2.0 * lam)))
+    cfgs = [model_mod.ModelConfig.from_scale(args.x, lam, table, seed=args.seed)
+            for lam in args.lambdas]
+    ests = model_mod.parity_biases(cfgs, args.samples, table)
+    rows = [(lam, est, model_mod.parity_bias_stderr(est, args.samples), math.exp(-2.0 * lam))
+            for lam, est in zip(args.lambdas, ests)]
     config = {"x": args.x, "lambdas": args.lambdas, "samples": args.samples, "seed": args.seed}
     _emit(args.out, args.format, "bias", config,
           ["lambda", "estimate", "stderr", "exp_minus_2lambda"], rows)

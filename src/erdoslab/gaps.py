@@ -93,7 +93,7 @@ def _gap_terms(table: PrimeTable, config: GapSeriesConfig, n_max: int):
         else:
             t = 1.0 / (n**config.theta * g)
         if config.alternating:
-            t[(idx & 1) == 1] *= -1.0
+            t[(a + 1) % 2 :: 2] *= -1.0  # odd n = a + i
         yield idx, t
 
 

@@ -12,7 +12,9 @@ Randomness is a SplitMix64 counter stream per prime: the word consumed by
 four integers, so results are independent of how the samples are cut
 into spans. Sifting runs serially: each step is one numpy call on a span,
 too short to gain from threads. Residues are drawn by rejection from
-64-bit words to avoid modulo bias.
+64-bit words to avoid modulo bias. A residue never depends on the window,
+so one sift at the widest window serves every window that shares a seed
+and a cutoff (parity_biases).
 """
 
 from __future__ import annotations
@@ -91,7 +93,9 @@ def residues_for_prime(seed: int, prime_rank: int, p: int, sample_indices: np.nd
     rem = (1 << 64) % p
     limit = _U64((1 << 64) - rem) if rem else None  # words from limit on are rejected
     words = _stream_words(seed, prime_rank, idx.astype(_U64) * _U64(_DRAW_BLOCK))
-    pending = (words >= limit).nonzero()[0] if rem else idx[:0]
+    # a rejected word is rare: one max() usually spares the nonzero() scan
+    rejected = rem and words.size and words.max() >= limit
+    pending = (words >= limit).nonzero()[0] if rejected else idx[:0]
     # words % p, as numpy divides by a scalar several times faster than it takes a remainder
     words -= words // _U64(p) * _U64(p)
     out = words.view(np.int64)
@@ -296,6 +300,50 @@ def membership_probability(tup, w: int, table: PrimeTable) -> float:
     return float(np.exp(total))
 
 
+def _span_counts(configs: list[ModelConfig], samples: int, table: PrimeTable,
+                 w_marks: list[int] | None = None, sample_start: int = 0):
+    """Survivor counts of several windows that share a seed and a cutoff, from one sift.
+
+    Offset h survives p iff h % p != a_p, whatever the window length, and
+    a_p does not depend on the window. So one sift at the widest window
+    serves them all: a narrower window's survivors are the low bits of the
+    widest mask. Returns the sorted marks and an iterator over spans of
+    (lo, counts), where counts[c, i, j] is the survivor count of configs[c]
+    at sample sample_start + lo + j after every p <= marks[i] is sifted.
+    """
+    if not configs:
+        raise ValueError("need at least one config")
+    seed, cutoff = configs[0].seed, configs[0].cutoff_z
+    if any(c.seed != seed or c.cutoff_z != cutoff for c in configs):
+        raise ValueError("configs must share one seed and one cutoff")
+    marks = sorted(set(int(w) for w in (w_marks or [cutoff])))
+    if marks[-1] > cutoff:
+        raise ValueError(f"w marks exceed cutoff {cutoff}")
+    primes = _primes_upto_w(table, marks[-1])
+    # row i holds the count after the first sifted[i] primes; 0 primes leave L
+    sifted = np.searchsorted(primes, marks, side="right")
+    taken = set(sifted.tolist())
+    widest = max(configs, key=lambda c: c.window_len)
+    words = -(-widest.window_len // 64)
+    wholes = []
+    for c in configs:
+        whole = _keep_masks(c.window_len, primes[:0])[0]
+        wholes.append(np.pad(whole, (0, words - whole.size)))
+
+    def spans():
+        for lo, k, _, alive in _sift(widest, primes, samples, sample_start):
+            if k == 0:
+                counts = np.empty((len(configs), len(marks), len(alive)), dtype=np.int64)
+            if k in taken:
+                for c, whole in enumerate(wholes):
+                    bits = (alive & whole).view(np.uint8)
+                    counts[c, sifted == k] = _POPCOUNT8[bits].sum(axis=1, dtype=np.int64)
+            if k == primes.size:
+                yield lo, counts
+
+    return marks, spans()
+
+
 def survivor_counts(
     config: ModelConfig,
     samples: int,
@@ -312,18 +360,10 @@ def survivor_counts(
     (seed, sample index), never on spans. ``workers`` is accepted and
     ignored.
     """
-    marks = sorted(set(int(w) for w in (w_marks or [config.cutoff_z])))
-    if marks[-1] > config.cutoff_z:
-        raise ValueError(f"w marks exceed cutoff {config.cutoff_z}")
-    primes = _primes_upto_w(table, marks[-1])
-    # row i holds the count after the first sifted[i] primes; 0 primes leave L
-    sifted = np.searchsorted(primes, marks, side="right")
-    taken = set(sifted.tolist())
+    marks, spans = _span_counts([config], samples, table, w_marks, sample_start)
     out = np.empty((len(marks), samples), dtype=np.int64)
-    for lo, k, _, alive in _sift(config, primes, samples, sample_start):
-        if k in taken:
-            sizes = _POPCOUNT8[alive.view(np.uint8)].sum(axis=1, dtype=np.int64)
-            out[sifted == k, lo : lo + len(alive)] = sizes
+    for lo, counts in spans:
+        out[:, lo : lo + counts.shape[2]] = counts[0]
     return out
 
 
@@ -386,19 +426,30 @@ def moments(
     )
 
 
+def parity_biases(configs: list[ModelConfig], samples: int, table: PrimeTable) -> list[float]:
+    """Monte Carlo estimates of the mean of (-1)^(survivor count) at the cutoff, per config.
+
+    The configs must share a seed and a cutoff; one sift at the widest
+    window serves every window (see _span_counts).
+    """
+    if samples < 10_000:
+        raise ValueError(f"need at least 10000 samples, got {samples}")
+    _, spans = _span_counts(configs, samples, table)
+    odd = np.zeros(len(configs), dtype=np.int64)
+    for _, counts in spans:
+        odd += np.count_nonzero(counts[:, -1] & 1, axis=1)
+    # same exact rational as binomial_moment_sum, so the r >= max(S)
+    # collapse identity holds bit for bit
+    return [float(Fraction(samples - 2 * int(o), samples)) for o in odd]
+
+
 def parity_bias(
     config: ModelConfig,
     samples: int,
     table: PrimeTable,
 ) -> float:
     """Monte Carlo estimate of the mean of (-1)^(survivor count) at the cutoff."""
-    if samples < 10_000:
-        raise ValueError(f"need at least 10000 samples, got {samples}")
-    sizes = survivor_counts(config, samples, table)[0]
-    odd = int(np.count_nonzero(sizes & 1))
-    # same exact rational as binomial_moment_sum, so the r >= max(S)
-    # collapse identity holds bit for bit
-    return float(Fraction(samples - 2 * odd, samples))
+    return parity_biases([config], samples, table)[0]
 
 
 def parity_bias_stderr(estimate: float, samples: int) -> float:

@@ -180,6 +180,17 @@ def test_bias_curve(workdir):
     assert len(lines) == 4
 
 
+def test_bias_rows_match_single_lambda_runs(workdir):
+    # one shared sift for 5 and 1, in that order, gives the rows of two separate runs
+    base = ["bias", "--x=1e6", "--samples=10000", "--seed=3"]
+    assert main([*base, "--lambdas=5,1", "--out=both.csv"]) == 0
+    assert main([*base, "--lambdas=5", "--out=five.csv"]) == 0
+    assert main([*base, "--lambdas=1", "--out=one.csv"]) == 0
+    rows = _read(workdir / "both.csv")[2:]
+    assert rows == _read(workdir / "five.csv")[2:] + _read(workdir / "one.csv")[2:]
+    assert [r.split(",")[0] for r in rows] == ["5.0", "1.0"]
+
+
 def test_gaps_actions(workdir):
     assert main(["gaps", "series", "--kind=alternating_gap", "--nmax=1000", "--out=g.csv"]) == 0
     assert main(["gaps", "smallgap", "--X=10000", "--lambdas=0.5,1.0", "--out=sg.csv"]) == 0

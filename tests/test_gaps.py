@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from erdoslab import gaps as gaps_mod
 from erdoslab.errors import BoundsError
 from erdoslab.gaps import (
+    KINDS,
     GapSeriesConfig,
+    _gap_terms,
     dyadic_gap_stats,
     empirical_parity_statistic,
     gap_series_partial,
@@ -59,6 +62,31 @@ def test_alternating_direct_oracle():
     got = gap_series_partial(TABLE, GapSeriesConfig(kind="alternating_gap"), 200)
     direct = sum((-1) ** n / TABLE.gap(n) for n in range(1, 201))
     assert got.value_at(200).real == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gap_terms_strided_sign_matches_mask(monkeypatch, kind):
+    # chunks of 7 terms start at odd and even n in turn; the mask flip is the oracle
+    monkeypatch.setattr(gaps_mod, "_REAL_CHUNK", 7)
+    cfg = GapSeriesConfig(kind=kind)
+    starts = []
+    for idx, t in _gap_terms(TABLE, cfg, 150):
+        a, b = int(idx[0]), int(idx[-1]) + 1
+        n = idx.astype(np.float64)
+        g = (TABLE.primes[a:b] - TABLE.primes[a - 1 : b - 1]).astype(np.float64)
+        if kind == "reciprocal_weighted":
+            want = 1.0 / (n * np.log(np.log(n)) ** cfg.c * g)
+        elif kind == "alternating_gap":
+            want = 1.0 / g
+        elif kind == "alternating_weighted_gap":
+            want = 1.0 / (n * g)
+        else:
+            want = 1.0 / (n**cfg.theta * g)
+        if cfg.alternating:
+            want[(idx & 1) == 1] *= -1.0
+        assert t.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        starts.append(a)
+    assert {a % 2 for a in starts} == {0, 1} and starts[-1] + 7 > 150
 
 
 def test_start_index_enforced():

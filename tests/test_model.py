@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from erdoslab.model import (
     moments,
     parity_bias,
     parity_bias_stderr,
+    parity_biases,
     residues_for_prime,
     sieve_cutoff,
     sifted_sets,
@@ -503,3 +505,62 @@ def test_rejection_exhaustion_raises(monkeypatch):
     with pytest.raises(RuntimeError):
         residues_for_prime(9, 4, 3 << 61, np.arange(50))
     assert residues_for_prime(9, 4, 1 << 62, np.arange(50)).size == 50
+
+
+# -- one sift for every window that shares a seed and a cutoff --
+
+def _shared_configs(seed, windows):
+    # direct construction: the windows share the cutoff of x = 1e6
+    z = sieve_cutoff(1e6, TABLE)
+    return [ModelConfig(x=1e6, lam=L / math.log(1e6), window_len=L, cutoff_z=z, seed=seed)
+            for L in windows]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_parity_biases_match_per_config(monkeypatch, seed):
+    # spans of 4096 make three spans of 10^4 samples; windows of 1, 2 and 3 words,
+    # unsorted and repeated
+    monkeypatch.setattr(model_mod, "_SPAN", 4096)
+    cfgs = _shared_configs(seed, [69, 14, 130, 14, 69])
+    got = parity_biases(cfgs, 10_000, TABLE)
+    assert got == [parity_bias(c, 10_000, TABLE) for c in cfgs]
+    assert got[1] == got[3] and got[0] == got[4]
+
+
+def test_parity_biases_match_bool_oracle():
+    cfgs = _shared_configs(5, [130, 14, 69])
+    want = []
+    for c in cfgs:
+        sizes = _oracle_counts(c, 10_000, [c.cutoff_z])[0][0]
+        want.append(float(Fraction(10_000 - 2 * int(np.count_nonzero(sizes & 1)), 10_000)))
+    assert parity_biases(cfgs, 10_000, TABLE) == want
+
+
+def test_span_counts_match_survivor_counts(monkeypatch):
+    monkeypatch.setattr(model_mod, "_SPAN", 64)
+    cfgs = _shared_configs(9, [14, 130, 0, 69, 14])
+    z = cfgs[0].cutoff_z
+    for marks, start in (([z], 0), ([1, 2, 100, 14, z], 777), ([z, 50, 3], 12_345)):
+        got_marks, spans = model_mod._span_counts(cfgs, 250, TABLE, marks, start)
+        assert got_marks == sorted(set(marks))
+        got = np.concatenate([counts for _, counts in spans], axis=2)
+        assert got.shape == (len(cfgs), len(got_marks), 250)
+        for c, row in zip(cfgs, got):
+            assert np.array_equal(row, survivor_counts(c, 250, TABLE, marks, sample_start=start))
+            assert np.array_equal(row, _oracle_counts(c, 250, got_marks, sample_start=start)[0])
+
+
+def test_shared_sift_validation():
+    cfg = _shared_configs(1, [14])[0]
+    other_seed = replace(cfg, window_len=69, seed=2)
+    other_cutoff = replace(cfg, window_len=69, cutoff_z=cfg.cutoff_z - 6)
+    for bad in ([], [cfg, other_seed], [cfg, other_cutoff]):
+        with pytest.raises(ValueError):
+            parity_biases(bad, 10_000, TABLE)
+        with pytest.raises(ValueError):
+            model_mod._span_counts(bad, 10, TABLE)
+    # the sample count is checked before any sifting, whatever the configs
+    with pytest.raises(ValueError, match="10000 samples"):
+        parity_biases([cfg, other_seed], 9_999, TABLE)
+    with pytest.raises(ValueError, match="exceed cutoff"):
+        model_mod._span_counts([cfg], 10, TABLE, [cfg.cutoff_z + 1])
