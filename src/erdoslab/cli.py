@@ -192,8 +192,9 @@ def _run_singular(args) -> None:
         _emit(args.out, args.format, "singular", config,
               ["offsets", "value", "tail_bound", "admissible"], rows)
     else:
-        vals = singular_mod.pair_singular_table(args.hmax, args.truncation or singular_mod.DEFAULT_TRUNCATION)
-        config = {"hmax": args.hmax, "truncation": args.truncation or singular_mod.DEFAULT_TRUNCATION}
+        truncation = singular_mod.DEFAULT_TRUNCATION if args.truncation is None else args.truncation
+        vals = singular_mod.pair_singular_table(args.hmax, truncation)
+        config = {"hmax": args.hmax, "truncation": truncation}
         rows = [(d, vals[d]) for d in range(1, args.hmax + 1)]
         _emit(args.out, args.format, "singular", config, ["d", "singular_value"], rows)
 

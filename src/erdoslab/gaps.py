@@ -74,7 +74,7 @@ def gap_series_partial(
         raise BoundsError(f"need p_(n+1) for n={n_max}; table holds {table.primes.size} primes")
 
     cps = checkpoint_indices(start, n_max, ratio, dense_windows, checkpoints)
-    return _scan(cps, _gap_terms(table, config, n_max), -1.0 if config.alternating else 1.0, start)
+    return _scan(cps, _gap_terms(table, config, n_max), -1.0 if config.alternating else 1.0)
 
 
 def _gap_terms(table: PrimeTable, config: GapSeriesConfig, n_max: int):

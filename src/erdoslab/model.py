@@ -3,9 +3,10 @@
 One uniform residue class is deleted modulo every prime up to a cutoff;
 the survivors in (0, window_len] model the shifted primes. This module
 selects the cutoff from the Mertens product, computes exact membership
-probabilities, draws reproducible Monte Carlo samples, and estimates the
-moment and parity statistics of the survivor count, with truncated
-binomial (Bonferroni) expansions of the parity as exact companions.
+probabilities (one point's is the Mertens product), draws reproducible
+Monte Carlo samples, and estimates the moment and parity statistics of
+the survivor count, with truncated binomial (Bonferroni) expansions of
+the parity as exact companions. Of a PrimeTable it reads only primes.
 
 Randomness is a SplitMix64 counter stream per prime: the word consumed by
 (seed, prime rank, sample index, attempt) is a pure function of those
@@ -14,7 +15,8 @@ into spans. Sifting runs serially: each step is one numpy call on a span,
 too short to gain from threads. Residues are drawn by rejection from
 64-bit words to avoid modulo bias. A residue never depends on the window,
 so one sift at the widest window serves every window that shares a seed
-and a cutoff (parity_biases).
+and a cutoff (parity_biases); survivors are counted from the packed
+masks with a byte popcount table.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundsError
-from .primes import _POPCOUNT8, PrimeTable
-from .singular import _log_head
+from .primes import PrimeTable
+from .singular import OffsetTuple, _log_head
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -47,6 +49,9 @@ _LD = np.longdouble
 
 # The 64 one-bit words, for decoding packed survivor masks.
 _BIT = _U64(1) << np.arange(64, dtype=_U64)
+
+# Set bits of every byte value, for counting survivors.
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -118,11 +123,8 @@ def _primes_upto_w(table: PrimeTable, w: int) -> np.ndarray:
 
 
 def mertens_product(w: int, table: PrimeTable) -> float:
-    """prod_{p <= w} (1 - 1/p)."""
-    if w > table.limit:
-        raise BoundsError(f"w={w} exceeds table limit {table.limit}")
-    ps = _primes_upto_w(table, w).astype(np.float64)
-    return float(np.exp(np.sum(np.log1p(-1.0 / ps).astype(_LD))))
+    """prod_{p <= w} (1 - 1/p), the survival probability of one point."""
+    return membership_probability(OffsetTuple([0]), w, table)
 
 
 def sieve_cutoff(x: float, table: PrimeTable) -> int:
@@ -286,6 +288,8 @@ def draw_sample(
 
 def membership_probability(tup, w: int, table: PrimeTable) -> float:
     """Exact survival probability prod_{p <= w} (1 - nu(p)/p), in log space."""
+    if w > table.limit:
+        raise BoundsError(f"w={w} exceeds table limit {table.limit}")
     if tup.k and w < tup.span:
         raise ValueError(f"w={w} below tuple span {tup.span}")
     if tup.k == 0:

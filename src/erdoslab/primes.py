@@ -1,35 +1,35 @@
 """Prime generation, caching, and rank queries.
 
-The central object is :class:`PrimeTable`: every prime up to a limit,
-built by a segmented odd-only sieve of Eratosthenes, with O(log) rank
-queries (``pi``, ``nth_prime``, ``gap``) and a binary cache format for
-instant reloads of large tables.
+The central object is :class:`PrimeTable`: every prime up to a limit, in
+one int64 array from a segmented odd-only sieve of Eratosthenes, with
+O(log) rank queries (``pi``, ``nth_prime``, ``gap``). Its binary cache
+(``PRIMECACHE2``) stores the half-gaps (p_{i+1} - p_i)/2 from p = 3 on as
+uint8: every prime gap below 3.04e11 is at most 500 (Oliveira e Silva,
+Herzog and Pardi, Math. Comp. 2014). A file that fails a check, such as
+an old ``PRIMECACHE1`` bitset, is rebuilt on first use.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BoundsError
 
-MAGIC = b"PRIMECACHE1"
+MAGIC = b"PRIMECACHE2"
 
-# Odd-number bits per sieving segment; 2**20 bits = 128 KiB keeps the
-# inner marking loop L2-resident. Must stay a multiple of 8 so every
-# non-final segment packs to whole bytes.
-SEGMENT_BITS = 1 << 20
+# After MAGIC: CRC-32 of all that follows it, then limit and prime count.
+_HEADER = struct.Struct("<IQQ")
 
-# Odd-number bits turned into primes per step of _decode; bounds its
-# temporaries to a few MB however large the table. A multiple of 8.
-_DECODE_BITS = 1 << 23
-
-# Set bits of every byte value.
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# Odd numbers per sieve segment, and gaps per step of the half-gap encoder,
+# whose 512 KiB temporaries reuse heap pages (8 MiB ones fault in afresh).
+SEGMENT_ODDS, _GAP_CHUNK = 1 << 20, 1 << 16
 
 
 def small_sieve(limit: int) -> np.ndarray:
@@ -48,37 +48,6 @@ def small_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(~is_comp).astype(np.int64)
 
 
-def _odd_count(limit: int) -> int:
-    # odds in [3, limit]
-    return (limit - 1) // 2 if limit >= 3 else 0
-
-
-def _decode(limit: int, bits: np.ndarray) -> np.ndarray:
-    """Every prime <= limit, from the packed odd-composite bitset.
-
-    The primes are counted first, so one array of the exact size is
-    filled in place. The pad bits of the last byte are ignored.
-    """
-    n_bits = _odd_count(limit)
-    n_composite = int(_POPCOUNT8[bits].sum(dtype=np.int64))
-    if n_bits % 8:
-        n_composite -= int(_POPCOUNT8[int(bits[-1]) >> (n_bits % 8)])
-    head = int(limit >= 2)  # the prime 2, which the odd-only bitset leaves out
-    primes = np.empty(head + n_bits - n_composite, dtype=np.int64)
-    primes[:head] = 2
-    k = head
-    for i0 in range(0, n_bits, _DECODE_BITS):
-        i1 = min(i0 + _DECODE_BITS, n_bits)
-        is_prime = np.unpackbits(~bits[i0 >> 3 : (i1 + 7) >> 3], count=i1 - i0, bitorder="little")
-        idx = np.flatnonzero(is_prime.view(bool))
-        out = primes[k : k + idx.size]
-        np.add(idx, i0, out=out)
-        out *= 2
-        out += 3
-        k += idx.size
-    return primes
-
-
 class PrimeTable:
     """Immutable table of all primes <= ``limit``.
 
@@ -90,12 +59,9 @@ class PrimeTable:
         Strictly increasing int64 array of every prime <= limit.
     """
 
-    def __init__(self, limit: int, primes: np.ndarray, odd_composite_bits: np.ndarray):
+    def __init__(self, limit: int, primes: np.ndarray):
         self.limit = int(limit)
         self.primes = primes
-        # Cache payload only, never queried: packed little-endian bitset,
-        # bit i <-> integer 2i+3, set <=> composite.
-        self._bits = odd_composite_bits
 
     # -- rank queries ------------------------------------------------
 
@@ -144,19 +110,29 @@ class PrimeTable:
     # -- cache file ----------------------------------------------------
 
     def save(self, path: str | Path) -> Path:
-        """Write the cache file; format is MAGIC, <Q limit, packed bitset.
+        """Write the cache file: MAGIC, <IQQ crc/limit/count, uint8 half-gaps.
 
         The bytes go to a temporary file in the same directory, which then
         replaces ``path`` in one step, so readers never see a partial file.
+        Raises ValueError when a half-gap falls outside [1, 255].
         """
+        p = self.primes
+        half = np.empty(max(p.size - 2, 0), dtype=np.uint8)
+        for i in range(0, half.size, _GAP_CHUNK):
+            h = np.diff(p[i + 1 : i + _GAP_CHUNK + 2])
+            h >>= 1
+            if h.min() < 1 or h.max() > 255:
+                raise ValueError(f"half-gap outside [1, 255] after prime {int(p[i + 1])}")
+            half[i : i + h.size] = h
+        body = struct.pack("<QQ", self.limit, p.size)
+        crc = zlib.crc32(half, zlib.crc32(body))
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as fh:
-                fh.write(MAGIC)
-                fh.write(struct.pack("<Q", self.limit))
-                fh.write(self._bits.tobytes())
+                fh.write(MAGIC + struct.pack("<I", crc) + body)
+                fh.write(half)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -175,13 +151,17 @@ def build_table(limit: int) -> PrimeTable:
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
 
-    n_bits = _odd_count(limit)
+    n_odds = (limit - 1) // 2  # odds in [3, limit]
     base = small_sieve(int(limit**0.5) + 1)
     base_odd = base[base > 2]
 
-    bits = np.empty((n_bits + 7) // 8, dtype=np.uint8)
-    for i0 in range(0, n_bits, SEGMENT_BITS):
-        i1 = min(i0 + SEGMENT_BITS, n_bits)
+    # each segment's primes go straight into one array, shrunk in place at the
+    # end: pi(x) < 1.25506 x / log x (Rosser and Schoenfeld 1962), + 2 for rounding
+    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 2, dtype=np.int64)
+    primes[0] = 2
+    k = 1
+    for i0 in range(0, n_odds, SEGMENT_ODDS):
+        i1 = min(i0 + SEGMENT_ODDS, n_odds)
         seg = np.zeros(i1 - i0, dtype=bool)  # True <=> composite
         seg_lo = 2 * i0 + 3
         seg_hi = 2 * (i1 - 1) + 3
@@ -196,22 +176,36 @@ def build_table(limit: int) -> PrimeTable:
                 continue
             # consecutive odd multiples of p sit p odd-indices apart
             seg[(start - 3) // 2 - i0 :: p] = True
-        bits[i0 >> 3 : (i1 + 7) >> 3] = np.packbits(seg, bitorder="little")
-    return PrimeTable(limit, _decode(limit, bits), bits)
+        idx = np.flatnonzero(~seg)
+        primes[k : k + idx.size] = 2 * (idx + i0) + 3
+        k += idx.size
+    primes.resize(k)  # in place; no view of primes is alive here
+    return PrimeTable(limit, primes)
 
 
 def load_table(path: str | Path) -> PrimeTable:
-    """Load a PrimeTable from its cache file."""
+    """Load a PrimeTable from its cache file; ValueError if any check fails."""
     path = Path(path)
     raw = path.read_bytes()
-    if raw[: len(MAGIC)] != MAGIC or len(raw) < len(MAGIC) + 8:
+    head = len(MAGIC) + _HEADER.size
+    if raw[: len(MAGIC)] != MAGIC or len(raw) < head:
         raise ValueError(f"{path} is not a prime cache file (bad magic or truncated header)")
-    (limit,) = struct.unpack_from("<Q", raw, len(MAGIC))
-    limit = int(limit)
-    bits = np.frombuffer(raw, dtype=np.uint8, offset=len(MAGIC) + 8)  # read-only view
-    if bits.size != (_odd_count(limit) + 7) // 8:
-        raise ValueError(f"{path}: bitset length {bits.size} inconsistent with limit {limit}")
-    return PrimeTable(limit, _decode(limit, bits), bits)
+    crc, limit, count = _HEADER.unpack_from(raw, len(MAGIC))
+    if zlib.crc32(memoryview(raw)[len(MAGIC) + 4 :]) != crc:
+        raise ValueError(f"{path}: checksum mismatch")
+    half = np.frombuffer(raw, dtype=np.uint8, offset=head)
+    if count < 1 or half.size != max(count - 2, 0):
+        raise ValueError(f"{path}: {half.size} half-gaps inconsistent with prime count {count}")
+    if not half.all():
+        raise ValueError(f"{path}: zero half-gap")
+    primes = np.empty(count, dtype=np.int64)
+    primes[:2] = (2, 3)[:count]
+    primes[2:] = half
+    primes[2:] <<= 1
+    np.cumsum(primes[1:], out=primes[1:])  # in place: no second full-size array
+    if primes[-1] > limit:
+        raise ValueError(f"{path}: last prime {int(primes[-1])} exceeds limit {limit}")
+    return PrimeTable(limit, primes)
 
 
 def cache_path(limit: int, cache_dir: str | Path | None = None) -> Path:

@@ -56,7 +56,6 @@ class PartialSumTrace:
     values: np.ndarray
     compensations: np.ndarray
     phase: complex
-    start_index: int
     abs_term_total: float = 0.0
 
     def __len__(self) -> int:
@@ -110,7 +109,7 @@ def checkpoint_indices(
     return np.array(sorted(marks), dtype=np.int64)
 
 
-def _scan(checkpoints: np.ndarray, chunks, phase: complex, start_index: int) -> PartialSumTrace:
+def _scan(checkpoints: np.ndarray, chunks, phase: complex) -> PartialSumTrace:
     """Compensated partial sums at ``checkpoints`` of a series fed in chunks.
 
     ``chunks`` yields ``(ends, terms)``: with ``terms[i]`` the sum reaches
@@ -146,7 +145,6 @@ def _scan(checkpoints: np.ndarray, chunks, phase: complex, start_index: int) -> 
         values=values,
         compensations=comps,
         phase=phase,
-        start_index=start_index,
         abs_term_total=abs_total,
     )
 
@@ -223,7 +221,7 @@ def erdos_partial(
 
     cps = checkpoint_indices(1, n_max, ratio, dense_windows, checkpoints)
     chunks = ((np.arange(a, a + t.size), t) for a, t in _erdos_terms(table, phase, 1, n_max))
-    return _scan(cps, chunks, phase, 1)
+    return _scan(cps, chunks, phase)
 
 
 def _block_sums(edges: np.ndarray) -> np.ndarray:
@@ -331,7 +329,7 @@ def parity_partial(
         raise BoundsError(f"m_max={m_max} exceeds table limit {table.limit}")
 
     cps = checkpoint_indices(2, m_max, ratio, dense_windows, checkpoints)
-    return _scan(cps, _parity_terms(table, phase, m_max, cps), phase, 2)
+    return _scan(cps, _parity_terms(table, phase, m_max, cps), phase)
 
 
 def average_consecutive(trace: PartialSumTrace) -> PartialSumTrace:
@@ -353,7 +351,6 @@ def average_consecutive(trace: PartialSumTrace) -> PartialSumTrace:
         values=vals,
         compensations=comp,
         phase=trace.phase,
-        start_index=trace.start_index,
         abs_term_total=trace.abs_term_total,
     )
 

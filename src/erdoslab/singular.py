@@ -203,6 +203,8 @@ def pair_singular_table(h_max: int, truncation_prime: int = DEFAULT_TRUNCATION) 
     p contributes (p-1)/(p-2). The array is cached and read-only.
     """
     P = int(truncation_prime)
+    if P < 3:
+        raise ValueError(f"truncation prime {P} too small; the twin constant needs P >= 3")
     primes = _primes_upto(P)
     odd = primes[primes > 2].astype(np.float64)
     twin2 = 2.0 * float(np.exp(np.cumsum(np.log1p(-1.0 / (odd - 1.0) ** 2).astype(_LD))[-1]))

@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import erdoslab
 from erdoslab.cli import _parse_int, main
-from erdoslab.primes import MAGIC, build_table, cache_path, load_table
+from erdoslab.primes import MAGIC, build_table, cache_path, load_table, small_sieve
 from erdoslab.series import checkpoint_indices
 
 
@@ -120,6 +122,13 @@ def test_model_w_below_one_exits_2(workdir, capsys, w):
 def test_model_sample_negative_samples_exits_2(workdir, capsys):
     assert main(["model", "sample", "--x=1e4", "--samples=-3"]) == 2
     assert "samples must be >= 0" in capsys.readouterr().err
+    assert not any(workdir.glob("erdoslab-*"))
+
+
+@pytest.mark.parametrize("truncation", ["-5", "0", "1", "2"])
+def test_singular_truncation_below_3_exits_2(workdir, capsys, truncation):
+    assert main(["singular", "--hmax=10", f"--truncation={truncation}"]) == 2
+    assert "truncation prime" in capsys.readouterr().err
     assert not any(workdir.glob("erdoslab-*"))
 
 
@@ -278,13 +287,42 @@ def test_non_finite_float_option_exits_2(workdir, capsys, argv):
     assert not any(workdir.glob("erdoslab-*"))
 
 
-@pytest.mark.parametrize(
-    "keep", [3, len(MAGIC) + 3, -5], ids=["3-byte file", "cut inside header", "short bitset"]
-)
-def test_corrupt_cache_is_rebuilt(workdir, keep):
+def _put(raw: bytes, at: int, new: bytes) -> bytes:
+    return raw[:at] + new + raw[at + len(new) :]
+
+
+def _resealed(raw: bytes) -> bytes:
+    """``raw`` with a fresh CRC-32, so that only the checks behind it can fail."""
+    body = raw[len(MAGIC) + 4 :]
+    return raw[: len(MAGIC)] + zlib.crc32(body).to_bytes(4, "little") + body
+
+
+def _old_format(limit: int) -> bytes:
+    """A PRIMECACHE1 file: limit, then the packed odd-composite bitset."""
+    odd = np.arange(3, limit + 1, 2)
+    bits = np.packbits(~np.isin(odd, small_sieve(limit)), bitorder="little")
+    return b"PRIMECACHE1" + limit.to_bytes(8, "little") + bits.tobytes()
+
+
+_LIMIT_AT = len(MAGIC) + 4
+_CORRUPTIONS = {  # id: (corruption of a limit-1000 file, what load_table says)
+    "3-byte file": (lambda raw: raw[:3], "bad magic"),
+    "cut inside header": (lambda raw: raw[: len(MAGIC) + 3], "bad magic"),
+    "short payload": (lambda raw: _resealed(raw[:-5]), "inconsistent"),
+    "flipped payload bit": (lambda raw: _put(raw, 100, bytes([raw[100] ^ 4])), "checksum"),
+    "flipped limit bit": (lambda raw: _put(raw, _LIMIT_AT, bytes([raw[_LIMIT_AT] ^ 1])), "checksum"),
+    "count mismatch": (lambda raw: _resealed(_put(raw, _LIMIT_AT + 8, (169).to_bytes(8, "little"))), "inconsistent"),
+    "zero half-gap": (lambda raw: _resealed(_put(raw, len(raw) - 50, b"\0")), "zero half-gap"),
+    "last prime above limit": (lambda raw: _resealed(_put(raw, len(raw) - 1, bytes([raw[-1] + 10]))), "exceeds limit"),
+    "PRIMECACHE1 file": (lambda raw: _old_format(1000), "bad magic"),
+}
+
+
+@pytest.mark.parametrize("corrupt, reason", _CORRUPTIONS.values(), ids=_CORRUPTIONS.keys())
+def test_corrupt_cache_is_rebuilt(workdir, corrupt, reason):
     path = build_table(1000).save(cache_path(1000))
-    path.write_bytes(path.read_bytes()[:keep])
-    with pytest.raises(ValueError):
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=reason):
         load_table(path)
     assert main(["gaps", "blocks", "--limit=1000", "--out=cached.csv"]) == 0
     assert main(["gaps", "blocks", "--limit=1000", "--no-cache", "--out=fresh.csv"]) == 0

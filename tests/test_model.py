@@ -29,7 +29,7 @@ from erdoslab.model import (
     survivor_counts,
     uniform_ints,
 )
-from erdoslab.primes import build_table
+from erdoslab.primes import build_table, small_sieve
 from erdoslab.singular import OffsetTuple, singular_series
 
 TABLE = build_table(10_000)
@@ -109,6 +109,21 @@ def test_membership_examples():
     assert membership_probability(OffsetTuple([1, 2]), 2, TABLE) == 0.0
     with pytest.raises(ValueError):
         membership_probability(OffsetTuple([1, 30]), 10, TABLE)
+
+
+def test_membership_beyond_table_raises():
+    # the product needs every prime <= w; a smaller table would truncate it
+    with pytest.raises(BoundsError):
+        membership_probability(OffsetTuple([0, 2]), 50_000, TABLE)
+    with pytest.raises(BoundsError):
+        mertens_product(TABLE.limit + 1, TABLE)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 10, 97, 1000, 9973, 10_000])
+def test_mertens_product_matches_direct_sum(w):
+    # the former closed form, bit for bit: exp of a longdouble sum of log1p(-1/p)
+    logs = np.log1p(-1.0 / small_sieve(w).astype(np.float64))
+    assert mertens_product(w, TABLE) == float(np.exp(np.sum(logs.astype(np.longdouble))))
 
 
 def test_membership_matches_singular_factorization():

@@ -57,7 +57,7 @@ def _dense_parity_partial(table, m_max, phase=-1.0, *, checkpoints=None, dense_w
                 carry_pw /= abs(carry_pw)
                 yield np.arange(a, b), pw * base
 
-    return _scan(cps, chunks(), phase, 2)
+    return _scan(cps, chunks(), phase)
 
 
 def _assert_agree(m_max, phase, **kw):

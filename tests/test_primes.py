@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from erdoslab.errors import BoundsError
 from erdoslab.primes import (
     MAGIC,
+    PrimeTable,
     build_table,
     cache_path,
     load_or_build,
@@ -131,29 +133,11 @@ def test_contains(mid_table):
     assert 100 not in mid_table
 
 
-def _unpack(bits: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Composite flags for odd-index range [i0, i1) of a packed bitset."""
-    if i0 >= i1:
-        return np.zeros(0, dtype=bool)
-    b0, b1 = i0 >> 3, (i1 + 7) >> 3
-    unpacked = np.unpackbits(bits[b0:b1], bitorder="little")
-    off = i0 - (b0 << 3)
-    return unpacked[off : off + (i1 - i0)].astype(bool)
-
-
-def _bitset_is_prime_range(table, lo: int, hi: int) -> np.ndarray:
-    """Oracle: the window read from the odd-composite bitset, not from primes."""
-    out = np.zeros(max(hi - lo, 0), dtype=bool)
-    if hi <= lo:
-        return out
-    if lo <= 2 < hi:
-        out[2 - lo] = True
-    v0 = max(lo | 1, 3)  # first odd >= max(lo, 3)
-    if v0 >= hi:
-        return out
-    v1 = (hi - 1) if (hi - 1) % 2 else hi - 2  # last odd < hi
-    i0, i1 = (v0 - 3) >> 1, ((v1 - 3) >> 1) + 1
-    out[v0 - lo :: 2] = ~_unpack(table._bits, i0, i1)
+@functools.cache
+def _dense_is_prime(limit: int) -> np.ndarray:
+    """Oracle: one boolean per integer in [0, limit], from the dense sieve, not from primes."""
+    out = np.zeros(limit + 1, dtype=bool)
+    out[small_sieve(limit)] = True
     return out
 
 
@@ -161,7 +145,7 @@ def _bitset_is_prime_range(table, lo: int, hi: int) -> np.ndarray:
 @settings(max_examples=200, deadline=None)
 def test_is_prime_range_matches_bitset_oracle(mid_table, lo, width):
     hi = min(max(lo + width, 0), mid_table.limit + 1)
-    assert np.array_equal(mid_table.is_prime_range(lo, hi), _bitset_is_prime_range(mid_table, lo, hi))
+    assert np.array_equal(mid_table.is_prime_range(lo, hi), _dense_is_prime(mid_table.limit)[lo:hi])
 
 
 def test_is_prime_range_edge_windows(mid_table):
@@ -171,13 +155,13 @@ def test_is_prime_range_edge_windows(mid_table):
     for lo, hi in windows:
         got = mid_table.is_prime_range(lo, hi)
         assert got.dtype == bool
-        assert np.array_equal(got, _bitset_is_prime_range(mid_table, lo, hi)), (lo, hi)
+        assert np.array_equal(got, _dense_is_prime(mid_table.limit)[lo:hi]), (lo, hi)
 
 
 def test_contains_matches_bitset_oracle(mid_table):
     end = mid_table.limit + 1
     for v in [*range(2001), *range(end - 100, end)]:
-        assert (v in mid_table) == bool(_bitset_is_prime_range(mid_table, v, v + 1)[0]), v
+        assert (v in mid_table) == bool(_dense_is_prime(mid_table.limit)[v]), v
 
 
 def test_cache_roundtrip(tmp_path):
@@ -194,8 +178,9 @@ def test_cache_roundtrip(tmp_path):
 
 @pytest.mark.parametrize(
     "limit",
-    # around a 2^20-bit sieve-segment edge, then a 2^23-bit decode-chunk edge
-    [2, 3, 4, 17, 18, 19, *range(2**21 + 1, 2**21 + 6), 2**24 + 1, 2**24 + 3],
+    # tiny tables, a 2^20-odd sieve-segment edge, the 2^16-th half-gap (the
+    # 65537th to 65539th primes) and tables spanning many encoder chunks
+    [2, 3, 4, 17, 18, 19, 821647, 821651, 821663, *range(2**21 + 1, 2**21 + 6), 2**24 + 1, 2**24 + 3],
 )
 def test_cache_roundtrip_at_decoder_edges(tmp_path, limit):
     table = build_table(limit)
@@ -208,20 +193,8 @@ def test_cache_roundtrip_at_decoder_edges(tmp_path, limit):
     assert loaded.save(tmp_path / "t2.bin").read_bytes() == path.read_bytes()
 
 
-def test_load_ignores_pad_bits(tmp_path):
-    limit = 12_345
-    n_bits = (limit - 1) // 2
-    assert n_bits % 8  # the last byte holds pad bits
-    table = build_table(limit)
-    path = table.save(tmp_path / "t.bin")
-    raw = bytearray(path.read_bytes())
-    raw[-1] |= (0xFF << (n_bits % 8)) & 0xFF
-    path.write_bytes(bytes(raw))
-    assert np.array_equal(load_table(path).primes, table.primes)
-
-
 def test_load_peak_memory(big_table, tmp_path):
-    # one preallocated primes array plus the file bytes and bounded chunks
+    # the primes array plus the file bytes; the half-gaps decode in place
     path = big_table.save(tmp_path / "big.bin")
     tracemalloc.start()
     try:
@@ -233,11 +206,39 @@ def test_load_peak_memory(big_table, tmp_path):
     assert peak < 1.75 * loaded.primes.nbytes
 
 
+def test_build_peak_memory():
+    # one array sized by the pi(x) bound and shrunk in place, no second copy
+    tracemalloc.start()
+    try:
+        table = build_table(50_000_000)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.primes.size == 3_001_134
+    assert current < 1.01 * table.primes.nbytes
+    assert peak < 1.5 * table.primes.nbytes
+
+
 def test_cache_rejects_garbage(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"NOTACACHE..0000000000000")
     with pytest.raises(ValueError):
         load_table(p)
+
+
+@pytest.mark.parametrize(
+    "primes", [[2, 3, 3], [2, 3, 515], [2, 3, 7, 5]], ids=["zero half-gap", "half-gap 256", "falling"]
+)
+def test_save_rejects_unrepresentable_half_gaps(tmp_path, primes):
+    table = PrimeTable(1000, np.array(primes, dtype=np.int64))
+    with pytest.raises(ValueError):
+        table.save(tmp_path / "t.bin")
+    assert not any(tmp_path.iterdir())
+
+
+def test_save_keeps_half_gap_255(tmp_path):
+    table = PrimeTable(1000, np.array([2, 3, 513], dtype=np.int64))
+    assert np.array_equal(load_table(table.save(tmp_path / "t.bin")).primes, table.primes)
 
 
 def test_cache_dir_env(tmp_path, monkeypatch):

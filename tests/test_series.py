@@ -138,7 +138,6 @@ def test_average_constant_fixed_point():
         values=np.full(5, 3.25, dtype=complex),
         compensations=np.zeros(5, dtype=complex),
         phase=-1.0,
-        start_index=1,
     )
     av = average_consecutive(tr)
     assert np.allclose(av.values, 3.25)
@@ -151,7 +150,6 @@ def test_average_alternating():
         values=np.array([1.0, -1.0, 1.0], dtype=complex),
         compensations=np.zeros(3, dtype=complex),
         phase=-1.0,
-        start_index=1,
     )
     assert average_consecutive(tr).values.tolist() == [0.0, 0.0]
 
@@ -162,7 +160,6 @@ def test_average_sparse_rejected():
         values=np.zeros(3, dtype=complex),
         compensations=np.zeros(3, dtype=complex),
         phase=-1.0,
-        start_index=1,
     )
     with pytest.raises(ValueError):
         average_consecutive(tr)

@@ -158,6 +158,14 @@ def test_pair_table_matches_general():
         ), d
 
 
+@pytest.mark.parametrize("P", [-5, 0, 1, 2])
+def test_pair_table_rejects_truncation_below_3(P):
+    with pytest.raises(ValueError, match="truncation prime"):
+        pair_singular_table(10, P)
+    # at P = 3 the twin product has its one factor, 1 - 1/(3 - 1)^2
+    assert pair_singular_table(10, 3)[2] == pytest.approx(1.5, rel=1e-15)
+
+
 def test_pair_table_is_read_only():
     before = pair_correlation_sum(100)
     vals = pair_singular_table(200)
