@@ -8,7 +8,7 @@ windows, and prime-gap statistics.
 """
 
 from .census import TupleCheckReport, check_tuple, check_tuples, count_tuples, log_integral
-from .errors import BoundsError, DivergentSeriesError
+from .errors import BoundsError
 from .gaps import (
     GapSeriesConfig,
     ParityStatReport,
@@ -64,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsError",
     "BonferroniBound",
-    "DivergentSeriesError",
     "EquivalenceReport",
     "GapSeriesConfig",
     "ModelConfig",

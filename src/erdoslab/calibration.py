@@ -87,7 +87,7 @@ def calibrate_series(table: PrimeTable) -> dict:
     """Measure the oscillation-reduction ratio and anchor-value errors."""
     from . import series as S
 
-    raw_tv, avg_tv = S.oscillation_stats(table, 10**5, 10**7, -1.0)
+    raw_tv, avg_tv = S.oscillation_stats(table, 10**5, 10**7)
     ratio = avg_tv / raw_tv
 
     anchor = -0.052161

@@ -21,6 +21,9 @@ from .singular import OffsetTuple, SingularValue, singular_series
 
 _COUNT_CHUNK = 1 << 18  # a 256 KB bool buffer that stays in L2
 
+# log_integral stops once its summed |K15 - G7| is at most max(_ABS_FLOOR, _REL_TOL * |total|).
+_REL_TOL, _ABS_FLOOR = 1e-10, 1e-14
+
 # 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule.
 _XGK = np.array([
     0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
@@ -90,7 +93,7 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return k15, abs(k15 - g7)
 
 
-def log_integral(x: float, k: int, rel_tol: float = 1e-10, abs_floor: float = 1e-14) -> float:
+def log_integral(x: float, k: int) -> float:
     """int_2^x dy / log(y)^k by adaptive bisection of a Gauss-Kronrod pair."""
     x = float(x)
     k = int(k)
@@ -110,7 +113,7 @@ def log_integral(x: float, k: int, rel_tol: float = 1e-10, abs_floor: float = 1e
     heap = [(-e0, 2.0, x, i0)]
     total, err = i0, e0
     for _ in range(20_000):
-        if err <= max(abs_floor, rel_tol * abs(total)):
+        if err <= max(_ABS_FLOOR, _REL_TOL * abs(total)):
             return total
         neg_e, a, b, i_ab = heapq.heappop(heap)
         m = 0.5 * (a + b)
@@ -150,10 +153,9 @@ def check_tuple(
     x: int,
     epsilon: float = 0.05,
     strict_range: bool = False,
-    truncation_prime: int | None = None,
 ) -> TupleCheckReport:
     """Exact count vs singular-series prediction with normalized error."""
-    return check_tuples(table, [tup], x, epsilon, strict_range, truncation_prime)[0]
+    return check_tuples(table, [tup], x, epsilon, strict_range)[0]
 
 
 def check_tuples(
@@ -162,7 +164,6 @@ def check_tuples(
     x: int,
     epsilon: float = 0.05,
     strict_range: bool = False,
-    truncation_prime: int | None = None,
 ) -> list[TupleCheckReport]:
     """check_tuple for each tuple, counted in one shared walk over [1, x].
 
@@ -190,7 +191,7 @@ def check_tuples(
                 f"k<=(loglog x)^5 is {in_k_range}"
             )
         _check_bound(table, tup, x)
-        sv = singular_series(tup, truncation_prime)
+        sv = singular_series(tup)
         prediction = sv.value * log_integral(x, tup.k) if sv.admissible else 0.0
         sides.append((sv, prediction, in_offset_range, in_k_range))
 

@@ -7,6 +7,14 @@ re-running with the same config and seed produces byte-identical files.
 The sifted-set model runs serially; the --workers option of model and
 bias is accepted and ignored.
 
+A subcommand takes only the common options it reads. --format and --out
+choose the artifact of every subcommand but calibrate, which writes its
+fixture. --cache-dir names the prime cache of every subcommand that reads
+a table (all but singular and paircorr); of those, all but sieve, which
+always writes the cache, take --no-cache. --limit overrides the table
+limit of sieve, series, equiv, tuples, gaps and parity; model, bias and
+calibrate derive theirs from x. Any other use exits 2 with a usage error.
+
 Exit codes: 0 success, 2 invalid configuration, 3 range or resource
 errors.
 """
@@ -100,9 +108,9 @@ def _emit(out: str, fmt: str, cmd: str, config: dict, columns: list[str], rows: 
 
 
 def _get_table(limit: int, args) -> PrimeTable:
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return build_table(limit)
-    return load_or_build(limit, getattr(args, "cache_dir", None))
+    return load_or_build(limit, args.cache_dir)
 
 
 def _nth_prime_upper(n: int) -> int:
@@ -112,15 +120,14 @@ def _nth_prime_upper(n: int) -> int:
 
 
 def _model_table(x: float, args) -> PrimeTable:
-    limit = max(1000, int(2.0 * x ** (1.0 / math.exp(np.euler_gamma))) + 100)
-    for _ in range(4):
-        table = _get_table(limit, args)
-        try:
-            model_mod.sieve_cutoff(x, table)
-            return table
-        except BoundsError:
-            limit *= 4
-    raise BoundsError(f"could not cover the sieve cutoff for x={x}")
+    """The model's table at scale x; its limit L holds sieve_cutoff(x).
+
+    By Rosser and Schoenfeld (Illinois J. Math. 1962, Thm 7),
+    prod_{p<=L} (1 - 1/p) < e^-gamma (1 + 1/(2 log^2 L)) / log L, which is
+    at most 1/log x once log L >= log 2 + e^-gamma log x and L >= 1000;
+    L = max(1000, 2 x^(e^-gamma) + 100) meets both.
+    """
+    return _get_table(max(1000, int(2.0 * x ** (1.0 / math.exp(np.euler_gamma))) + 100), args)
 
 
 # -- subcommand runners ---------------------------------------------------
@@ -351,12 +358,17 @@ def _run_calibrate(args) -> None:
 # -- parser ----------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path, '-' for stdout")
+
+
+def _add_table(p: argparse.ArgumentParser, *, no_cache: bool = True, limit: bool = True) -> None:
     p.add_argument("--cache-dir", default=None, help="prime cache directory (or ERDOS_CACHE_DIR)")
-    p.add_argument("--no-cache", action="store_true", help="always sieve, never touch the cache")
-    p.add_argument("--limit", type=_parse_int, default=None, help="explicit prime-table limit")
+    if no_cache:
+        p.add_argument("--no-cache", action="store_true", help="always sieve, never touch the cache")
+    if limit:
+        p.add_argument("--limit", type=_parse_int, default=None, help="explicit prime-table limit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,11 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("sieve", help="build a prime table and write its cache file")
-    _add_common(p)
+    _add_output(p)
+    _add_table(p, no_cache=False)
     p.set_defaults(run=_run_sieve)
 
     p = sub.add_parser("series", help="partial-sum trace of a prime series")
-    _add_common(p)
+    _add_output(p)
+    _add_table(p)
     p.add_argument("--kind", choices=("erdos", "parity"), default="erdos")
     p.add_argument("--nmax", type=_parse_int, required=True)
     p.add_argument("--phase", default="-1")
@@ -379,27 +393,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_series)
 
     p = sub.add_parser("equiv", help="compare the two series at matched scales")
-    _add_common(p)
+    _add_output(p)
+    _add_table(p)
     p.add_argument("--x", required=True, help="comma-separated x values")
     p.add_argument("--phase", default="-1")
     p.set_defaults(run=_run_equiv)
 
     p = sub.add_parser("singular", help="singular-series values")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--tuple", default=None, help="comma-separated offsets")
     p.add_argument("--hmax", type=_parse_int, default=100)
     p.add_argument("--truncation", type=_parse_int, default=None)
     p.set_defaults(run=_run_singular)
 
     p = sub.add_parser("paircorr", help="pair-correlation sums vs the asymptotic")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--hmin", type=_parse_int, default=50)
     p.add_argument("--hmax", type=_parse_int, default=5000)
     p.add_argument("--step", type=_parse_int, default=1)
     p.set_defaults(run=_run_paircorr)
 
     p = sub.add_parser("tuples", help="exact tuple counts vs predictions")
-    _add_common(p)
+    _add_output(p)
+    _add_table(p)
     p.add_argument("--tuple", action="append", required=True, help="comma-separated offsets")
     p.add_argument("--x", type=_parse_int, required=True)
     p.add_argument("--eps", type=_parse_positive, default=0.05)
@@ -407,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_tuples)
 
     p = sub.add_parser("model", help="random sifted-set model")
-    _add_common(p)
+    _add_output(p)
+    _add_table(p, limit=False)
     p.add_argument("action", choices=("sample", "moments", "bias"))
     p.add_argument("--x", type=_parse_positive, required=True)
     p.add_argument("--lambda", dest="lam", type=_parse_positive, default=1.0)
@@ -419,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_model)
 
     p = sub.add_parser("bias", help="model parity-bias curve over lambda")
-    _add_common(p)
+    _add_output(p)
+    _add_table(p, limit=False)
     p.add_argument("--x", type=_parse_positive, required=True)
     p.add_argument("--lambdas", type=_parse_positives, default="1,2,4")
     p.add_argument("--samples", type=_parse_int, default=100_000)
@@ -429,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_bias)
 
     p = sub.add_parser("gaps", help="gap series, small-gap counts, dyadic blocks")
-    _add_common(p)
+    _add_output(p)
+    _add_table(p)
     p.add_argument("action", choices=("series", "smallgap", "blocks"))
     p.add_argument("--kind", choices=gaps_mod.KINDS, default="alternating_gap")
     p.add_argument("--c", type=_parse_positive, default=3.0)
@@ -440,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_gaps)
 
     p = sub.add_parser("parity", help="parity statistic over real primes")
-    _add_common(p)
+    _add_output(p)
+    _add_table(p)
     p.add_argument("--x", type=_parse_int, required=True)
     p.add_argument("--lambda", dest="lam", type=_parse_positive, default=1.0)
     p.add_argument("--points", type=_parse_int, default=100_000)
@@ -448,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_parity)
 
     p = sub.add_parser("calibrate", help="run oracle calibrations and write the fixture")
-    _add_common(p)
+    _add_table(p, limit=False)
     p.add_argument("--suite", choices=("model", "series", "gaps", "all"), required=True)
     p.add_argument("--samples", type=_parse_int, default=100_000)
     p.add_argument("--seed", type=_parse_int, default=20260808)
@@ -461,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "out", None) is None and hasattr(args, "format"):
+    if hasattr(args, "format") and args.out is None:
         args.out = f"erdoslab-{args.cmd}.{args.format}"
     try:
         args.run(args)

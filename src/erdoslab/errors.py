@@ -3,7 +3,3 @@
 
 class BoundsError(ValueError):
     """A query or build exceeds the range a table or window can serve."""
-
-
-class DivergentSeriesError(ValueError):
-    """A convergence assertion was requested for a series known to diverge."""

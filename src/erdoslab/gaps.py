@@ -56,16 +56,8 @@ class GapSeriesConfig:
         return self.kind != "reciprocal_weighted"
 
 
-def gap_series_partial(
-    table: PrimeTable,
-    config: GapSeriesConfig,
-    n_max: int,
-    *,
-    checkpoints: np.ndarray | None = None,
-    dense_windows: tuple[tuple[int, int], ...] = (),
-    ratio: float = 1.25,
-) -> PartialSumTrace:
-    """Checkpointed compensated partial sums of the selected gap series."""
+def gap_series_partial(table: PrimeTable, config: GapSeriesConfig, n_max: int) -> PartialSumTrace:
+    """Compensated partial sums of the selected gap series at the default checkpoints."""
     n_max = int(n_max)
     start = config.start_index
     if n_max < start:
@@ -73,7 +65,7 @@ def gap_series_partial(
     if n_max + 1 > table.primes.size:
         raise BoundsError(f"need p_(n+1) for n={n_max}; table holds {table.primes.size} primes")
 
-    cps = checkpoint_indices(start, n_max, ratio, dense_windows, checkpoints)
+    cps = checkpoint_indices(start, n_max)
     return _scan(cps, _gap_terms(table, config, n_max), -1.0 if config.alternating else 1.0)
 
 
@@ -108,11 +100,11 @@ class DyadicBlockStats:
     has_gap_two: bool
 
 
-def dyadic_gap_stats(table: PrimeTable, n_start: int = 2) -> list[DyadicBlockStats]:
-    """Min/max prime gap over each dyadic index block [N, 2N) in the table."""
+def dyadic_gap_stats(table: PrimeTable) -> list[DyadicBlockStats]:
+    """Min/max prime gap over each dyadic index block [N, 2N), N = 2, 4, 8, ..., in the table."""
     gaps = np.diff(table.primes)
     out = []
-    n_lo = int(n_start)
+    n_lo = 2
     while n_lo <= gaps.size:
         n_hi = min(2 * n_lo, gaps.size + 1)
         block = gaps[n_lo - 1 : n_hi - 1]

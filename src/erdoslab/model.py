@@ -37,8 +37,9 @@ _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 
-# 64-bit words reserved per (sample, prime) residue draw; the chance that
-# rejection consumes even two of them is below p * 2^-64 per draw.
+# 64-bit words reserved per (sample, prime) residue draw. A word is rejected
+# with probability ((2^64) mod p) / 2^64 < min(p / 2^64, 1/2), so all of them
+# are with probability below 2^-8; such a draw goes on to the next block.
 _DRAW_BLOCK = 8
 
 # Samples sifted together: _sift cuts its samples into spans of this size,
@@ -65,17 +66,22 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _stream_key(seed: int, stream: int) -> np.uint64:
+def _stream_key(seed: int, stream: int, block: int = 0) -> np.uint64:
+    """Key of a stream; block b > 0 keys its b-th substream, mixed from the stream's key."""
     mask = 0xFFFFFFFFFFFFFFFF
     start = (seed + (stream + 1) * 0x9E3779B97F4A7C15) & mask
-    return _mix64(np.array([start], dtype=_U64))[0]
+    key = _mix64(np.array([start], dtype=_U64))
+    if block:
+        key ^= _U64(block)
+        _mix64(key)
+    return key[0]
 
 
-def _stream_words(seed: int, stream: int, positions: np.ndarray) -> np.ndarray:
-    """Words at the given uint64 positions of one stream, computed in ``positions``."""
+def _stream_words(seed: int, stream: int, positions: np.ndarray, block: int = 0) -> np.ndarray:
+    """Words at the given uint64 positions of one (sub)stream, computed in ``positions``."""
     positions += _U64(1)
     positions *= _GOLDEN
-    positions += _stream_key(seed, stream)
+    positions += _stream_key(seed, stream, block)
     return _mix64(positions)
 
 
@@ -89,8 +95,10 @@ def residues_for_prime(seed: int, prime_rank: int, p: int, sample_indices: np.nd
 
     ``prime_rank`` is the 0-based rank of p among all primes, which keeps
     the substream identity stable however the cutoff is chosen. Any bound
-    p in [1, 2^63) is accepted. Sample i reads word i * _DRAW_BLOCK +
-    attempt, and only the samples whose word was rejected read the next.
+    p in [1, 2^63) is accepted. Attempt a of sample i reads word
+    i * _DRAW_BLOCK + a % _DRAW_BLOCK of block a // _DRAW_BLOCK, where
+    block 0 is the stream itself and block b > 0 a substream no other draw
+    reads. Only the samples whose word was rejected read the next.
     """
     if p < 1 or p >= 1 << 63:
         raise ValueError(f"bound must be in [1, 2^63), got {p}")
@@ -106,10 +114,9 @@ def residues_for_prime(seed: int, prime_rank: int, p: int, sample_indices: np.nd
     out = words.view(np.int64)
     attempt = 1
     while pending.size:
-        if attempt == _DRAW_BLOCK:
-            raise RuntimeError(f"rejection sampling exhausted {_DRAW_BLOCK} words for bound={p}")
-        pos = idx[pending].astype(_U64) * _U64(_DRAW_BLOCK) + _U64(attempt)
-        words = _stream_words(seed, prime_rank, pos)
+        block, slot = divmod(attempt, _DRAW_BLOCK)
+        pos = idx[pending].astype(_U64) * _U64(_DRAW_BLOCK) + _U64(slot)
+        words = _stream_words(seed, prime_rank, pos, block)
         ok = words < limit
         out[pending[ok]] = (words[ok] % _U64(p)).view(np.int64)
         pending = pending[~ok]

@@ -33,19 +33,10 @@ SEGMENT_ODDS, _GAP_CHUNK = 1 << 20, 1 << 16
 
 
 def small_sieve(limit: int) -> np.ndarray:
-    """Dense sieve returning all primes <= limit as an int64 array.
-
-    Used for base primes and by modules that only need a modest prime
-    list without a full PrimeTable.
-    """
+    """All primes <= limit as an int64 array, empty below 2: build_table's primes."""
     if limit < 2:
         return np.array([], dtype=np.int64)
-    is_comp = np.zeros(limit + 1, dtype=bool)
-    is_comp[:2] = True
-    for p in range(2, int(limit**0.5) + 1):
-        if not is_comp[p]:
-            is_comp[p * p :: p] = True
-    return np.flatnonzero(~is_comp).astype(np.int64)
+    return build_table(limit).primes
 
 
 class PrimeTable:
@@ -152,7 +143,7 @@ def build_table(limit: int) -> PrimeTable:
         raise ValueError(f"limit must be >= 2, got {limit}")
 
     n_odds = (limit - 1) // 2  # odds in [3, limit]
-    base = small_sieve(int(limit**0.5) + 1)
+    base = small_sieve(math.isqrt(limit))
     base_odd = base[base > 2]
 
     # each segment's primes go straight into one array, shrunk in place at the
@@ -179,7 +170,9 @@ def build_table(limit: int) -> PrimeTable:
         idx = np.flatnonzero(~seg)
         primes[k : k + idx.size] = 2 * (idx + i0) + 3
         k += idx.size
-    primes.resize(k)  # in place; no view of primes is alive here
+    # in place, without numpy's reference check: no view of primes is alive
+    # here, but a tracer (sys.settrace) holds frame references that fail it
+    primes.resize(k, refcheck=False)
     return PrimeTable(limit, primes)
 
 

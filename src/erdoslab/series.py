@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsError, DivergentSeriesError
+from .errors import BoundsError
 from .primes import PrimeTable
 
 # Phase powers are renormalized to |z| = 1 after this many multiplications;
@@ -190,7 +190,6 @@ def erdos_partial(
     checkpoints: np.ndarray | None = None,
     dense_windows: tuple[tuple[int, int], ...] = (),
     ratio: float = 1.25,
-    require_convergent: bool = False,
 ) -> PartialSumTrace:
     """Partial sums of sum_{n<=N} phase^n * n / p_n at checkpointed N.
 
@@ -205,8 +204,6 @@ def erdos_partial(
     checkpoints, dense_windows, ratio
         Checkpoint layout; explicit ``checkpoints`` override the geometric
         grid, ``dense_windows`` add unit-step runs either way.
-    require_convergent : bool
-        Reject phase 1, whose partial sums grow without bound.
     """
     phase = _as_phase(phase)
     n_max = int(n_max)
@@ -214,10 +211,6 @@ def erdos_partial(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > table.primes.size:
         raise BoundsError(f"n_max={n_max} exceeds pi(limit)={table.primes.size}")
-    if require_convergent and phase == 1:
-        raise DivergentSeriesError(
-            "phase 1 makes the terms n/p_n ~ 1/log n, whose partial sums diverge"
-        )
 
     cps = checkpoint_indices(1, n_max, ratio, dense_windows, checkpoints)
     chunks = ((np.arange(a, a + t.size), t) for a, t in _erdos_terms(table, phase, 1, n_max))
@@ -407,16 +400,14 @@ def verify_equivalence(
     return EquivalenceReport(x_values=xs, lhs=lhs, rhs=rhs, phase=phase)
 
 
-def oscillation_stats(
-    table: PrimeTable, n_lo: int, n_hi: int, phase: complex = -1.0
-) -> tuple[float, float]:
+def oscillation_stats(table: PrimeTable, n_lo: int, n_hi: int) -> tuple[float, float]:
     """Total variation of raw vs pairwise-averaged partial sums over [n_lo, n_hi].
 
-    Returns (raw_tv, averaged_tv). Raw TV is sum |t_k|; averaged TV is
+    The series is the alternating one, sum (-1)^n n / p_n. Returns
+    (raw_tv, averaged_tv). Raw TV is sum |t_k|; averaged TV is
     sum |t_{k+1} + t_{k+2}| / 2, both accumulated term-wise without
     materializing dense traces.
     """
-    phase = _as_phase(phase)
     n_lo, n_hi = int(n_lo), int(n_hi)
     if not 1 <= n_lo < n_hi:
         raise ValueError("need 1 <= n_lo < n_hi")
@@ -425,14 +416,14 @@ def oscillation_stats(
 
     raw = _LD(0.0)
     avg = _LD(0.0)
-    prev_term: complex | None = None
-    for _, t in _erdos_terms(table, phase, n_lo + 1, n_hi):
+    prev_term: float | None = None
+    for _, t in _erdos_terms(table, -1.0, n_lo + 1, n_hi):
         raw += np.abs(t).astype(_LD).sum()
-        with_prev = np.empty(t.size + 1, dtype=np.complex128)
+        with_prev = np.empty(t.size + 1, dtype=np.float64)
         with_prev[0] = prev_term if prev_term is not None else 0.0
         with_prev[1:] = t
         pair = np.abs(with_prev[1:] + with_prev[:-1]) / 2.0
         start = 0 if prev_term is not None else 1
         avg += pair[start:].astype(_LD).sum()
-        prev_term = complex(t[-1])
+        prev_term = float(t[-1])
     return float(raw), float(avg)

@@ -15,8 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BoundsError
-from .primes import PrimeTable, small_sieve
+from .primes import small_sieve
 
 # Multiplicative tail of the omitted p > P factors is bounded by
 # exp(TAIL_CONSTANT * k^2 / P) - 1 for every k; the proof is in the
@@ -220,9 +219,7 @@ def pair_singular_table(h_max: int, truncation_prime: int = DEFAULT_TRUNCATION) 
     return vals
 
 
-def pair_correlation_sum(
-    H: int, table: PrimeTable | None = None, truncation_prime: int = DEFAULT_TRUNCATION
-) -> float:
+def pair_correlation_sum(H: int, truncation_prime: int = DEFAULT_TRUNCATION) -> float:
     """2 * sum of pair singular-series values over 0 < h1 < h2 <= H.
 
     Shift invariance reduces the double sum to sum_d 2(H-d) * pair(d).
@@ -230,10 +227,6 @@ def pair_correlation_sum(
     H = int(H)
     if H < 2:
         raise ValueError(f"H must be >= 2, got {H}")
-    if table is not None and table.limit < truncation_prime:
-        raise BoundsError(
-            f"table limit {table.limit} below truncation prime {truncation_prime}"
-        )
     vals = pair_singular_table(H - 1, truncation_prime)
     d = np.arange(H, dtype=np.float64)
     return float(2.0 * np.sum((H - d[1:]) * vals[1:]))

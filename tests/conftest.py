@@ -7,6 +7,18 @@ from erdoslab.primes import build_table
 BIG_LIMIT = 181_000_000
 
 
+def dense_sieve(limit: int) -> np.ndarray:
+    """Oracle: all primes <= limit as int64 from one dense sieve of [0, limit], no segments."""
+    if limit < 2:
+        return np.array([], dtype=np.int64)
+    is_comp = np.zeros(limit + 1, dtype=bool)
+    is_comp[:2] = True
+    for p in range(2, int(limit**0.5) + 1):
+        if not is_comp[p]:
+            is_comp[p * p :: p] = True
+    return np.flatnonzero(~is_comp).astype(np.int64)
+
+
 @pytest.fixture(scope="session")
 def big_table():
     return build_table(BIG_LIMIT)

@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erdoslab.model import ModelConfig, survivor_counts, draw_sample
-from erdoslab.primes import build_table, load_table, small_sieve
+from conftest import dense_sieve
+from erdoslab.primes import build_table, load_table
 from erdoslab.series import erdos_partial, parity_partial, verify_equivalence
 
 TABLE = build_table(40_000_000)
 
 
 def test_pi_at_rank_checkpoint_edges():
-    dense = small_sieve(200_000)
+    dense = dense_sieve(200_000)
     for x in (65_535, 65_536, 65_537, 131_071, 131_072, 131_073):
         assert TABLE.pi(x) == int(np.searchsorted(dense, x, side="right")), x
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import erdoslab
-from erdoslab.cli import _parse_int, main
-from erdoslab.primes import MAGIC, build_table, cache_path, load_table, small_sieve
+from erdoslab.cli import _model_table, _parse_int, main
+from erdoslab.model import sieve_cutoff
+from conftest import dense_sieve
+from erdoslab.primes import MAGIC, build_table, cache_path, load_table
 from erdoslab.series import checkpoint_indices
 
 
@@ -300,7 +303,7 @@ def _resealed(raw: bytes) -> bytes:
 def _old_format(limit: int) -> bytes:
     """A PRIMECACHE1 file: limit, then the packed odd-composite bitset."""
     odd = np.arange(3, limit + 1, 2)
-    bits = np.packbits(~np.isin(odd, small_sieve(limit)), bitorder="little")
+    bits = np.packbits(~np.isin(odd, dense_sieve(limit)), bitorder="little")
     return b"PRIMECACHE1" + limit.to_bytes(8, "little") + bits.tobytes()
 
 
@@ -356,3 +359,31 @@ def test_console_entry_point(workdir):
 
 def test_sieve_requires_limit(workdir):
     assert main(["sieve"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["sieve", "--limit=1000"], "--no-cache")]
+    + [(["singular", "--hmax=10"], f) for f in ("--cache-dir=c", "--no-cache", "--limit=1000")]
+    + [(["paircorr", "--hmax=100"], f) for f in ("--cache-dir=c", "--no-cache", "--limit=1000")]
+    + [(["model", "bias", "--x=1e4", "--samples=10000"], "--limit=10000"),
+       (["bias", "--x=1e4", "--samples=10000"], "--limit=10000")]
+    + [(["calibrate", "--suite=model", "--samples=10000", "--fixture=fix.json"], f)
+       for f in ("--format=json", "--out=cal.csv", "--limit=10000")],
+    ids=lambda v: v[0] if isinstance(v, list) else v.split("=")[0],
+)
+def test_unread_common_option_exits_2(workdir, capsys, argv, flag):
+    # each subcommand takes only the common options its runner reads
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(workdir.iterdir())
+
+
+def test_model_table_covers_the_cutoff():
+    # the model's table limit holds the sieve cutoff, so no caller needs a larger table
+    args = argparse.Namespace(no_cache=True, cache_dir=None)
+    for x in np.geomspace(10, 1e10, 200):
+        table = _model_table(float(x), args)
+        assert sieve_cutoff(float(x), table) <= table.limit

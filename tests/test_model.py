@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_sieve
 from erdoslab import model as model_mod
 from erdoslab.errors import BoundsError
 from erdoslab.model import (
@@ -29,7 +30,7 @@ from erdoslab.model import (
     survivor_counts,
     uniform_ints,
 )
-from erdoslab.primes import build_table, small_sieve
+from erdoslab.primes import build_table
 from erdoslab.singular import OffsetTuple, singular_series
 
 TABLE = build_table(10_000)
@@ -122,7 +123,7 @@ def test_membership_beyond_table_raises():
 @pytest.mark.parametrize("w", [1, 2, 3, 10, 97, 1000, 9973, 10_000])
 def test_mertens_product_matches_direct_sum(w):
     # the former closed form, bit for bit: exp of a longdouble sum of log1p(-1/p)
-    logs = np.log1p(-1.0 / small_sieve(w).astype(np.float64))
+    logs = np.log1p(-1.0 / dense_sieve(w).astype(np.float64))
     assert mertens_product(w, TABLE) == float(np.exp(np.sum(logs.astype(np.longdouble))))
 
 
@@ -514,12 +515,22 @@ def test_rejection_reaches_later_attempts():
     assert np.count_nonzero(rejected[0] & rejected[1]) > 100
 
 
-def test_rejection_exhaustion_raises(monkeypatch):
-    # with one word per draw, a rejected word cannot be replaced
+def test_rejection_past_the_block_completes(monkeypatch):
+    # with one word per block, a quarter of the draws at 3 * 2^61 reject their
+    # whole block and go on to substreams; they used to raise RuntimeError
     monkeypatch.setattr(model_mod, "_DRAW_BLOCK", 1)
-    with pytest.raises(RuntimeError):
-        residues_for_prime(9, 4, 3 << 61, np.arange(50))
-    assert residues_for_prime(9, 4, 1 << 62, np.arange(50)).size == 50
+    bound = 3 << 61
+    got = uniform_ints(42, 0x5057, 10**6, bound)
+    assert got.dtype == np.int64 and got.size == 10**6
+    assert (got >= 0).all() and (got < bound).all()
+    # a draw whose first word is accepted reads word i of the stream, as before
+    start = (42 + (0x5057 + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    key = _mix64_copy(np.array([start], dtype=np.uint64))
+    pos = np.arange(10**6, dtype=np.uint64)
+    first = _mix64_copy(key + (pos + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15))
+    ok = first < np.uint64((1 << 64) - (1 << 62))
+    assert 0.2 < 1 - ok.mean() < 0.3
+    assert np.array_equal(got[ok], (first[ok] % np.uint64(bound)).astype(np.int64))
 
 
 # -- one sift for every window that shares a seed and a cutoff --

@@ -1,4 +1,5 @@
 import functools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_sieve
 from erdoslab.errors import BoundsError
 from erdoslab.primes import (
     MAGIC,
@@ -40,13 +42,31 @@ def test_against_trial_division(trial_division_primes):
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 5, 16, 17, 100, 1000, 65_536, 65_537, 100_000])
 def test_segmented_equals_dense(limit):
-    assert np.array_equal(build_table(limit).primes, small_sieve(limit))
+    assert np.array_equal(build_table(limit).primes, dense_sieve(limit))
+    assert np.array_equal(small_sieve(limit), dense_sieve(limit))
+
+
+@pytest.mark.parametrize("limit", [-3, 0, 1])
+def test_small_sieve_below_2_is_empty(limit):
+    got = small_sieve(limit)
+    assert got.dtype == np.int64 and got.size == 0
+
+
+def test_build_under_a_tracer():
+    # a tracer's frame references used to fail the in-place shrink's reference check
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        table = build_table(1000)
+    finally:
+        sys.settrace(previous)
+    assert np.array_equal(table.primes, dense_sieve(1000))
 
 
 @given(limit=st.integers(min_value=2, max_value=100_000))
 @settings(max_examples=30, deadline=None)
 def test_segmented_equals_dense_hypothesis(limit):
-    assert np.array_equal(build_table(limit).primes, small_sieve(limit))
+    assert np.array_equal(build_table(limit).primes, dense_sieve(limit))
 
 
 def test_pi_nth_roundtrip(mid_table):
@@ -111,7 +131,7 @@ def test_pi_1e8(big_table):
     # published value, plus the independent dense-sieve cross-check at
     # a reduced limit
     assert big_table.pi(100_000_000) == 5_761_455
-    assert big_table.pi(100_000) == small_sieve(100_000).size
+    assert big_table.pi(100_000) == dense_sieve(100_000).size
 
 
 def test_is_prime_range(mid_table, trial_division_primes):
@@ -137,7 +157,7 @@ def test_contains(mid_table):
 def _dense_is_prime(limit: int) -> np.ndarray:
     """Oracle: one boolean per integer in [0, limit], from the dense sieve, not from primes."""
     out = np.zeros(limit + 1, dtype=bool)
-    out[small_sieve(limit)] = True
+    out[dense_sieve(limit)] = True
     return out
 
 
@@ -184,7 +204,7 @@ def test_cache_roundtrip(tmp_path):
 )
 def test_cache_roundtrip_at_decoder_edges(tmp_path, limit):
     table = build_table(limit)
-    assert np.array_equal(table.primes, small_sieve(limit))
+    assert np.array_equal(table.primes, dense_sieve(limit))
     path = table.save(tmp_path / "t.bin")
     loaded = load_table(path)
     assert loaded.limit == limit

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erdoslab.errors import BoundsError
+from conftest import dense_sieve
 from erdoslab.singular import (
     DEFAULT_TRUNCATION,
     OffsetTuple,
@@ -17,7 +17,6 @@ from erdoslab.singular import (
     pair_singular_table,
     singular_series,
 )
-from erdoslab.primes import small_sieve
 
 offsets_strategy = st.lists(
     st.integers(min_value=0, max_value=20), min_size=1, max_size=4, unique=True
@@ -28,7 +27,7 @@ def brute_singular(offsets, P):
     """Independent oracle: direct factor-by-factor product, no shared code."""
     k = len(offsets)
     total = 0.0
-    for p in small_sieve(P):
+    for p in dense_sieve(P):
         p = int(p)
         v = len({h % p for h in offsets})
         if v == p:
@@ -57,7 +56,7 @@ def test_nu_examples():
 @given(offs=offsets_strategy, p_idx=st.integers(min_value=0, max_value=15))
 @settings(max_examples=60)
 def test_nu_bounds_and_shift(offs, p_idx):
-    p = int(small_sieve(60)[p_idx])
+    p = int(dense_sieve(60)[p_idx])
     tup = OffsetTuple(offs)
     v = nu(tup, p)
     assert 1 <= v <= min(tup.k, p)
@@ -188,14 +187,6 @@ def test_pair_correlation_small():
         pair_correlation_sum(1)
 
 
-def test_pair_correlation_table_precondition(mid_table):
-    assert pair_correlation_sum(100, mid_table) > 0
-    from erdoslab.primes import build_table
-
-    with pytest.raises(BoundsError):
-        pair_correlation_sum(100, build_table(1000))
-
-
 def test_pair_correlation_curve_matches_pointwise():
     hs = np.array([2, 3, 50, 417, 2000])
     curve = pair_correlation_curve(hs)
@@ -247,7 +238,7 @@ def test_primes_upto_is_one_shared_sieve_per_limit():
 
     for limit in (1, 2, 100, 1000, 10):
         got = _primes_upto(limit)
-        assert got.tolist() == small_sieve(limit).tolist()
+        assert got.tolist() == dense_sieve(limit).tolist()
         assert got is _primes_upto(limit)
         with pytest.raises(ValueError):
             got[:1] = 4  # shared by every caller, so it is read-only
