@@ -8,7 +8,11 @@ the two series track each other up to a constant.
 Accumulation is compensated: chunk prefixes are carried in extended
 precision and every checkpoint stores the float64 value plus the residual
 (compensation) beyond it, so downstream consumers can reconstruct the sum
-to better than float64.
+to better than float64. Term producers cut each chunk into pieces of up to
+_SUB terms (parity pieces: up to _SUB prime gaps), marked where the chunk
+ends; one scan (_scan) folds the prefixes through a reused buffer of
+_SUB + 1 extended-precision values and adds a chunk's prefix to the running
+total only at the chunk's end, so no value depends on the piece size.
 """
 
 from __future__ import annotations
@@ -29,11 +33,19 @@ RENORM_STEPS = 1 << 16
 # Real-phase scans carry exact signs, so larger chunks are safe.
 _REAL_CHUNK = 1 << 20
 
+# Producers cut chunks into pieces of this many terms (the parity series:
+# prime gaps) and _scan takes prefixes this many terms at a time, so that a
+# piece's arrays stay in cache; it sets no value (see _scan).
+_SUB = 1 << 14
+
 # The parity series is summed term by term below this integer and one
 # prime gap at a time from it on (see parity_partial).
 _BLOCK_CUTOFF = 1 << 16
 
 _LD = np.longdouble
+
+# phase^k for k even and odd at phase -1
+_SIGNS = np.array([1.0, -1.0])
 
 
 def _as_phase(phase: complex) -> complex:
@@ -41,6 +53,16 @@ def _as_phase(phase: complex) -> complex:
     if not cmath.isfinite(z) or abs(abs(z) - 1.0) > 1e-9:
         raise ValueError(f"phase must be a finite point of the unit circle, got {z!r}")
     return z
+
+
+def _is_sign(phase: complex) -> bool:
+    """Whether the phase is exactly +1 or -1, so its powers are exact float64 signs."""
+    return phase.imag == 0.0 and phase.real in (1.0, -1.0)
+
+
+def _pieces(lo: int, hi: int):
+    """Cut [lo, hi) into consecutive spans (s, e) of at most _SUB integers."""
+    return ((s, min(s + _SUB, hi)) for s in range(lo, hi, _SUB))
 
 
 @dataclass
@@ -91,53 +113,72 @@ def checkpoint_indices(
     """Geometric checkpoints from start to stop plus dense unit-step windows."""
     if stop < start:
         raise ValueError(f"stop={stop} precedes start={start}")
-    marks = set()
     if explicit is not None:
-        for i in np.asarray(explicit, dtype=np.int64):
-            if not start <= i <= stop:
-                raise ValueError(f"explicit checkpoint {i} outside [{start}, {stop}]")
-            marks.add(int(i))
+        grid = np.asarray(explicit, dtype=np.int64)
+        bad = grid[(grid < start) | (grid > stop)]
+        if bad.size:
+            raise ValueError(f"explicit checkpoint {bad[0]} outside [{start}, {stop}]")
     else:
+        marks = []
         c = start
         while c < stop:
-            marks.add(c)
+            marks.append(c)
             c = max(c + 1, int(math.ceil(c * ratio)))
-    marks.add(stop)
+        grid = np.array(marks, dtype=np.int64)
+    parts = [grid, np.array([stop], dtype=np.int64)]
     for lo, hi in dense_windows:
-        lo, hi = max(int(lo), start), min(int(hi), stop)
-        marks.update(range(lo, hi + 1))
-    return np.array(sorted(marks), dtype=np.int64)
+        parts.append(np.arange(max(int(lo), start), min(int(hi), stop) + 1, dtype=np.int64))
+    return np.unique(np.concatenate(parts))
 
 
-def _scan(checkpoints: np.ndarray, chunks, phase: complex) -> PartialSumTrace:
-    """Compensated partial sums at ``checkpoints`` of a series fed in chunks.
+def _scan(checkpoints: np.ndarray, pieces, phase: complex) -> PartialSumTrace:
+    """Compensated partial sums at ``checkpoints`` of a series fed in pieces.
 
-    ``chunks`` yields ``(ends, terms)``: with ``terms[i]`` the sum reaches
-    index ``ends[i]``. ``ends`` increases across chunks, and every
-    checkpoint up to ``ends[-1]`` not read by an earlier chunk must be one
-    of its entries. Prefixes inside a chunk are cumulative sums in
-    longdouble (clongdouble for complex terms), and the running total is
-    one clongdouble. ``abs_term_total`` only bounds the rounding error, so
-    it is float64.
+    ``pieces`` yields ``(ends, terms, last)``: with ``terms[i]`` the sum
+    reaches index ``ends[i]``, and ``last`` says whether the piece ends a
+    chunk. A plain ``(ends, terms)`` is one whole chunk. ``ends`` increases
+    across pieces, every checkpoint up to ``ends[-1]`` not read by an
+    earlier piece must be one of its entries, and all terms share one dtype.
+
+    Prefixes inside a chunk are cumulative sums in longdouble (clongdouble
+    for complex terms), taken _SUB terms at a time in one reused buffer:
+    ``buf[0]`` holds the chunk's prefix so far, the next terms go to
+    ``buf[1:]``, and an in-place ``cumsum`` makes the same additions in the
+    same order as one ``cumsum`` over the whole chunk. A chunk's prefix is
+    added to the running total, one clongdouble, only at the chunk's end,
+    and a checkpoint reads total + prefix, so no value or compensation
+    depends on _SUB or on how a producer cuts its pieces. ``abs_term_total``
+    only bounds the rounding error, so it is a float64 sum of piece sums.
     """
     values = np.zeros(checkpoints.size, dtype=np.complex128)
     comps = np.zeros(checkpoints.size, dtype=np.complex128)
     total = np.clongdouble(0.0)
     abs_total = 0.0
     done = 0  # checkpoints read so far
-    for ends, terms in chunks:
+    buf = None
+    for ends, terms, *last in pieces:
+        if buf is None:
+            buf = np.zeros(_SUB + 1, dtype=np.clongdouble if np.iscomplexobj(terms) else _LD)
         abs_total += float(np.abs(terms).sum())
-        pre = np.cumsum(terms, dtype=np.clongdouble if np.iscomplexobj(terms) else _LD)
-        hi = int(np.searchsorted(checkpoints, ends[-1], side="right"))
-        off = np.searchsorted(ends, checkpoints[done:hi])
-        if not np.array_equal(ends[off], checkpoints[done:hi]):
-            raise AssertionError("a checkpoint falls inside a term")
-        at = total + pre[off]
-        values[done:hi] = at
-        comps[done:hi] = at - values[done:hi].astype(np.clongdouble)
-        total += pre[-1]
-        done = hi
-        del pre  # free this chunk's prefixes before the next chunk is made
+        for s in range(0, terms.size, _SUB):
+            n = min(_SUB, terms.size - s)
+            pre = buf[: n + 1]
+            pre[1:] = terms[s : s + n]
+            np.cumsum(pre, out=pre)
+            piece_ends = ends[s : s + n]
+            hi = int(np.searchsorted(checkpoints, piece_ends[-1], side="right"))
+            if hi > done:
+                off = np.searchsorted(piece_ends, checkpoints[done:hi])
+                if not np.array_equal(piece_ends[off], checkpoints[done:hi]):
+                    raise AssertionError("a checkpoint falls inside a term")
+                at = total + pre[off + 1]
+                values[done:hi] = at
+                comps[done:hi] = at - values[done:hi].astype(np.clongdouble)
+                done = hi
+            buf[0] = pre[n]
+        if not last or last[0]:  # the chunk ends here
+            total += buf[0]
+            buf[0] = 0.0
     if done != checkpoints.size:
         raise AssertionError("scan ended before all checkpoints were reached")
     return PartialSumTrace(
@@ -158,28 +199,30 @@ def _phase_powers(phase: complex, carry: complex, count: int) -> tuple[np.ndarra
 
 
 def _erdos_terms(table: PrimeTable, phase: complex, first: int, last: int):
-    """Yield chunks (a, t) with t[i] = phase^n * n / p_n at n = a + i, for first <= n <= last.
+    """Yield pieces (a, t) with t[i] = phase^n * n / p_n at n = a + i, for first <= n <= last.
 
-    Phases +-1 carry exact signs in float64 chunks. Other phases are
-    complex: their powers always come from the renormalized cumprod
-    started at n = 1, so a term never depends on ``first``.
+    A piece holds at most _SUB terms and lies inside one chunk: _REAL_CHUNK
+    terms counted from n = first for phases +-1, RENORM_STEPS terms counted
+    from n = 1 for the others. Phases +-1 carry exact signs in float64.
+    Other phases are complex: their powers always come from the renormalized
+    cumprod started at n = 1, one per chunk, so a term never depends on
+    ``first`` or on the piece it falls in.
     """
-    if phase.imag == 0.0 and phase.real in (1.0, -1.0):
+    if _is_sign(phase):
         for a in range(first, last + 1, _REAL_CHUNK):
-            b = min(a + _REAL_CHUNK, last + 1)
-            t = np.arange(a, b, dtype=np.float64) / table.primes[a - 1 : b - 1]
-            if phase.real == -1.0:
-                t[(a + 1) % 2 :: 2] *= -1.0  # odd n = a + i
-            yield a, t
+            for s, e in _pieces(a, min(a + _REAL_CHUNK, last + 1)):
+                t = np.arange(s, e, dtype=np.float64) / table.primes[s - 1 : e - 1]
+                if phase.real == -1.0:
+                    t[(s + 1) % 2 :: 2] *= -1.0  # odd n = s + i
+                yield s, t
         return
     carry = 1.0 + 0.0j  # phase^(a-1) entering the next chunk
     for a in range(1, last + 1, RENORM_STEPS):
         b = min(a + RENORM_STEPS, last + 1)
         pw, carry = _phase_powers(phase, carry, b - a)
-        lo = max(a, first)
-        if lo < b:
-            base = np.arange(lo, b, dtype=np.float64) / table.primes[lo - 1 : b - 1]
-            yield lo, pw[lo - a :] * base
+        for s, e in _pieces(max(a, first), b):
+            base = np.arange(s, e, dtype=np.float64) / table.primes[s - 1 : e - 1]
+            yield s, pw[s - a : e - a] * base
 
 
 def erdos_partial(
@@ -213,8 +256,12 @@ def erdos_partial(
         raise BoundsError(f"n_max={n_max} exceeds pi(limit)={table.primes.size}")
 
     cps = checkpoint_indices(1, n_max, ratio, dense_windows, checkpoints)
-    chunks = ((np.arange(a, a + t.size), t) for a, t in _erdos_terms(table, phase, 1, n_max))
-    return _scan(cps, chunks, phase)
+    chunk = _REAL_CHUNK if _is_sign(phase) else RENORM_STEPS
+    pieces = (
+        (np.arange(a, a + t.size), t, (a + t.size - 1) % chunk == 0)
+        for a, t in _erdos_terms(table, phase, 1, n_max)
+    )
+    return _scan(cps, pieces, phase)
 
 
 def _block_sums(edges: np.ndarray) -> np.ndarray:
@@ -232,54 +279,61 @@ def _block_sums(edges: np.ndarray) -> np.ndarray:
 def _parity_blocks(table: PrimeTable, m_max: int, checkpoints: np.ndarray, chunk: int):
     """Cut [2, m_max] into blocks [a, b) on which k = pi(m) is constant.
 
-    Yields, for q = 0, 1, ..., the blocks with k in [1 + q*chunk, (q+1)*chunk]
-    as three arrays: the last index b - 1 of each block, its k, and the sum
-    of 1/(m log m) over it. Below _BLOCK_CUTOFF every integer is a block of
-    its own. From it on a block runs from one prime to the next, cut at
-    _BLOCK_CUTOFF, at m_max + 1 and after every checkpoint.
+    Chunk q holds the blocks with k in [1 + q*chunk, (q+1)*chunk]. Yields
+    pieces of it as four items: the last index b - 1 of each block, its k,
+    the sum of 1/(m log m) over it, and whether the piece ends its chunk.
+    Below _BLOCK_CUTOFF every integer is a block of its own, and a piece
+    spans _SUB integers. From it on a block runs from one prime to the next,
+    cut at _BLOCK_CUTOFF, at m_max + 1 and after every checkpoint, and a
+    piece spans _SUB values of k.
     """
     cut = min(_BLOCK_CUTOFF, m_max + 1)
-    m = np.arange(2, cut, dtype=np.float64)
-    head = (np.arange(2, cut), np.cumsum(table.is_prime_range(2, cut)), 1.0 / (m * np.log(m)))
+    head_k = np.cumsum(table.is_prime_range(2, cut))
+    for s, e in _pieces(2, cut):  # pi(_BLOCK_CUTOFF) < chunk, so the head is in chunk 0
+        m = np.arange(s, e, dtype=np.float64)
+        yield np.arange(s, e), head_k[s - 2 : e - 2], 1.0 / (m * np.log(m)), e > m_max
     if m_max < _BLOCK_CUTOFF:
-        yield head
         return
     primes = table.primes
     j0, j1 = table.pi(_BLOCK_CUTOFF), table.pi(m_max)  # k of the first and the last block
     splits = checkpoints[checkpoints >= _BLOCK_CUTOFF] + 1
     for q in range((j1 - 1) // chunk + 1):
         lo, hi = max(j0, 1 + q * chunk), min(j1, (q + 1) * chunk)
-        # block k starts at p_k and ends where block k + 1 starts
-        edges = np.empty(hi - lo + 2, dtype=np.int64)
-        edges[:-1] = primes[lo - 1 : hi]
-        edges[-1] = primes[hi] if hi < j1 else m_max + 1
-        if lo == j0:
-            edges[0] = _BLOCK_CUTOFF
-        k = np.arange(lo, hi + 1)
-        s = splits[(splits > edges[0]) & (splits < edges[-1])]
-        pos = np.searchsorted(edges, s)
-        keep = edges[pos] != s
-        s, pos = s[keep], pos[keep]
-        edges = np.insert(edges, pos, s)
-        k = np.insert(k, pos, k[pos - 1])  # both halves of a split block keep its k
-        blocks = (edges[1:] - 1, k, _block_sums(edges))
-        if q == 0:  # pi(_BLOCK_CUTOFF) < chunk, so the head belongs to chunk 0
-            blocks = tuple(np.concatenate(p) for p in zip(head, blocks))
-        yield blocks
+        for s, e in _pieces(lo, hi + 1):
+            # block k starts at p_k and ends where block k + 1 starts
+            edges = np.empty(e - s + 1, dtype=np.int64)
+            edges[:-1] = primes[s - 1 : e - 1]
+            edges[-1] = primes[e - 1] if e <= j1 else m_max + 1
+            if s == j0:
+                edges[0] = _BLOCK_CUTOFF
+            k = np.arange(s, e)
+            inside = np.searchsorted(splits, [edges[0] + 1, edges[-1]])
+            cuts = splits[inside[0] : inside[1]]
+            pos = np.searchsorted(edges, cuts)
+            keep = edges[pos] != cuts
+            if keep.any():
+                cuts, pos = cuts[keep], pos[keep]
+                edges = np.insert(edges, pos, cuts)
+                k = np.insert(k, pos, k[pos - 1])  # both halves of a split block keep its k
+            yield edges[1:] - 1, k, _block_sums(edges), e > hi
 
 
 def _parity_terms(table: PrimeTable, phase: complex, m_max: int, checkpoints: np.ndarray):
-    """Yield chunks (ends, t): t[i] is phase^k times the i-th block sum of _parity_blocks."""
-    real = phase.imag == 0.0 and phase.real in (1.0, -1.0)
+    """Yield pieces (ends, t, last): t[i] is phase^k times the i-th block sum of _parity_blocks."""
+    real = _is_sign(phase)
     chunk = _REAL_CHUNK if real else RENORM_STEPS
     carry = 1.0 + 0.0j  # phase^(q * chunk) entering chunk q
-    for ends, k, sums in _parity_blocks(table, m_max, checkpoints, chunk):
+    pw = None  # phase^(q * chunk + 1 ...) over the current chunk q
+    for ends, k, sums, last in _parity_blocks(table, m_max, checkpoints, chunk):
         if not real:
-            pw, carry = _phase_powers(phase, carry, chunk)
+            if pw is None:
+                pw, carry = _phase_powers(phase, carry, chunk)
             sums = pw[(k - 1) % chunk] * sums
+            if last:
+                pw = None
         elif phase.real == -1.0:
-            sums[(k & 1) == 1] *= -1.0
-        yield ends, sums
+            sums *= _SIGNS[k & 1]
+        yield ends, sums, last
 
 
 def parity_partial(
@@ -417,7 +471,10 @@ def oscillation_stats(table: PrimeTable, n_lo: int, n_hi: int) -> tuple[float, f
     raw = _LD(0.0)
     avg = _LD(0.0)
     prev_term: float | None = None
-    for _, t in _erdos_terms(table, -1.0, n_lo + 1, n_hi):
+    for a in range(n_lo + 1, n_hi + 1, _REAL_CHUNK):
+        # one whole chunk, so that the longdouble sums keep their pairwise order
+        last = min(a + _REAL_CHUNK - 1, n_hi)
+        t = np.concatenate([piece for _, piece in _erdos_terms(table, -1.0, a, last)])
         raw += np.abs(t).astype(_LD).sum()
         with_prev = np.empty(t.size + 1, dtype=np.float64)
         with_prev[0] = prev_term if prev_term is not None else 0.0

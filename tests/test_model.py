@@ -590,3 +590,18 @@ def test_shared_sift_validation():
         parity_biases([cfg, other_seed], 9_999, TABLE)
     with pytest.raises(ValueError, match="exceed cutoff"):
         model_mod._span_counts([cfg], 10, TABLE, [cfg.cutoff_z + 1])
+
+
+def test_calibrate_model_reproduces_fixture():
+    # see the calibration module docstring for the 4 ulp
+    from erdoslab.calibration import calibrate_model, load_fixture
+
+    want = load_fixture()["model"]
+    got = calibrate_model(TABLE, 100_000, 20260808)
+    assert set(got) == set(want)
+    for key in ("x", "seed", "samples", "bias_lambda1_estimate", "bias_lambda1_band"):
+        assert got[key] == want[key], key
+    for key in ("c_var", "variance_ratios"):
+        g, w = np.atleast_1d(got[key]), np.atleast_1d(want[key])
+        assert g.size == w.size
+        assert np.all(np.abs(g.view(np.int64) - w.view(np.int64)) <= 4), key

@@ -236,3 +236,19 @@ def test_strided_sign_matches_mask(monkeypatch, first):
         assert t.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         starts.append(a)
     assert {a % 2 for a in starts} == {0, 1} and starts[-1] + 7 > last
+
+
+def test_scan_peak_does_not_grow_with_chunk(big_table):
+    # A scan holds one piece of _SUB terms at a time, so its working memory
+    # beyond the trace's own arrays stays near 2.5 MB (parity, mostly one
+    # piece's block arithmetic) and 1 MB (erdos), whatever _REAL_CHUNK is.
+    parity_partial(big_table, 10**5)  # the first call imports numpy modules lazily
+    for scan, n in ((parity_partial, 5 * 10**7), (erdos_partial, 10**7)):
+        tracemalloc.start()
+        try:
+            tr = scan(big_table, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = tr.indices.nbytes + tr.values.nbytes + tr.compensations.nbytes
+        assert peak < 4 * 2**20 + own, scan.__name__
