@@ -11,9 +11,10 @@ A subcommand takes only the common options it reads. --format and --out
 choose the artifact of every subcommand but calibrate, which writes its
 fixture. --cache-dir names the prime cache of every subcommand that reads
 a table (all but singular and paircorr); of those, all but sieve, which
-always writes the cache, take --no-cache. --limit overrides the table
-limit of sieve, series, equiv, tuples, gaps and parity; model, bias and
-calibrate derive theirs from x. Any other use exits 2 with a usage error.
+always writes the cache, take --no-cache. --limit, at least 2, overrides
+the table limit of sieve, series, equiv, tuples, gaps and parity; model,
+bias and calibrate derive theirs from x. Any other use exits 2 with a
+usage error.
 
 Exit codes: 0 success, 2 invalid configuration, 3 range or resource
 errors.
@@ -72,6 +73,14 @@ def _parse_int(text: str) -> int:
     if not (d.is_finite() and -(2**63) < d < 2**63 and d == d.to_integral_value()):
         raise ValueError(f"expected an integer in (-2^63, 2^63), got {text!r}")
     return int(d)
+
+
+def _parse_limit(text: str) -> int:
+    """A prime-table limit: an exact integer >= 2, the smallest table with a prime."""
+    v = _parse_int(text)
+    if v < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {text!r}")
+    return v
 
 
 def _parse_offsets(text: str) -> OffsetTuple:
@@ -368,7 +377,7 @@ def _add_table(p: argparse.ArgumentParser, *, no_cache: bool = True, limit: bool
     if no_cache:
         p.add_argument("--no-cache", action="store_true", help="always sieve, never touch the cache")
     if limit:
-        p.add_argument("--limit", type=_parse_int, default=None, help="explicit prime-table limit")
+        p.add_argument("--limit", type=_parse_limit, default=None, help="explicit prime-table limit")
 
 
 def build_parser() -> argparse.ArgumentParser:

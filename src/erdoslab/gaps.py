@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BoundsError
 from .model import uniform_ints
 from .primes import PrimeTable
-from .series import _REAL_CHUNK, PartialSumTrace, _pieces, _scan, checkpoint_indices
+from .series import PartialSumTrace, _pieces, _scan, checkpoint_indices
 from .singular import gallagher_sum
 
 KINDS = ("reciprocal_weighted", "alternating_gap", "alternating_weighted_gap", "theta_family")
@@ -66,35 +66,26 @@ def gap_series_partial(table: PrimeTable, config: GapSeriesConfig, n_max: int) -
         raise BoundsError(f"need p_(n+1) for n={n_max}; table holds {table.primes.size} primes")
 
     cps = checkpoint_indices(start, n_max)
-    pieces = (
-        (idx, t, (int(idx[-1]) + 1 - start) % _REAL_CHUNK == 0)
-        for idx, t in _gap_terms(table, config, n_max)
-    )
+    # k counts from start_index, so the chunks of every kind begin there
+    pieces = ((n, n - start + 1, t) for n, t in _gap_terms(table, config, n_max))
     return _scan(cps, pieces, -1.0 if config.alternating else 1.0)
 
 
 def _gap_terms(table: PrimeTable, config: GapSeriesConfig, n_max: int):
-    """Yield pieces (n, t) of the gap series terms for start_index <= n <= n_max.
-
-    A piece holds at most ``series._SUB`` terms and lies inside one chunk of
-    _REAL_CHUNK terms counted from start_index.
-    """
-    for c in range(config.start_index, n_max + 1, _REAL_CHUNK):
-        for a, b in _pieces(c, min(c + _REAL_CHUNK, n_max + 1)):
-            idx = np.arange(a, b)
-            n = idx.astype(np.float64)
-            g = (table.primes[a : b] - table.primes[a - 1 : b - 1]).astype(np.float64)
-            if config.kind == "reciprocal_weighted":
-                t = 1.0 / (n * np.log(np.log(n)) ** config.c * g)
-            elif config.kind == "alternating_gap":
-                t = 1.0 / g
-            elif config.kind == "alternating_weighted_gap":
-                t = 1.0 / (n * g)
-            else:
-                t = 1.0 / (n**config.theta * g)
-            if config.alternating:
-                t[(a + 1) % 2 :: 2] *= -1.0  # odd n = a + i
-            yield idx, t
+    """Yield pieces (n, t) of the unsigned gap series terms for start_index <= n <= n_max."""
+    for a, b in _pieces(config.start_index, n_max + 1):
+        idx = np.arange(a, b)
+        n = idx.astype(np.float64)
+        g = (table.primes[a:b] - table.primes[a - 1 : b - 1]).astype(np.float64)
+        if config.kind == "reciprocal_weighted":
+            t = 1.0 / (n * np.log(np.log(n)) ** config.c * g)
+        elif config.kind == "alternating_gap":
+            t = 1.0 / g
+        elif config.kind == "alternating_weighted_gap":
+            t = 1.0 / (n * g)
+        else:
+            t = 1.0 / (n**config.theta * g)
+        yield idx, t
 
 
 @dataclass(frozen=True)

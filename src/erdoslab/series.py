@@ -8,11 +8,11 @@ the two series track each other up to a constant.
 Accumulation is compensated: chunk prefixes are carried in extended
 precision and every checkpoint stores the float64 value plus the residual
 (compensation) beyond it, so downstream consumers can reconstruct the sum
-to better than float64. Term producers cut each chunk into pieces of up to
-_SUB terms (parity pieces: up to _SUB prime gaps), marked where the chunk
-ends; one scan (_scan) folds the prefixes through a reused buffer of
-_SUB + 1 extended-precision values and adds a chunk's prefix to the running
-total only at the chunk's end, so no value depends on the piece size.
+to better than float64. Term producers yield pieces ``(ends, k, mags)`` of
+unsigned terms and the exponent k of the phase that multiplies each; one
+scan (_scan) alone decides which chunk a term belongs to and which phase
+power it gets, and folds the prefixes through a reused buffer of _SUB + 1
+extended-precision values, so no value depends on how the pieces are cut.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ RENORM_STEPS = 1 << 16
 # Real-phase scans carry exact signs, so larger chunks are safe.
 _REAL_CHUNK = 1 << 20
 
-# Producers cut chunks into pieces of this many terms (the parity series:
-# prime gaps) and _scan takes prefixes this many terms at a time, so that a
-# piece's arrays stay in cache; it sets no value (see _scan).
+# Producers yield pieces of this many terms (the parity series: prime gaps)
+# and _scan takes prefixes this many terms at a time, so that a piece's
+# arrays stay in cache; it sets no value (see _scan).
 _SUB = 1 << 14
 
 # The parity series is summed term by term below this integer and one
@@ -132,40 +132,65 @@ def checkpoint_indices(
 
 
 def _scan(checkpoints: np.ndarray, pieces, phase: complex) -> PartialSumTrace:
-    """Compensated partial sums at ``checkpoints`` of a series fed in pieces.
+    """Compensated partial sums at ``checkpoints`` of sum phase^k * mag.
 
-    ``pieces`` yields ``(ends, terms, last)``: with ``terms[i]`` the sum
-    reaches index ``ends[i]``, and ``last`` says whether the piece ends a
-    chunk. A plain ``(ends, terms)`` is one whole chunk. ``ends`` increases
-    across pieces, every checkpoint up to ``ends[-1]`` not read by an
-    earlier piece must be one of its entries, and all terms share one dtype.
+    ``pieces`` yields ``(ends, k, mags)``: with the term phase^k[i] * mags[i]
+    the sum reaches index ``ends[i]``. ``mags`` are unsigned float64, ``k``
+    is at least 1 and never decreases, ``ends`` increases across pieces, and
+    every checkpoint up to ``ends[-1]`` not read by an earlier piece must be
+    one of its entries.
 
-    Prefixes inside a chunk are cumulative sums in longdouble (clongdouble
-    for complex terms), taken _SUB terms at a time in one reused buffer:
-    ``buf[0]`` holds the chunk's prefix so far, the next terms go to
+    Chunk q holds the terms with k in [1 + q*c, (q+1)*c], where c is
+    _REAL_CHUNK for phases +-1 (exact float64 signs) and RENORM_STEPS for
+    the others, whose powers come from one renormalized ``_phase_powers``
+    run per chunk, in order from k = 1. The scan cuts each piece at chunk
+    edges and every _SUB terms, and takes the prefixes of a sub-piece in
+    one reused longdouble buffer (clongdouble for complex phases):
+    ``buf[0]`` holds the open chunk's prefix so far, the signed terms go to
     ``buf[1:]``, and an in-place ``cumsum`` makes the same additions in the
     same order as one ``cumsum`` over the whole chunk. A chunk's prefix is
-    added to the running total, one clongdouble, only at the chunk's end,
-    and a checkpoint reads total + prefix, so no value or compensation
-    depends on _SUB or on how a producer cuts its pieces. ``abs_term_total``
-    only bounds the rounding error, so it is a float64 sum of piece sums.
+    added to the running total, one clongdouble, when the next chunk
+    opens, and a checkpoint reads total + prefix, so no value or
+    compensation depends on _SUB or on how a producer cuts its pieces.
+    ``abs_term_total`` only bounds the rounding error, so it is a float64
+    sum of piece sums of ``mags``.
     """
+    real = _is_sign(phase)
+    c = _REAL_CHUNK if real else RENORM_STEPS
     values = np.zeros(checkpoints.size, dtype=np.complex128)
     comps = np.zeros(checkpoints.size, dtype=np.complex128)
     total = np.clongdouble(0.0)
     abs_total = 0.0
     done = 0  # checkpoints read so far
-    buf = None
-    for ends, terms, *last in pieces:
-        if buf is None:
-            buf = np.zeros(_SUB + 1, dtype=np.clongdouble if np.iscomplexobj(terms) else _LD)
-        abs_total += float(np.abs(terms).sum())
-        for s in range(0, terms.size, _SUB):
-            n = min(_SUB, terms.size - s)
+    buf = np.zeros(_SUB + 1, dtype=_LD if real else np.clongdouble)
+    q = 0  # the open chunk, whose prefix is in buf[0]
+    if not real:
+        pw, carry = _phase_powers(phase, 1.0 + 0.0j, c)  # phase^(q*c + 1 ... (q+1)*c)
+    for ends, k, mags in pieces:
+        abs_total += float(mags.sum())
+        q0, q1 = (int(k[0]) - 1) // c, (int(k[-1]) - 1) // c
+        edges = np.searchsorted(k, 1 + c * np.arange(q0 + 1, q1 + 1))
+        cuts = sorted({*range(0, k.size, _SUB), *edges.tolist(), k.size})
+        for s, e in zip(cuts[:-1], cuts[1:]):
+            ks = k[s:e]
+            qs = (int(ks[0]) - 1) // c
+            if qs > q:  # a new chunk opens
+                total += buf[0]
+                buf[0] = 0.0
+                while not real and q < qs:
+                    pw, carry = _phase_powers(phase, carry, c)
+                    q += 1
+                q = qs
+            n = e - s
             pre = buf[: n + 1]
-            pre[1:] = terms[s : s + n]
+            if not real:
+                pre[1:] = pw[(ks - 1) % c] * mags[s:e]
+            elif phase.real == -1.0:
+                pre[1:] = _SIGNS[ks & 1] * mags[s:e]
+            else:
+                pre[1:] = mags[s:e]
             np.cumsum(pre, out=pre)
-            piece_ends = ends[s : s + n]
+            piece_ends = ends[s:e]
             hi = int(np.searchsorted(checkpoints, piece_ends[-1], side="right"))
             if hi > done:
                 off = np.searchsorted(piece_ends, checkpoints[done:hi])
@@ -176,9 +201,6 @@ def _scan(checkpoints: np.ndarray, pieces, phase: complex) -> PartialSumTrace:
                 comps[done:hi] = at - values[done:hi].astype(np.clongdouble)
                 done = hi
             buf[0] = pre[n]
-        if not last or last[0]:  # the chunk ends here
-            total += buf[0]
-            buf[0] = 0.0
     if done != checkpoints.size:
         raise AssertionError("scan ended before all checkpoints were reached")
     return PartialSumTrace(
@@ -198,31 +220,11 @@ def _phase_powers(phase: complex, carry: complex, count: int) -> tuple[np.ndarra
     return pw, nxt
 
 
-def _erdos_terms(table: PrimeTable, phase: complex, first: int, last: int):
-    """Yield pieces (a, t) with t[i] = phase^n * n / p_n at n = a + i, for first <= n <= last.
-
-    A piece holds at most _SUB terms and lies inside one chunk: _REAL_CHUNK
-    terms counted from n = first for phases +-1, RENORM_STEPS terms counted
-    from n = 1 for the others. Phases +-1 carry exact signs in float64.
-    Other phases are complex: their powers always come from the renormalized
-    cumprod started at n = 1, one per chunk, so a term never depends on
-    ``first`` or on the piece it falls in.
-    """
-    if _is_sign(phase):
-        for a in range(first, last + 1, _REAL_CHUNK):
-            for s, e in _pieces(a, min(a + _REAL_CHUNK, last + 1)):
-                t = np.arange(s, e, dtype=np.float64) / table.primes[s - 1 : e - 1]
-                if phase.real == -1.0:
-                    t[(s + 1) % 2 :: 2] *= -1.0  # odd n = s + i
-                yield s, t
-        return
-    carry = 1.0 + 0.0j  # phase^(a-1) entering the next chunk
-    for a in range(1, last + 1, RENORM_STEPS):
-        b = min(a + RENORM_STEPS, last + 1)
-        pw, carry = _phase_powers(phase, carry, b - a)
-        for s, e in _pieces(max(a, first), b):
-            base = np.arange(s, e, dtype=np.float64) / table.primes[s - 1 : e - 1]
-            yield s, pw[s - a : e - a] * base
+def _erdos_terms(table: PrimeTable, first: int, last: int):
+    """Yield pieces (n, t) of at most _SUB terms t[i] = n[i] / p_(n[i]) for first <= n <= last."""
+    for s, e in _pieces(first, last + 1):
+        n = np.arange(s, e)
+        yield n, n / table.primes[s - 1 : e - 1]
 
 
 def erdos_partial(
@@ -256,11 +258,7 @@ def erdos_partial(
         raise BoundsError(f"n_max={n_max} exceeds pi(limit)={table.primes.size}")
 
     cps = checkpoint_indices(1, n_max, ratio, dense_windows, checkpoints)
-    chunk = _REAL_CHUNK if _is_sign(phase) else RENORM_STEPS
-    pieces = (
-        (np.arange(a, a + t.size), t, (a + t.size - 1) % chunk == 0)
-        for a, t in _erdos_terms(table, phase, 1, n_max)
-    )
+    pieces = ((n, n, t) for n, t in _erdos_terms(table, 1, n_max))
     return _scan(cps, pieces, phase)
 
 
@@ -276,64 +274,43 @@ def _block_sums(edges: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _parity_blocks(table: PrimeTable, m_max: int, checkpoints: np.ndarray, chunk: int):
+def _parity_blocks(table: PrimeTable, m_max: int, checkpoints: np.ndarray):
     """Cut [2, m_max] into blocks [a, b) on which k = pi(m) is constant.
 
-    Chunk q holds the blocks with k in [1 + q*chunk, (q+1)*chunk]. Yields
-    pieces of it as four items: the last index b - 1 of each block, its k,
-    the sum of 1/(m log m) over it, and whether the piece ends its chunk.
-    Below _BLOCK_CUTOFF every integer is a block of its own, and a piece
-    spans _SUB integers. From it on a block runs from one prime to the next,
-    cut at _BLOCK_CUTOFF, at m_max + 1 and after every checkpoint, and a
-    piece spans _SUB values of k.
+    Yields pieces ``(ends, k, sums)`` for ``_scan``: the last index b - 1 of
+    each block, its k, and the sum of 1/(m log m) over it. Below
+    _BLOCK_CUTOFF every integer is a block of its own, and a piece spans
+    _SUB integers. From it on a block runs from one prime to the next, cut
+    at _BLOCK_CUTOFF, at m_max + 1 and after every checkpoint, and a piece
+    spans _SUB values of k.
     """
     cut = min(_BLOCK_CUTOFF, m_max + 1)
     head_k = np.cumsum(table.is_prime_range(2, cut))
-    for s, e in _pieces(2, cut):  # pi(_BLOCK_CUTOFF) < chunk, so the head is in chunk 0
+    for s, e in _pieces(2, cut):
         m = np.arange(s, e, dtype=np.float64)
-        yield np.arange(s, e), head_k[s - 2 : e - 2], 1.0 / (m * np.log(m)), e > m_max
+        yield np.arange(s, e), head_k[s - 2 : e - 2], 1.0 / (m * np.log(m))
     if m_max < _BLOCK_CUTOFF:
         return
     primes = table.primes
     j0, j1 = table.pi(_BLOCK_CUTOFF), table.pi(m_max)  # k of the first and the last block
     splits = checkpoints[checkpoints >= _BLOCK_CUTOFF] + 1
-    for q in range((j1 - 1) // chunk + 1):
-        lo, hi = max(j0, 1 + q * chunk), min(j1, (q + 1) * chunk)
-        for s, e in _pieces(lo, hi + 1):
-            # block k starts at p_k and ends where block k + 1 starts
-            edges = np.empty(e - s + 1, dtype=np.int64)
-            edges[:-1] = primes[s - 1 : e - 1]
-            edges[-1] = primes[e - 1] if e <= j1 else m_max + 1
-            if s == j0:
-                edges[0] = _BLOCK_CUTOFF
-            k = np.arange(s, e)
-            inside = np.searchsorted(splits, [edges[0] + 1, edges[-1]])
-            cuts = splits[inside[0] : inside[1]]
-            pos = np.searchsorted(edges, cuts)
-            keep = edges[pos] != cuts
-            if keep.any():
-                cuts, pos = cuts[keep], pos[keep]
-                edges = np.insert(edges, pos, cuts)
-                k = np.insert(k, pos, k[pos - 1])  # both halves of a split block keep its k
-            yield edges[1:] - 1, k, _block_sums(edges), e > hi
-
-
-def _parity_terms(table: PrimeTable, phase: complex, m_max: int, checkpoints: np.ndarray):
-    """Yield pieces (ends, t, last): t[i] is phase^k times the i-th block sum of _parity_blocks."""
-    real = _is_sign(phase)
-    chunk = _REAL_CHUNK if real else RENORM_STEPS
-    carry = 1.0 + 0.0j  # phase^(q * chunk) entering chunk q
-    pw = None  # phase^(q * chunk + 1 ...) over the current chunk q
-    for ends, k, sums, last in _parity_blocks(table, m_max, checkpoints, chunk):
-        if not real:
-            if pw is None:
-                pw, carry = _phase_powers(phase, carry, chunk)
-            sums = pw[(k - 1) % chunk] * sums
-            if last:
-                pw = None
-        elif phase.real == -1.0:
-            sums *= _SIGNS[k & 1]
-        yield ends, sums, last
+    for s, e in _pieces(j0, j1 + 1):
+        # block k starts at p_k and ends where block k + 1 starts
+        edges = np.empty(e - s + 1, dtype=np.int64)
+        edges[:-1] = primes[s - 1 : e - 1]
+        edges[-1] = primes[e - 1] if e <= j1 else m_max + 1
+        if s == j0:
+            edges[0] = _BLOCK_CUTOFF
+        k = np.arange(s, e)
+        inside = np.searchsorted(splits, [edges[0] + 1, edges[-1]])
+        cuts = splits[inside[0] : inside[1]]
+        pos = np.searchsorted(edges, cuts)
+        keep = edges[pos] != cuts
+        if keep.any():
+            cuts, pos = cuts[keep], pos[keep]
+            edges = np.insert(edges, pos, cuts)
+            k = np.insert(k, pos, k[pos - 1])  # both halves of a split block keep its k
+        yield edges[1:] - 1, k, _block_sums(edges)
 
 
 def parity_partial(
@@ -376,7 +353,7 @@ def parity_partial(
         raise BoundsError(f"m_max={m_max} exceeds table limit {table.limit}")
 
     cps = checkpoint_indices(2, m_max, ratio, dense_windows, checkpoints)
-    return _scan(cps, _parity_terms(table, phase, m_max, cps), phase)
+    return _scan(cps, _parity_blocks(table, m_max, cps), phase)
 
 
 def average_consecutive(trace: PartialSumTrace) -> PartialSumTrace:
@@ -457,10 +434,12 @@ def verify_equivalence(
 def oscillation_stats(table: PrimeTable, n_lo: int, n_hi: int) -> tuple[float, float]:
     """Total variation of raw vs pairwise-averaged partial sums over [n_lo, n_hi].
 
-    The series is the alternating one, sum (-1)^n n / p_n. Returns
-    (raw_tv, averaged_tv). Raw TV is sum |t_k|; averaged TV is
+    The series is the alternating one, sum (-1)^n n / p_n with terms t_k.
+    Returns (raw_tv, averaged_tv). Raw TV is sum |t_k|; averaged TV is
     sum |t_{k+1} + t_{k+2}| / 2, both accumulated term-wise without
-    materializing dense traces.
+    materializing dense traces. Consecutive terms have opposite signs, so
+    |t_k + t_(k+1)| is |m_k - m_(k+1)| exactly, with m_k = |t_k|, and no
+    sign is formed.
     """
     n_lo, n_hi = int(n_lo), int(n_hi)
     if not 1 <= n_lo < n_hi:
@@ -470,17 +449,12 @@ def oscillation_stats(table: PrimeTable, n_lo: int, n_hi: int) -> tuple[float, f
 
     raw = _LD(0.0)
     avg = _LD(0.0)
-    prev_term: float | None = None
+    prev = np.empty(0)  # the last magnitude before the chunk
     for a in range(n_lo + 1, n_hi + 1, _REAL_CHUNK):
         # one whole chunk, so that the longdouble sums keep their pairwise order
         last = min(a + _REAL_CHUNK - 1, n_hi)
-        t = np.concatenate([piece for _, piece in _erdos_terms(table, -1.0, a, last)])
-        raw += np.abs(t).astype(_LD).sum()
-        with_prev = np.empty(t.size + 1, dtype=np.float64)
-        with_prev[0] = prev_term if prev_term is not None else 0.0
-        with_prev[1:] = t
-        pair = np.abs(with_prev[1:] + with_prev[:-1]) / 2.0
-        start = 0 if prev_term is not None else 1
-        avg += pair[start:].astype(_LD).sum()
-        prev_term = float(t[-1])
+        m = np.concatenate([t for _, t in _erdos_terms(table, a, last)])
+        raw += m.astype(_LD).sum()
+        avg += (np.abs(np.diff(m, prepend=prev)) / 2.0).astype(_LD).sum()
+        prev = m[-1:].copy()
     return float(raw), float(avg)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from erdoslab.primes import build_table
+from erdoslab.series import PartialSumTrace
 
 # Covers p_(1e7 + 1) = 179,424,691 and every m <= 1e7 * log(1e7).
 BIG_LIMIT = 181_000_000
@@ -17,6 +18,33 @@ def dense_sieve(limit: int) -> np.ndarray:
         if not is_comp[p]:
             is_comp[p * p :: p] = True
     return np.flatnonzero(~is_comp).astype(np.int64)
+
+
+def _chunk_scan(checkpoints, chunks, phase):
+    """Oracle: the compensated scan with one longdouble cumsum per chunk (ends, terms).
+
+    ``terms`` carry their phase already; each chunk's prefix joins the
+    clongdouble total at the chunk's end.
+    """
+    values = np.zeros(checkpoints.size, dtype=np.complex128)
+    comps = np.zeros(checkpoints.size, dtype=np.complex128)
+    total = np.clongdouble(0.0)
+    abs_total = 0.0
+    done = 0
+    for ends, terms in chunks:
+        abs_total += float(np.abs(terms).sum())
+        ld = np.clongdouble if np.iscomplexobj(terms) else np.longdouble
+        pre = np.cumsum(terms, dtype=ld)
+        hi = int(np.searchsorted(checkpoints, ends[-1], side="right"))
+        off = np.searchsorted(ends, checkpoints[done:hi])
+        assert np.array_equal(ends[off], checkpoints[done:hi])
+        at = total + pre[off]
+        values[done:hi] = at
+        comps[done:hi] = at - values[done:hi].astype(np.clongdouble)
+        total += pre[-1]
+        done = hi
+    assert done == checkpoints.size
+    return PartialSumTrace(checkpoints, values, comps, phase, abs_total)
 
 
 @pytest.fixture(scope="session")

@@ -381,6 +381,22 @@ def test_unread_common_option_exits_2(workdir, capsys, argv, flag):
     assert not any(workdir.iterdir())
 
 
+@pytest.mark.parametrize("limit", ["0", "1", "-7"])
+@pytest.mark.parametrize(
+    "argv",
+    [["sieve"], ["series", "--nmax=100"], ["equiv", "--x=100"], ["tuples", "--tuple=0,2", "--x=100"],
+     ["gaps", "series"], ["gaps", "smallgap"], ["gaps", "blocks"], ["parity", "--x=1000"]],
+    ids=lambda v: "-".join(a for a in v if not a.startswith("--")),
+)
+def test_limit_below_two_exits_2(workdir, capsys, argv, limit):
+    # a limit of 0 used to fall back to the default table silently
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--limit={limit}"])
+    assert exc.value.code == 2
+    assert "argument --limit: must be >= 2" in capsys.readouterr().err
+    assert not any(workdir.iterdir())
+
+
 def test_model_table_covers_the_cutoff():
     # the model's table limit holds the sieve cutoff, so no caller needs a larger table
     args = argparse.Namespace(no_cache=True, cache_dir=None)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from erdoslab import gaps as gaps_mod
+from erdoslab import series
 from erdoslab.errors import BoundsError
 from erdoslab.gaps import (
     KINDS,
@@ -66,8 +66,11 @@ def test_alternating_direct_oracle():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_gap_terms_strided_sign_matches_mask(monkeypatch, kind):
-    # chunks of 7 terms start at odd and even n in turn; the mask flip is the oracle
-    monkeypatch.setattr(gaps_mod, "_REAL_CHUNK", 7)
+    # Pieces of 7 terms start at odd and even n in turn. The producer yields
+    # unsigned terms, bit-equal to the direct formulas; the sign _scan gives
+    # an alternating kind's term, _SIGNS[k & 1] at k = n - start + 1, must
+    # be the mask flip of it.
+    monkeypatch.setattr(series, "_SUB", 7)
     cfg = GapSeriesConfig(kind=kind)
     starts = []
     for idx, t in _gap_terms(TABLE, cfg, 150):
@@ -82,9 +85,11 @@ def test_gap_terms_strided_sign_matches_mask(monkeypatch, kind):
             want = 1.0 / (n * g)
         else:
             want = 1.0 / (n**cfg.theta * g)
+        assert t.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         if cfg.alternating:
             want[(idx & 1) == 1] *= -1.0
-        assert t.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            signed = series._SIGNS[(idx - cfg.start_index + 1) & 1] * t
+            assert signed.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         starts.append(a)
     assert {a % 2 for a in starts} == {0, 1} and starts[-1] + 7 > 150
 

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import _chunk_scan
 from erdoslab.primes import build_table
 from erdoslab.series import (
     _BLOCK_CUTOFF,
@@ -13,7 +14,6 @@ from erdoslab.series import (
     _REAL_CHUNK,
     _as_phase,
     _block_sums,
-    _scan,
     checkpoint_indices,
     parity_partial,
 )
@@ -28,7 +28,7 @@ def _dense_parity_partial(table, m_max, phase=-1.0, *, checkpoints=None, dense_w
     """The per-integer scan that parity_partial ran before it summed per prime gap.
 
     Kept as the oracle. The loop is the old one; it now yields each chunk,
-    with its index array, to ``_scan``.
+    with its index array, to the whole-chunk scan ``_chunk_scan``.
     """
     phase = _as_phase(phase)
     cps = checkpoint_indices(2, m_max, ratio, dense_windows, checkpoints)
@@ -57,7 +57,7 @@ def _dense_parity_partial(table, m_max, phase=-1.0, *, checkpoints=None, dense_w
                 carry_pw /= abs(carry_pw)
                 yield np.arange(a, b), pw * base
 
-    return _scan(cps, chunks(), phase)
+    return _chunk_scan(cps, chunks(), phase)
 
 
 def _assert_agree(m_max, phase, **kw):

@@ -1,10 +1,10 @@
 """The piecewise compensated scan against the whole-chunk scan it replaced.
 
-The oracles below are the scan, the term producers and the checkpoint
-builder as they were before pieces: each chunk became one array and one
-longdouble ``cumsum``. They read the chunk constants from ``series`` when
-called, so a monkeypatch shrinks both sides alike, and values and
-compensations must agree bit for bit.
+The oracles are the scan (``conftest._chunk_scan``), the term producers
+and the checkpoint builder as they were before pieces: each chunk became
+one array of signed terms and one longdouble ``cumsum``. They read the
+chunk constants from ``series`` when called, so a monkeypatch shrinks both
+sides alike, and values and compensations must agree bit for bit.
 """
 
 import math
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erdoslab import gaps as gaps_mod
+from conftest import _chunk_scan
 from erdoslab import series
 from erdoslab.gaps import KINDS, GapSeriesConfig, gap_series_partial
 from erdoslab.primes import build_table
@@ -54,28 +54,6 @@ def _set_checkpoint_indices(start, stop, ratio=1.25, dense_windows=(), explicit=
         lo, hi = max(int(lo), start), min(int(hi), stop)
         marks.update(range(lo, hi + 1))
     return np.array(sorted(marks), dtype=np.int64)
-
-
-def _chunk_scan(checkpoints, chunks, phase):
-    """Oracle: one longdouble cumsum per chunk (ends, terms)."""
-    values = np.zeros(checkpoints.size, dtype=np.complex128)
-    comps = np.zeros(checkpoints.size, dtype=np.complex128)
-    total = np.clongdouble(0.0)
-    abs_total = 0.0
-    done = 0
-    for ends, terms in chunks:
-        abs_total += float(np.abs(terms).sum())
-        pre = np.cumsum(terms, dtype=np.clongdouble if np.iscomplexobj(terms) else _LD)
-        hi = int(np.searchsorted(checkpoints, ends[-1], side="right"))
-        off = np.searchsorted(ends, checkpoints[done:hi])
-        assert np.array_equal(ends[off], checkpoints[done:hi])
-        at = total + pre[off]
-        values[done:hi] = at
-        comps[done:hi] = at - values[done:hi].astype(np.clongdouble)
-        total += pre[-1]
-        done = hi
-    assert done == checkpoints.size
-    return series.PartialSumTrace(checkpoints, values, comps, phase, abs_total)
 
 
 def _is_sign(phase):
@@ -165,8 +143,8 @@ def _chunk_gap_series_partial(table, config, n_max):
     cps = _set_checkpoint_indices(start, n_max)
 
     def chunks():
-        for a in range(start, n_max + 1, gaps_mod._REAL_CHUNK):
-            b = min(a + gaps_mod._REAL_CHUNK, n_max + 1)
+        for a in range(start, n_max + 1, series._REAL_CHUNK):
+            b = min(a + series._REAL_CHUNK, n_max + 1)
             idx = np.arange(a, b)
             n = idx.astype(np.float64)
             g = (table.primes[a:b] - table.primes[a - 1 : b - 1]).astype(np.float64)
@@ -217,7 +195,6 @@ def small_pieces(monkeypatch):
     """
     monkeypatch.setattr(series, "_SUB", 5)
     monkeypatch.setattr(series, "_REAL_CHUNK", 24)
-    monkeypatch.setattr(gaps_mod, "_REAL_CHUNK", 24)
     monkeypatch.setattr(series, "RENORM_STEPS", 20)
     monkeypatch.setattr(series, "_BLOCK_CUTOFF", 50)
 
@@ -285,6 +262,34 @@ def test_default_pieces_match_chunks(big_table):
         _assert_same_bits(
             parity_partial(big_table, m_max, phase), _chunk_parity_partial(big_table, m_max, phase)
         )
+
+
+@given(
+    kind=st.sampled_from(["erdos", "parity"]),
+    phase=st.sampled_from(["-1", "+1", "i"]),
+    sizes=st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_piece_cuts_do_not_matter(kind, phase, sizes):
+    # the same terms in one piece and re-cut at random sizes, so that pieces
+    # straddle the chunk edges (every 20 or 24 terms) and _SUB = 5 cuts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_SUB", 5)
+        mp.setattr(series, "_REAL_CHUNK", 24)
+        mp.setattr(series, "RENORM_STEPS", 20)
+        mp.setattr(series, "_BLOCK_CUTOFF", 50)
+        if kind == "erdos":
+            cps = checkpoint_indices(1, 2000, dense_windows=((90, 130),))
+            stream = [(n, n, t) for n, t in series._erdos_terms(TABLE, 1, 2000)]
+        else:
+            cps = checkpoint_indices(2, 3000, dense_windows=((40, 60),))
+            stream = list(series._parity_blocks(TABLE, 3000, cps))
+        whole = [np.concatenate(a) for a in zip(*stream)]
+        cuts = np.cumsum(sizes)
+        cuts = cuts[cuts < whole[0].size]
+        recut = zip(*(np.split(a, cuts) for a in whole))
+        uncut = series._scan(cps, [tuple(whole)], PHASES[phase])
+        _assert_same_bits(series._scan(cps, recut, PHASES[phase]), uncut)
 
 
 @given(

@@ -179,6 +179,15 @@ def test_oscillation_reduction(big_table):
     assert ratio <= load_fixture()["series"]["oscillation_ratio_bound"]
 
 
+def test_calibrate_series_reproduces_fixture(big_table):
+    # every entry of the committed series section, bit for bit
+    from erdoslab.calibration import calibrate_series, load_fixture
+
+    want = load_fixture()["series"]
+    assert len(want) == 8
+    assert calibrate_series(big_table) == want
+
+
 def test_equivalence_repeated_x(big_table):
     rep = verify_equivalence(big_table, [10**5, 10**5], -1.0)
     assert rep.max_pairwise_spread(top_half=False) == 0.0
@@ -225,15 +234,19 @@ def test_parity_scan_frees_each_chunk(big_table):
 
 @pytest.mark.parametrize("first", [1, 2, 9, 100])
 def test_strided_sign_matches_mask(monkeypatch, first):
-    # chunks of 7 terms start at odd and even n in turn
-    monkeypatch.setattr(series, "_REAL_CHUNK", 7)
+    # Pieces of 7 terms start at odd and even n in turn. The producer yields
+    # n / p_n unsigned, bit-equal to the direct formula; the sign _scan gives
+    # the term at phase -1, _SIGNS[n & 1], must be the mask flip of it.
+    monkeypatch.setattr(series, "_SUB", 7)
     last = 150
     starts = []
-    for a, t in _erdos_terms(TABLE, -1.0, first, last):
-        b = a + t.size
+    for n, t in _erdos_terms(TABLE, first, last):
+        a, b = int(n[0]), int(n[-1]) + 1
         want = np.arange(a, b, dtype=np.float64) / TABLE.primes[a - 1 : b - 1]
-        want[(np.arange(a, b) & 1) == 1] *= -1.0
         assert t.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        want[(n & 1) == 1] *= -1.0
+        signed = series._SIGNS[n & 1] * t
+        assert signed.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         starts.append(a)
     assert {a % 2 for a in starts} == {0, 1} and starts[-1] + 7 > last
 
