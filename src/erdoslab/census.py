@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError
 from .primes import PrimeTable
 from .singular import OffsetTuple, SingularValue, singular_series
 
@@ -46,22 +45,16 @@ def count_tuples(table: PrimeTable, tup: OffsetTuple, x: int) -> int:
     return _count_many(table, [tup], x)[0]
 
 
-def _check_bound(table: PrimeTable, tup: OffsetTuple, x: int) -> None:
-    if tup.k and x + tup.offsets[-1] > table.limit:
-        raise BoundsError(f"need primality up to {x + tup.offsets[-1]} > table limit {table.limit}")
-
-
 def _count_many(table: PrimeTable, tups: list[OffsetTuple], x: int) -> list[int]:
     """count_tuples for each tuple, all reading one primality window per chunk."""
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    for tup in tups:
-        _check_bound(table, tup, x)
     totals = [0 if tup.k else x for tup in tups]
     max_off = max((tup.offsets[-1] for tup in tups if tup.k), default=None)
     if max_off is None:
         return totals
+    table.pi(x + max_off)  # BoundsError before any counting, if the table is short
 
     buf = np.empty(min(_COUNT_CHUNK, x), dtype=bool)
     for a in range(1, x + 1, _COUNT_CHUNK):
@@ -190,7 +183,7 @@ def check_tuples(
                 f"tuple outside strict ranges at x={x}: offsets<=log^2 x is {in_offset_range}, "
                 f"k<=(loglog x)^5 is {in_k_range}"
             )
-        _check_bound(table, tup, x)
+        table.pi(x + tup.offsets[-1])  # BoundsError if the table is short
         sv = singular_series(tup)
         prediction = sv.value * log_integral(x, tup.k) if sv.admissible else 0.0
         sides.append((sv, prediction, in_offset_range, in_k_range))

@@ -63,15 +63,16 @@ def _parse_int(text: str) -> int:
 
     Scientific notation is accepted only when its value is an integer.
     Anything else, including inf, nan and values outside the signed
-    64-bit range the array code works in, raises ValueError.
+    64-bit range the array code works in, raises ArgumentTypeError, whose
+    message argparse prints and main reports as an invalid configuration.
     """
     try:
         d = Decimal(text)
     except InvalidOperation:
-        raise ValueError(f"expected an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     # compare before converting: int() of 1e999999999 would build a huge number
     if not (d.is_finite() and -(2**63) < d < 2**63 and d == d.to_integral_value()):
-        raise ValueError(f"expected an integer in (-2^63, 2^63), got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer in (-2^63, 2^63), got {text!r}")
     return int(d)
 
 
@@ -497,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BoundsError, MemoryError, FileNotFoundError) as exc:
         print(f"error: range: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:  # the latter from _parse_int
         print(f"error: invalid: {exc}", file=sys.stderr)
         return 2
     return 0

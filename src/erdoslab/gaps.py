@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError
 from .model import uniform_ints
 from .primes import PrimeTable
 from .series import PartialSumTrace, _pieces, _scan, checkpoint_indices
@@ -62,8 +61,6 @@ def gap_series_partial(table: PrimeTable, config: GapSeriesConfig, n_max: int) -
     start = config.start_index
     if n_max < start:
         raise ValueError(f"n_max must be >= {start} for kind {config.kind}")
-    if n_max + 1 > table.primes.size:
-        raise BoundsError(f"need p_(n+1) for n={n_max}; table holds {table.primes.size} primes")
 
     cps = checkpoint_indices(start, n_max)
     # k counts from start_index, so the chunks of every kind begin there
@@ -73,10 +70,11 @@ def gap_series_partial(table: PrimeTable, config: GapSeriesConfig, n_max: int) -
 
 def _gap_terms(table: PrimeTable, config: GapSeriesConfig, n_max: int):
     """Yield pieces (n, t) of the unsigned gap series terms for start_index <= n <= n_max."""
+    primes = table.first(n_max + 1)
     for a, b in _pieces(config.start_index, n_max + 1):
         idx = np.arange(a, b)
         n = idx.astype(np.float64)
-        g = (table.primes[a:b] - table.primes[a - 1 : b - 1]).astype(np.float64)
+        g = (primes[a:b] - primes[a - 1 : b - 1]).astype(np.float64)
         if config.kind == "reciprocal_weighted":
             t = 1.0 / (n * np.log(np.log(n)) ** config.c * g)
         elif config.kind == "alternating_gap":
@@ -143,14 +141,11 @@ def small_gap_count(table: PrimeTable, X: int, lam: float) -> SmallGapReport:
         raise ValueError(f"X must be >= 3, got {X}")
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    if 2 * X > table.limit:
-        raise BoundsError(f"need primes to 2X={2 * X} > table limit {table.limit}")
     logX = math.log(X)
-    i0 = int(np.searchsorted(table.primes, X, side="left"))
-    i1 = int(np.searchsorted(table.primes, 2 * X, side="left"))
-    if i1 >= table.primes.size:
-        raise BoundsError("table ends inside [X, 2X); the last gap is unknown")
-    g = table.primes[i0 + 1 : i1 + 1] - table.primes[i0:i1]
+    # primes p_(i0+1) ... p_(i1) lie in [X, 2X); the last gap needs p_(i1+1)
+    i0, i1 = table.pi(X - 1), table.pi(2 * X - 1)
+    primes = table.first(i1 + 1)
+    g = primes[i0 + 1 :] - primes[i0:i1]
     threshold = lam * logX
     count = int(np.count_nonzero(g <= threshold))
     M = int(threshold)
@@ -193,16 +188,13 @@ def empirical_parity_statistic(
         raise ValueError(f"need at least 1000 base points, got {base_points}")
     window = int(lam * math.log(x))
     spread = int(x**0.9)
-    if x + spread + window > table.limit:
-        raise BoundsError(
-            f"need primes to {x + spread + window} > table limit {table.limit}"
-        )
+    primes = table.upto(x + spread + window)
     n = x + uniform_ints(seed, _PARITY_STREAM, base_points, spread + 1)
     # only the count of odd (hi - lo) matters, and sorted keys let each
     # binary search start from the last one's bound
     n.sort()
-    lo = np.searchsorted(table.primes, n, side="right")
-    hi = np.searchsorted(table.primes, n + window, side="right")
+    lo = np.searchsorted(primes, n, side="right")
+    hi = np.searchsorted(primes, n + window, side="right")
     odd = int(np.count_nonzero((hi - lo) & 1))
     est = 1.0 - 2.0 * odd / base_points
     return ParityStatReport(

@@ -6,7 +6,10 @@ selects the cutoff from the Mertens product, computes exact membership
 probabilities (one point's is the Mertens product), draws reproducible
 Monte Carlo samples, and estimates the moment and parity statistics of
 the survivor count, with truncated binomial (Bonferroni) expansions of
-the parity as exact companions. Of a PrimeTable it reads only primes.
+the parity as exact companions. Every reader takes the primes up to its
+cutoff through ``PrimeTable.upto``, so a table that stops short of the
+cutoff raises BoundsError instead of sifting fewer primes; sieve_cutoff
+alone scans the whole table.
 
 Randomness is a SplitMix64 counter stream per prime: the word consumed by
 (seed, prime rank, sample index, attempt) is a pure function of those
@@ -122,11 +125,6 @@ def residues_for_prime(seed: int, prime_rank: int, p: int, sample_indices: np.nd
         pending = pending[~ok]
         attempt += 1
     return out
-
-
-def _primes_upto_w(table: PrimeTable, w: int) -> np.ndarray:
-    hi = int(np.searchsorted(table.primes, w, side="right"))
-    return table.primes[:hi]
 
 
 def mertens_product(w: int, table: PrimeTable) -> float:
@@ -257,7 +255,7 @@ def _sifting_primes(config: ModelConfig, w: int | None, table: PrimeTable) -> tu
         w = config.cutoff_z
     if w > config.cutoff_z:
         raise ValueError(f"w={w} exceeds the configured cutoff {config.cutoff_z}")
-    return int(w), _primes_upto_w(table, w)
+    return int(w), table.upto(w)
 
 
 def sifted_sets(
@@ -295,13 +293,11 @@ def draw_sample(
 
 def membership_probability(tup, w: int, table: PrimeTable) -> float:
     """Exact survival probability prod_{p <= w} (1 - nu(p)/p), in log space."""
-    if w > table.limit:
-        raise BoundsError(f"w={w} exceeds table limit {table.limit}")
+    primes = table.upto(w)
     if tup.k and w < tup.span:
         raise ValueError(f"w={w} below tuple span {tup.span}")
     if tup.k == 0:
         return 1.0
-    primes = _primes_upto_w(table, w)
     total, cut = _log_head(tup, primes, 0)
     if total is None:
         return 0.0
@@ -330,7 +326,7 @@ def _span_counts(configs: list[ModelConfig], samples: int, table: PrimeTable,
     marks = sorted(set(int(w) for w in (w_marks or [cutoff])))
     if marks[-1] > cutoff:
         raise ValueError(f"w marks exceed cutoff {cutoff}")
-    primes = _primes_upto_w(table, marks[-1])
+    primes = table.upto(marks[-1])
     # row i holds the count after the first sifted[i] primes; 0 primes leave L
     sifted = np.searchsorted(primes, marks, side="right")
     taken = set(sifted.tolist())
@@ -527,7 +523,7 @@ def exact_parity_bias(config: ModelConfig, table: PrimeTable, combo_limit: int =
     Only feasible for small cutoffs: the state space is the product of all
     primes up to the cutoff.
     """
-    primes = [int(p) for p in _primes_upto_w(table, config.cutoff_z)]
+    primes = [int(p) for p in table.upto(config.cutoff_z)]
     n_combos = 1
     for p in primes:
         n_combos *= p

@@ -2,11 +2,13 @@
 
 The central object is :class:`PrimeTable`: every prime up to a limit, in
 one int64 array from a segmented odd-only sieve of Eratosthenes, with
-O(log) rank queries (``pi``, ``nth_prime``, ``gap``). Its binary cache
-(``PRIMECACHE2``) stores the half-gaps (p_{i+1} - p_i)/2 from p = 3 on as
-uint8: every prime gap below 3.04e11 is at most 500 (Oliveira e Silva,
-Herzog and Pardi, Math. Comp. 2014). A file that fails a check, such as
-an old ``PRIMECACHE1`` bitset, is rebuilt on first use.
+O(log) rank queries (``pi``, ``nth_prime``, ``gap``) and the bounded
+reads ``upto`` and ``first``: readers elsewhere take their primes through
+these, so a short table raises BoundsError and never truncates. Its
+binary cache (``PRIMECACHE2``) stores the half-gaps (p_{i+1} - p_i)/2
+from p = 3 on as uint8: every prime gap below 3.04e11 is at most 500
+(Oliveira e Silva, Herzog and Pardi, Math. Comp. 2014). A file that fails
+a check, such as an old ``PRIMECACHE1`` bitset, is rebuilt on first use.
 """
 
 from __future__ import annotations
@@ -60,8 +62,19 @@ class PrimeTable:
         """Number of primes <= x, by one binary search of the table."""
         x = int(x)
         if x > self.limit:
-            raise BoundsError(f"pi({x}) exceeds table limit {self.limit}")
+            raise BoundsError(f"need primality up to {x} > table limit {self.limit}")
         return int(np.searchsorted(self.primes, x, side="right"))
+
+    def upto(self, x: int) -> np.ndarray:
+        """Every prime <= x, a view of the table; BoundsError if x > limit."""
+        return self.primes[: self.pi(x)]
+
+    def first(self, n: int) -> np.ndarray:
+        """p_1 ... p_n, a view of the table; BoundsError if it holds fewer."""
+        n = int(n)
+        if n > self.primes.size:
+            raise BoundsError(f"need p_{n} but table holds only {self.primes.size} primes")
+        return self.primes[: max(n, 0)]
 
     def nth_prime(self, n: int) -> int:
         """The n-th prime, 1-indexed (nth_prime(1) == 2)."""
@@ -79,12 +92,8 @@ class PrimeTable:
 
     def __contains__(self, v: int) -> bool:
         v = int(v)
-        if v > self.limit:
-            raise BoundsError(f"{v} exceeds table limit {self.limit}")
-        if v < 2:
-            return False
-        i = int(np.searchsorted(self.primes, v))
-        return i < self.primes.size and int(self.primes[i]) == v
+        i = self.pi(v)  # the primes <= v, the last of which is v if v is prime
+        return i > 0 and int(self.primes[i - 1]) == v
 
     # -- windowed access ----------------------------------------------
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsError
 from .primes import PrimeTable
 
 # Phase powers are renormalized to |z| = 1 after this many multiplications;
@@ -222,9 +221,10 @@ def _phase_powers(phase: complex, carry: complex, count: int) -> tuple[np.ndarra
 
 def _erdos_terms(table: PrimeTable, first: int, last: int):
     """Yield pieces (n, t) of at most _SUB terms t[i] = n[i] / p_(n[i]) for first <= n <= last."""
+    primes = table.first(last)
     for s, e in _pieces(first, last + 1):
         n = np.arange(s, e)
-        yield n, n / table.primes[s - 1 : e - 1]
+        yield n, n / primes[s - 1 : e - 1]
 
 
 def erdos_partial(
@@ -241,7 +241,7 @@ def erdos_partial(
     Parameters
     ----------
     table : PrimeTable
-        Must satisfy n_max <= pi(table.limit).
+        Must hold p_(n_max); a shorter table raises BoundsError.
     n_max : int
         Largest summation index.
     phase : complex
@@ -254,8 +254,6 @@ def erdos_partial(
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > table.primes.size:
-        raise BoundsError(f"n_max={n_max} exceeds pi(limit)={table.primes.size}")
 
     cps = checkpoint_indices(1, n_max, ratio, dense_windows, checkpoints)
     pieces = ((n, n, t) for n, t in _erdos_terms(table, 1, n_max))
@@ -284,6 +282,7 @@ def _parity_blocks(table: PrimeTable, m_max: int, checkpoints: np.ndarray):
     at _BLOCK_CUTOFF, at m_max + 1 and after every checkpoint, and a piece
     spans _SUB values of k.
     """
+    j1 = table.pi(m_max)  # k of the last block
     cut = min(_BLOCK_CUTOFF, m_max + 1)
     head_k = np.cumsum(table.is_prime_range(2, cut))
     for s, e in _pieces(2, cut):
@@ -291,8 +290,8 @@ def _parity_blocks(table: PrimeTable, m_max: int, checkpoints: np.ndarray):
         yield np.arange(s, e), head_k[s - 2 : e - 2], 1.0 / (m * np.log(m))
     if m_max < _BLOCK_CUTOFF:
         return
-    primes = table.primes
-    j0, j1 = table.pi(_BLOCK_CUTOFF), table.pi(m_max)  # k of the first and the last block
+    primes = table.first(j1)  # every prime <= m_max
+    j0 = table.pi(_BLOCK_CUTOFF)  # k of the first block
     splits = checkpoints[checkpoints >= _BLOCK_CUTOFF] + 1
     for s, e in _pieces(j0, j1 + 1):
         # block k starts at p_k and ends where block k + 1 starts
@@ -349,8 +348,6 @@ def parity_partial(
     m_max = int(m_max)
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
-    if m_max > table.limit:
-        raise BoundsError(f"m_max={m_max} exceeds table limit {table.limit}")
 
     cps = checkpoint_indices(2, m_max, ratio, dense_windows, checkpoints)
     return _scan(cps, _parity_blocks(table, m_max, cps), phase)
@@ -416,13 +413,6 @@ def verify_equivalence(
     if xs.size == 0 or xs[0] < 2:
         raise ValueError("x_values must be integers >= 2")
     ms = np.array([int(x * math.log(x)) for x in xs], dtype=np.int64)
-    if ms[-1] > table.limit:
-        raise BoundsError(
-            f"need m up to {ms[-1]} > table limit {table.limit}; rebuild with a larger table"
-        )
-    if xs[-1] > table.primes.size:
-        raise BoundsError(f"need p_{xs[-1]} but table holds only {table.primes.size} primes")
-
     lhs_trace = erdos_partial(table, int(xs[-1]), phase, checkpoints=xs)
     rhs_trace = parity_partial(table, int(ms[-1]), phase, checkpoints=np.unique(ms))
     factor = phase / (phase - 1.0)
@@ -444,8 +434,6 @@ def oscillation_stats(table: PrimeTable, n_lo: int, n_hi: int) -> tuple[float, f
     n_lo, n_hi = int(n_lo), int(n_hi)
     if not 1 <= n_lo < n_hi:
         raise ValueError("need 1 <= n_lo < n_hi")
-    if n_hi > table.primes.size:
-        raise BoundsError(f"n_hi={n_hi} exceeds pi(limit)={table.primes.size}")
 
     raw = _LD(0.0)
     avg = _LD(0.0)

@@ -228,3 +228,14 @@ def test_check_tuples_first_bad_tuple_raises():
         check_tuples(TABLE, [tups[0], tups[2], tups[1]], x, strict_range=True)
     with pytest.raises(ValueError, match="at least one offset"):
         check_tuples(TABLE, [tups[0], OffsetTuple(), tups[1]], x)
+
+
+@pytest.mark.parametrize(
+    "x, eps, reason",
+    [(2, 0.05, "x must be >= 3, got 2"), (100, 2.0, r"epsilon must be in \(0,1\), got 2.0"),
+     (100, 0.0, r"epsilon must be in \(0,1\), got 0.0")],
+    ids=["x below 3", "eps 2", "eps 0"],
+)
+def test_check_tuples_rejects_configuration(x, eps, reason):
+    with pytest.raises(ValueError, match=reason):
+        check_tuples(TABLE, [OffsetTuple([0, 2])], x, eps)

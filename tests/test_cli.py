@@ -403,3 +403,33 @@ def test_model_table_covers_the_cutoff():
     for x in np.geomspace(10, 1e10, 200):
         table = _model_table(float(x), args)
         assert sieve_cutoff(float(x), table) <= table.limit
+
+
+_NOT_INT = "expected an integer in (-2^63, 2^63), got '1.5'"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [(["series", "--nmax=1.5"], f"erdoslab series: error: argument --nmax: {_NOT_INT}"),
+     (["series", "--nmax=ten"], "erdoslab series: error: argument --nmax: expected an integer, got 'ten'"),
+     # parsed by the runners, not by argparse
+     (["equiv", "--x=100,1.5"], f"error: invalid: {_NOT_INT}"),
+     (["series", "--nmax=100", "--dense=1.5:3"], f"error: invalid: {_NOT_INT}"),
+     (["tuples", "--tuple=0,2", "--x=100", "--eps=2"], "error: invalid: epsilon must be in (0,1), got 2.0")],
+    ids=["nmax 1.5", "nmax ten", "equiv x", "dense", "eps 2"],
+)
+def test_invalid_option_message_exits_2(workdir, capsys, argv, err):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse reports its own errors
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == err
+    assert not any(workdir.glob("erdoslab-*"))
+
+
+def test_short_table_exits_3(workdir, capsys):
+    # 168 primes up to 1000: the series stops, where a slice would return 168 terms
+    assert main(["series", "--limit=1000", "--nmax=100000"]) == 3
+    assert capsys.readouterr().err == "error: range: need p_100000 but table holds only 168 primes\n"
+    assert not any(workdir.glob("erdoslab-*"))

@@ -222,3 +222,25 @@ def test_density_ratio_band(big_table):
     lo, hi = fx["density_ratio_band"]
     assert lo <= rep.density_ratio <= hi
     assert rep.in_lambda_range
+
+
+@pytest.mark.parametrize(
+    "call, reason",
+    [(lambda: small_gap_count(TABLE, 2, 0.5), "X must be >= 3, got 2"),
+     (lambda: small_gap_count(TABLE, 1000, 0.0), "lambda must be positive, got 0.0"),
+     (lambda: small_gap_count(TABLE, 1000, -1.0), "lambda must be positive, got -1.0"),
+     (lambda: empirical_parity_statistic(TABLE, 9, 1.0, 1000, seed=1), "x must be >= 10, got 9")],
+    ids=["X below 3", "lambda 0", "lambda negative", "x below 10"],
+)
+def test_gap_readers_reject_configuration(call, reason):
+    with pytest.raises(ValueError, match=reason):
+        call()
+
+
+def test_calibrate_gaps_reproduces_fixture(big_table):
+    # every entry of the committed gaps section, bit for bit
+    from erdoslab.calibration import calibrate_gaps, load_fixture
+
+    want = load_fixture()["gaps"]
+    assert len(want) == 7
+    assert calibrate_gaps(big_table, 100_000, 20260808) == want

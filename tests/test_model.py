@@ -605,3 +605,29 @@ def test_calibrate_model_reproduces_fixture():
         g, w = np.atleast_1d(got[key]), np.atleast_1d(want[key])
         assert g.size == w.size
         assert np.all(np.abs(g.view(np.int64) - w.view(np.int64)) <= 4), key
+
+
+# 2000 offsets sifted by the prime 2 alone leave S = 1000 survivors in every
+# sample. The truncated expansion sum_{k<=r} (-2)^k C(S, k) is dominated by
+# its last term, about 2^500 C(1000, 500) ~ 1e450 at r = 500, so its mean
+# does not fit a float64; its sign is that of (-2)^r.
+_WIDE = ModelConfig(x=1e6, lam=1.0, window_len=2000, cutoff_z=2, seed=1)
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [(lambda: binomial_moment_sum(_WIDE, -1, 1000, TABLE), "r must be >= 0, got -1"),
+     (lambda: binomial_moment_sum(_WIDE, 2, 999, TABLE), "need at least 1000 samples, got 999"),
+     (lambda: binomial_moment_sum(_WIDE, 500, 1000, TABLE), math.inf),
+     (lambda: binomial_moment_sum(_WIDE, 501, 1000, TABLE), -math.inf),
+     # no prime <= the cutoff: nothing is sifted, so S = L and the bias is (-1)^L
+     (lambda: exact_parity_bias(replace(_WIDE, window_len=14, cutoff_z=1), TABLE), 1.0),
+     (lambda: exact_parity_bias(replace(_WIDE, window_len=15, cutoff_z=1), TABLE), -1.0)],
+    ids=["r negative", "999 samples", "+inf", "-inf", "no prime, L even", "no prime, L odd"],
+)
+def test_model_edge_paths(call, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            call()
+    else:
+        assert call() == want

@@ -146,6 +146,19 @@ def test_is_prime_range(mid_table, trial_division_primes):
         mid_table.is_prime_range(0, 2_000_002)
 
 
+def test_upto_first(mid_table, trial_division_primes):
+    n = mid_table.primes.size
+    assert mid_table.upto(2000).tolist() == trial_division_primes.tolist()
+    assert mid_table.first(trial_division_primes.size).tolist() == trial_division_primes.tolist()
+    assert mid_table.upto(96).tolist() == mid_table.upto(97)[:-1].tolist() == mid_table.first(24).tolist()
+    assert mid_table.upto(1).size == mid_table.first(0).size == 0
+    assert mid_table.upto(mid_table.limit).size == mid_table.first(n).size == n
+    with pytest.raises(BoundsError, match="need primality up to 2000001 > table limit 2000000"):
+        mid_table.upto(mid_table.limit + 1)
+    with pytest.raises(BoundsError, match=f"need p_{n + 1} but table holds only {n} primes"):
+        mid_table.first(n + 1)
+
+
 def test_contains(mid_table):
     assert 2 in mid_table
     assert 97 in mid_table

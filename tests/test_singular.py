@@ -242,3 +242,16 @@ def test_primes_upto_is_one_shared_sieve_per_limit():
         assert got is _primes_upto(limit)
         with pytest.raises(ValueError):
             got[:1] = 4  # shared by every caller, so it is read-only
+
+
+@pytest.mark.parametrize(
+    "call, reason",
+    [(lambda: pair_correlation_curve([1, 5]), "H values must be >= 2"),
+     (lambda: pair_correlation_curve([]), "H values must be >= 2"),
+     (lambda: gallagher_sum(2, 1), "H must be >= 2, got 1"),
+     (lambda: gallagher_sum(3, 0), "H must be >= 2, got 0")],
+    ids=["curve H 1", "curve empty", "k2 H 1", "k3 H 0"],
+)
+def test_pair_sums_reject_H_below_two(call, reason):
+    with pytest.raises(ValueError, match=reason):
+        call()
