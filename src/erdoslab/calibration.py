@@ -59,6 +59,13 @@ def save_fixture(data: dict, path: str | Path | None = None) -> Path:
     return p
 
 
+def _band(est: float, stderr: float) -> list[float]:
+    """est +/- max(6 stderr, 0.03), widened to bracket the heuristic exp(-2) by 0.01."""
+    halfwidth = max(6.0 * stderr, 0.03)
+    anchor = math.exp(-2.0)
+    return [min(est - halfwidth, anchor - 0.01), max(est + halfwidth, anchor + 0.01)]
+
+
 def calibrate_model(table: PrimeTable, samples: int = 100_000, seed: int = 20260808) -> dict:
     """Measure the variance constant and the cutoff-level bias band at x = 1e6.
 
@@ -76,10 +83,6 @@ def calibrate_model(table: PrimeTable, samples: int = 100_000, seed: int = 20260
 
     cfg1 = M.ModelConfig.from_scale(x, 1.0, table, seed=seed)
     est = M.parity_bias(cfg1, samples, table)
-    halfwidth = max(6.0 * M.parity_bias_stderr(est, samples), 0.03)
-    anchor = math.exp(-2.0)
-    lo = min(est - halfwidth, anchor - 0.01)
-    hi = max(est + halfwidth, anchor + 0.01)
     return {
         "x": x,
         "seed": seed,
@@ -87,7 +90,7 @@ def calibrate_model(table: PrimeTable, samples: int = 100_000, seed: int = 20260
         "variance_ratios": ratios,
         "c_var": c_var,
         "bias_lambda1_estimate": est,
-        "bias_lambda1_band": [lo, hi],
+        "bias_lambda1_band": _band(est, M.parity_bias_stderr(est, samples)),
     }
 
 
@@ -122,10 +125,6 @@ def calibrate_gaps(table: PrimeTable, base_points: int = 100_000, seed: int = 20
 
     x = 10**8
     stat = Gp.empirical_parity_statistic(table, x, 1.0, base_points, seed)
-    halfwidth = max(6.0 * stat.stderr, 0.03)
-    anchor = math.exp(-2.0)
-    lo = min(stat.estimate - halfwidth, anchor - 0.01)
-    hi = max(stat.estimate + halfwidth, anchor + 0.01)
 
     rep = Gp.small_gap_count(table, 10**7, 0.5)
     return {
@@ -133,7 +132,7 @@ def calibrate_gaps(table: PrimeTable, base_points: int = 100_000, seed: int = 20
         "seed": seed,
         "base_points": base_points,
         "parity_lambda1_estimate": stat.estimate,
-        "parity_lambda1_band": [lo, hi],
+        "parity_lambda1_band": _band(stat.estimate, stat.stderr),
         "density_ratio_x1e7_lambda05": rep.density_ratio,
         "density_ratio_band": [0.1, 2.0],
     }

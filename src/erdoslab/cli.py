@@ -7,22 +7,24 @@ re-running with the same config and seed produces byte-identical files.
 The sifted-set model runs serially; the --workers option of model and
 bias is accepted and ignored.
 
-A subcommand takes only the common options it reads. --format and --out
+model and gaps take their action first (gaps blocks --limit=1e6). A
+subcommand or action takes only the options it reads, by full name only,
+and singular takes --tuple or --hmax, not both. --format and --out
 choose the artifact of every subcommand but calibrate, which writes its
 fixture. --cache-dir names the prime cache of every subcommand that reads
 a table (all but singular and paircorr); of those, all but sieve, which
 always writes the cache, take --no-cache. --limit, at least 2, overrides
 the table limit of sieve, series, equiv, tuples, gaps and parity; model,
-bias and calibrate derive theirs from x. Any other use exits 2 with a
-usage error.
+bias and calibrate derive theirs from x. Any other option exits 2.
 
 Exit codes: 0 success, 2 invalid configuration, 3 range or resource
-errors.
+errors, any OSError among them (an unwritable --out or cache directory).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,10 +49,13 @@ def _parse_phase(text: str) -> complex:
 
 
 def _parse_positive(text: str) -> float:
-    """A finite float > 0; inf, nan, zero and negatives raise ValueError."""
-    v = float(text)
+    """A finite float > 0; anything else raises ArgumentTypeError, whose message argparse prints."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
     if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"expected a finite number > 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return v
 
 
@@ -157,24 +162,16 @@ def _run_sieve(args) -> None:
 def _run_series(args) -> None:
     phase = _parse_phase(args.phase)
     dense = tuple(tuple(_parse_int(s) for s in w.split(":")) for w in args.dense)
-    if args.kind == "erdos":
-        limit = args.limit or _nth_prime_upper(args.nmax)
-        table = _get_table(limit, args)
-        trace = series_mod.erdos_partial(
-            table, args.nmax, phase, dense_windows=dense, ratio=args.ratio
-        )
-    else:
-        limit = args.limit or args.nmax
-        table = _get_table(limit, args)
-        trace = series_mod.parity_partial(
-            table, args.nmax, phase, dense_windows=dense, ratio=args.ratio
-        )
+    erdos = args.kind == "erdos"
+    table = _get_table(args.limit or (_nth_prime_upper(args.nmax) if erdos else args.nmax), args)
+    partial = series_mod.erdos_partial if erdos else series_mod.parity_partial
+    trace = partial(table, args.nmax, phase, dense_windows=dense, ratio=args.ratio)
     if args.average:
         trace = series_mod.average_consecutive(trace)
     config = {
         "kind": args.kind, "nmax": args.nmax, "phase": str(phase),
         "ratio": args.ratio, "dense": [list(w) for w in dense], "average": args.average,
-        "table_limit": limit,
+        "table_limit": table.limit,
     }
     rows = list(trace._rows())
     _emit(args.out, args.format, "series", config,
@@ -185,10 +182,9 @@ def _run_equiv(args) -> None:
     phase = _parse_phase(args.phase)
     xs = [_parse_int(s) for s in args.x.split(",")]
     need = max(int(x * math.log(x)) for x in xs) + 10
-    limit = args.limit or max(need, _nth_prime_upper(max(xs)))
-    table = _get_table(limit, args)
+    table = _get_table(args.limit or max(need, _nth_prime_upper(max(xs))), args)
     rep = series_mod.verify_equivalence(table, xs, phase)
-    config = {"x": xs, "phase": str(phase), "table_limit": limit,
+    config = {"x": xs, "phase": str(phase), "table_limit": table.limit,
               "max_pairwise_spread_top_half": rep.max_pairwise_spread()}
     rows = [
         (int(x), l.real, l.imag, r.real, r.imag, d.real, d.imag)
@@ -199,8 +195,6 @@ def _run_equiv(args) -> None:
 
 
 def _run_singular(args) -> None:
-    if args.hmax < 1:
-        raise ValueError(f"--hmax must be >= 1, got {args.hmax}")
     if args.tuple is not None:
         tup = _parse_offsets(args.tuple)
         sv = singular_mod.singular_series(tup, args.truncation)
@@ -208,12 +202,15 @@ def _run_singular(args) -> None:
         rows = [("_".join(map(str, tup.offsets)), sv.value, sv.tail_bound, sv.admissible)]
         _emit(args.out, args.format, "singular", config,
               ["offsets", "value", "tail_bound", "admissible"], rows)
-    else:
-        truncation = singular_mod.DEFAULT_TRUNCATION if args.truncation is None else args.truncation
-        vals = singular_mod.pair_singular_table(args.hmax, truncation)
-        config = {"hmax": args.hmax, "truncation": truncation}
-        rows = [(d, vals[d]) for d in range(1, args.hmax + 1)]
-        _emit(args.out, args.format, "singular", config, ["d", "singular_value"], rows)
+        return
+    hmax = 100 if args.hmax is None else args.hmax
+    if hmax < 1:
+        raise ValueError(f"--hmax must be >= 1, got {hmax}")
+    truncation = singular_mod.DEFAULT_TRUNCATION if args.truncation is None else args.truncation
+    vals = singular_mod.pair_singular_table(hmax, truncation)
+    config = {"hmax": hmax, "truncation": truncation}
+    rows = [(d, vals[d]) for d in range(1, hmax + 1)]
+    _emit(args.out, args.format, "singular", config, ["d", "singular_value"], rows)
 
 
 def _run_paircorr(args) -> None:
@@ -241,28 +238,31 @@ def _run_tuples(args) -> None:
     if not all(t.offsets for t in tups):
         raise ValueError("--tuple needs at least one offset")
     x = args.x
-    limit = args.limit or (x + max(t.offsets[-1] for t in tups) + 10)
-    table = _get_table(limit, args)
+    table = _get_table(args.limit or (x + max(t.offsets[-1] for t in tups) + 10), args)
     rows = [
         ("_".join(map(str, rep.tup.offsets)), x, rep.count, rep.prediction,
          rep.abs_error, rep.normalized_error, rep.epsilon)
         for rep in census_mod.check_tuples(table, tups, x, args.eps, args.strict)
     ]
     config = {"tuples": [list(t.offsets) for t in tups], "x": x, "eps": args.eps,
-              "strict": args.strict, "table_limit": limit}
+              "strict": args.strict, "table_limit": table.limit}
     _emit(args.out, args.format, "tuples", config,
           ["tuple", "x", "count", "prediction", "abs_error", "normalized_error", "epsilon"], rows)
 
 
-def _model_config(args, table) -> model_mod.ModelConfig:
-    return model_mod.ModelConfig.from_scale(args.x, args.lam, table, seed=args.seed)
-
-
 def _run_model(args) -> None:
     table = _model_table(args.x, args)
-    cfg = _model_config(args, table)
+    cfg = model_mod.ModelConfig.from_scale(args.x, args.lam, table, seed=args.seed)
     base = {"x": args.x, "lambda": args.lam, "window_len": cfg.window_len,
             "cutoff_z": cfg.cutoff_z, "seed": args.seed}
+    if args.action == "bias":
+        est = model_mod.parity_bias(cfg, args.samples, table)
+        se = model_mod.parity_bias_stderr(est, args.samples)
+        config = {**base, "action": "bias", "samples": args.samples}
+        rows = [(args.lam, est, se, math.exp(-2.0 * args.lam))]
+        _emit(args.out, args.format, "model", config,
+              ["lambda", "estimate", "stderr", "exp_minus_2lambda"], rows)
+        return
     w = cfg.cutoff_z if args.w is None else args.w
     if w < 1:
         raise ValueError(f"--w must be >= 1, got {w}")
@@ -272,7 +272,7 @@ def _run_model(args) -> None:
         config = {**base, "action": "sample", "samples": args.samples, "w": w}
         _emit(args.out, args.format, "model", config,
               ["seed", "sample_index", "size", "survivors"], rows)
-    elif args.action == "moments":
+    else:  # moments
         rep = model_mod.moments(cfg, w, args.samples, table)
         config = {**base, "action": "moments", "w": w, "samples": args.samples}
         rows = [(rep.w, rep.sample_count, rep.mean, rep.variance,
@@ -280,13 +280,6 @@ def _run_model(args) -> None:
         _emit(args.out, args.format, "model", config,
               ["w", "samples", "mean", "variance", "predicted_mean",
                "predicted_variance_bound", "in_lemma_range"], rows)
-    else:  # bias
-        est = model_mod.parity_bias(cfg, args.samples, table)
-        se = model_mod.parity_bias_stderr(est, args.samples)
-        config = {**base, "action": "bias", "samples": args.samples}
-        rows = [(args.lam, est, se, math.exp(-2.0 * args.lam))]
-        _emit(args.out, args.format, "model", config,
-              ["lambda", "estimate", "stderr", "exp_minus_2lambda"], rows)
 
 
 def _run_bias(args) -> None:
@@ -303,31 +296,28 @@ def _run_bias(args) -> None:
 
 def _run_gaps(args) -> None:
     if args.action == "series":
-        limit = args.limit or _nth_prime_upper(args.nmax + 1)
-        table = _get_table(limit, args)
+        table = _get_table(args.limit or _nth_prime_upper(args.nmax + 1), args)
         cfg = gaps_mod.GapSeriesConfig(kind=args.kind, c=args.c, theta=args.theta)
         trace = gaps_mod.gap_series_partial(table, cfg, args.nmax)
         config = {"action": "series", "kind": args.kind, "c": args.c,
-                  "theta": args.theta, "nmax": args.nmax, "table_limit": limit}
+                  "theta": args.theta, "nmax": args.nmax, "table_limit": table.limit}
         _emit(args.out, args.format, "gaps", config,
               ["index", "value_re", "value_im", "compensation"], list(trace._rows()))
     elif args.action == "smallgap":
-        limit = args.limit or (2 * args.X + 1000)
-        table = _get_table(limit, args)
+        table = _get_table(args.limit or (2 * args.X + 1000), args)
         rows = []
         for lam in args.lambdas:
             rep = gaps_mod.small_gap_count(table, args.X, lam)
             rows.append((rep.X, rep.lam, rep.count, rep.gallagher_main,
                          rep.density_ratio, rep.in_lambda_range))
-        config = {"action": "smallgap", "X": args.X, "lambdas": args.lambdas, "table_limit": limit}
+        config = {"action": "smallgap", "X": args.X, "lambdas": args.lambdas, "table_limit": table.limit}
         _emit(args.out, args.format, "gaps", config,
               ["X", "lambda", "count", "gallagher_main", "density_ratio",
                "in_lambda_range"], rows)
     else:  # blocks
-        limit = args.limit or 10**6
-        table = _get_table(limit, args)
+        table = _get_table(args.limit or 10**6, args)
         stats = gaps_mod.dyadic_gap_stats(table)
-        config = {"action": "blocks", "table_limit": limit}
+        config = {"action": "blocks", "table_limit": table.limit}
         rows = [(s.n_lo, s.n_hi, s.min_gap, s.max_gap, s.has_gap_two) for s in stats]
         _emit(args.out, args.format, "gaps", config,
               ["n_lo", "n_hi", "min_gap", "max_gap", "has_gap_two"], rows)
@@ -335,11 +325,10 @@ def _run_gaps(args) -> None:
 
 def _run_parity(args) -> None:
     window = int(args.lam * math.log(args.x))
-    limit = args.limit or (args.x + int(args.x**0.9) + window + 10)
-    table = _get_table(limit, args)
+    table = _get_table(args.limit or (args.x + int(args.x**0.9) + window + 10), args)
     rep = gaps_mod.empirical_parity_statistic(table, args.x, args.lam, args.points, args.seed)
     config = {"x": args.x, "lambda": args.lam, "points": args.points,
-              "seed": args.seed, "table_limit": limit}
+              "seed": args.seed, "table_limit": table.limit}
     rows = [(rep.x, rep.lam, rep.window, rep.base_points, rep.estimate, rep.stderr,
              math.exp(-2.0 * args.lam))]
     _emit(args.out, args.format, "parity", config,
@@ -353,19 +342,21 @@ def _run_calibrate(args) -> None:
     except FileNotFoundError:
         fixture = {}
     if args.suite in ("model", "all"):
-        table = _model_table(1e6, args)
-        fixture["model"] = calibration.calibrate_model(table, args.samples, args.seed)
-    if args.suite in ("series", "all"):
+        fixture["model"] = calibration.calibrate_model(_model_table(1e6, args), args.samples, args.seed)
+    if args.suite != "model":
         table = _get_table(181_000_000, args)
-        fixture["series"] = calibration.calibrate_series(table)
-    if args.suite in ("gaps", "all"):
-        table = _get_table(181_000_000, args)
-        fixture["gaps"] = calibration.calibrate_gaps(table, args.samples, args.seed)
+        if args.suite in ("series", "all"):
+            fixture["series"] = calibration.calibrate_series(table)
+        if args.suite in ("gaps", "all"):
+            fixture["gaps"] = calibration.calibrate_gaps(table, args.samples, args.seed)
     path = calibration.save_fixture(fixture, args.fixture)
     print(f"wrote {path}")
 
 
 # -- parser ----------------------------------------------------------------
+
+# full option names only: a prefix such as --w would otherwise mean --workers
+_Parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -382,9 +373,9 @@ def _add_table(p: argparse.ArgumentParser, *, no_cache: bool = True, limit: bool
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="erdoslab", description=__doc__)
+    ap = _Parser(prog="erdoslab", description=__doc__)
     ap.add_argument("--version", action="version", version=f"erdoslab {__version__}")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+    sub = ap.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
     p = sub.add_parser("sieve", help="build a prime table and write its cache file")
     _add_output(p)
@@ -411,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("singular", help="singular-series values")
     _add_output(p)
-    p.add_argument("--tuple", default=None, help="comma-separated offsets")
-    p.add_argument("--hmax", type=_parse_int, default=100)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--tuple", default=None, help="comma-separated offsets")
+    mode.add_argument("--hmax", type=_parse_int, default=None, help="pair table for d <= hmax (default 100)")
     p.add_argument("--truncation", type=_parse_int, default=None)
     p.set_defaults(run=_run_singular)
 
@@ -433,17 +425,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_tuples)
 
     p = sub.add_parser("model", help="random sifted-set model")
-    _add_output(p)
-    _add_table(p, limit=False)
-    p.add_argument("action", choices=("sample", "moments", "bias"))
-    p.add_argument("--x", type=_parse_positive, required=True)
-    p.add_argument("--lambda", dest="lam", type=_parse_positive, default=1.0)
-    p.add_argument("--w", type=_parse_int, default=None)
-    p.add_argument("--samples", type=_parse_int, default=10_000)
-    p.add_argument("--seed", type=_parse_int, default=0)
-    p.add_argument("--workers", type=_parse_int, default=1,
-                   help="accepted and ignored: the model sifts serially")
     p.set_defaults(run=_run_model)
+    actions = p.add_subparsers(dest="action", required=True, parser_class=_Parser)
+    for action, text in (("sample", "survivor sets"), ("moments", "survivor-count moments"),
+                         ("bias", "parity bias")):
+        p = actions.add_parser(action, help=text)
+        _add_output(p)
+        _add_table(p, limit=False)
+        p.add_argument("--x", type=_parse_positive, required=True)
+        p.add_argument("--lambda", dest="lam", type=_parse_positive, default=1.0)
+        if action != "bias":
+            p.add_argument("--w", type=_parse_int, default=None)
+        p.add_argument("--samples", type=_parse_int, default=10_000)
+        p.add_argument("--seed", type=_parse_int, default=0)
+        p.add_argument("--workers", type=_parse_int, default=1,
+                       help="accepted and ignored: the model sifts serially")
 
     p = sub.add_parser("bias", help="model parity-bias curve over lambda")
     _add_output(p)
@@ -457,16 +453,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_bias)
 
     p = sub.add_parser("gaps", help="gap series, small-gap counts, dyadic blocks")
-    _add_output(p)
-    _add_table(p)
-    p.add_argument("action", choices=("series", "smallgap", "blocks"))
-    p.add_argument("--kind", choices=gaps_mod.KINDS, default="alternating_gap")
-    p.add_argument("--c", type=_parse_positive, default=3.0)
-    p.add_argument("--theta", type=_parse_positive, default=1.0)
-    p.add_argument("--nmax", type=_parse_int, default=10_000)
-    p.add_argument("--X", type=_parse_int, default=100_000)
-    p.add_argument("--lambdas", type=_parse_positives, default="0.5")
     p.set_defaults(run=_run_gaps)
+    actions = p.add_subparsers(dest="action", required=True, parser_class=_Parser)
+    series = actions.add_parser("series", help="partial sums of a gap series")
+    series.add_argument("--kind", choices=gaps_mod.KINDS, default="alternating_gap")
+    series.add_argument("--c", type=_parse_positive, default=3.0)
+    series.add_argument("--theta", type=_parse_positive, default=1.0)
+    series.add_argument("--nmax", type=_parse_int, default=10_000)
+    smallgap = actions.add_parser("smallgap", help="small-gap counts vs Gallagher")
+    smallgap.add_argument("--X", type=_parse_int, default=100_000)
+    smallgap.add_argument("--lambdas", type=_parse_positives, default="0.5")
+    blocks = actions.add_parser("blocks", help="gap extremes over dyadic blocks")
+    for p in (series, smallgap, blocks):
+        _add_output(p)
+        _add_table(p)
 
     p = sub.add_parser("parity", help="parity statistic over real primes")
     _add_output(p)
@@ -495,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         args.out = f"erdoslab-{args.cmd}.{args.format}"
     try:
         args.run(args)
-    except (BoundsError, MemoryError, FileNotFoundError) as exc:
+    except (BoundsError, MemoryError, OSError) as exc:
         print(f"error: range: {exc}", file=sys.stderr)
         return 3
     except (ValueError, argparse.ArgumentTypeError) as exc:  # the latter from _parse_int

@@ -435,13 +435,14 @@ def oscillation_stats(table: PrimeTable, n_lo: int, n_hi: int) -> tuple[float, f
     if not 1 <= n_lo < n_hi:
         raise ValueError("need 1 <= n_lo < n_hi")
 
+    primes = table.first(n_hi)  # BoundsError before any chunk is summed
     raw = _LD(0.0)
     avg = _LD(0.0)
     prev = np.empty(0)  # the last magnitude before the chunk
     for a in range(n_lo + 1, n_hi + 1, _REAL_CHUNK):
         # one whole chunk, so that the longdouble sums keep their pairwise order
         last = min(a + _REAL_CHUNK - 1, n_hi)
-        m = np.concatenate([t for _, t in _erdos_terms(table, a, last)])
+        m = np.arange(a, last + 1) / primes[a - 1 : last]
         raw += m.astype(_LD).sum()
         avg += (np.abs(np.diff(m, prepend=prev)) / 2.0).astype(_LD).sum()
         prev = m[-1:].copy()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import erdoslab
-from erdoslab.cli import _model_table, _parse_int, main
+from erdoslab.cli import _model_table, _parse_int, build_parser, main
 from erdoslab.model import sieve_cutoff
 from conftest import dense_sieve
 from erdoslab.primes import MAGIC, build_table, cache_path, load_table
@@ -263,30 +263,33 @@ def test_nan_phase_exits_2(workdir):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag, value",
     [
-        ["model", "bias", "--x=inf", "--samples=100"],
-        ["model", "bias", "--x=nan", "--samples=100"],
-        ["model", "bias", "--x=1e6", "--lambda=0", "--samples=100"],
-        ["bias", "--x=1e6", "--lambdas=1,inf", "--samples=100"],
-        ["parity", "--x=100000", "--lambda=inf"],
-        ["gaps", "smallgap", "--lambdas=inf"],
-        ["gaps", "smallgap", "--lambdas=0.5,nan"],
-        ["series", "--nmax=100", "--ratio=inf"],
-        ["gaps", "series", "--kind=reciprocal_weighted", "--c=nan"],
-        ["gaps", "series", "--kind=theta_family", "--theta=inf"],
-        ["tuples", "--tuple=0,2", "--x=1000", "--eps=nan"],
+        (["model", "bias", "--x=inf", "--samples=100"], "--x", "inf"),
+        (["model", "bias", "--x=nan", "--samples=100"], "--x", "nan"),
+        (["model", "bias", "--x=1e6", "--lambda=0", "--samples=100"], "--lambda", "0"),
+        (["bias", "--x=1e6", "--lambdas=1,inf", "--samples=100"], "--lambdas", "inf"),
+        (["parity", "--x=100000", "--lambda=inf"], "--lambda", "inf"),
+        (["gaps", "smallgap", "--lambdas=inf"], "--lambdas", "inf"),
+        (["gaps", "smallgap", "--lambdas=0.5,nan"], "--lambdas", "nan"),
+        (["series", "--nmax=100", "--ratio=inf"], "--ratio", "inf"),
+        (["gaps", "series", "--kind=reciprocal_weighted", "--c=nan"], "--c", "nan"),
+        (["gaps", "series", "--kind=theta_family", "--theta=inf"], "--theta", "inf"),
+        (["tuples", "--tuple=0,2", "--x=1000", "--eps=nan"], "--eps", "nan"),
+        (["series", "--nmax=100", "--ratio=abc"], "--ratio", "abc"),
     ],
     ids=["x=inf", "x=nan", "lambda=0", "lambdas=1,inf", "parity lambda=inf",
          "smallgap lambdas=inf", "smallgap lambdas=0.5,nan", "series ratio=inf",
-         "gaps c=nan", "gaps theta=inf", "tuples eps=nan"],
+         "gaps c=nan", "gaps theta=inf", "tuples eps=nan", "series ratio=abc"],
 )
-def test_non_finite_float_option_exits_2(workdir, capsys, argv):
+def test_non_finite_float_option_exits_2(workdir, capsys, argv, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    # rejected by the option's own parser, not by some later error
-    assert "invalid _parse_positive" in capsys.readouterr().err
+    # rejected by the option's own parser, which names the option and the bad value
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"error: argument {flag}: expected a finite number > 0, got {value!r}"
+    )
     assert not any(workdir.glob("erdoslab-*"))
 
 
@@ -379,6 +382,69 @@ def test_unread_common_option_exits_2(workdir, capsys, argv, flag):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not any(workdir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["gaps", "series", "--nmax=100"], f) for f in ("--X=1000", "--lambdas=1")]
+    + [(["gaps", "smallgap", "--X=1000"], f)
+       for f in ("--kind=theta_family", "--c=2", "--theta=2", "--nmax=100")]
+    + [(["gaps", "blocks", "--limit=1000"], f)
+       for f in ("--kind=theta_family", "--c=2", "--theta=2", "--nmax=100", "--X=1000", "--lambdas=1")]
+    + [(["model", "bias", "--x=1e4", "--samples=10000"], "--w=50"),
+       (["singular", "--tuple=0,2"], "--hmax=100")],
+    ids=lambda v: "-".join(a for a in v if not a.startswith("--")) if isinstance(v, list) else v.split("=")[0],
+)
+def test_unread_action_option_exits_2(workdir, capsys, argv, flag):
+    # each action takes only the options its branch of the runner reads
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "erdoslab singular: error: argument --hmax: not allowed with argument --tuple"
+        if argv[0] == "singular" else f"erdoslab: error: unrecognized arguments: {flag}"
+    )
+    assert not any(workdir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["series", "--nm=100"], ["bias", "--x=1e4", "--samples=10000", "--lambda=1"],
+     ["model", "bias", "--x=1e4", "--samples=10000", "--w=5"],
+     ["series", "--nmax=100", "--lim=1000"], ["tuples", "--tup=0,2", "--x=100"]],
+    ids=["series --nm", "bias --lambda", "model bias --w", "series --lim", "tuples --tup"],
+)
+def test_abbreviated_option_exits_2(workdir, argv):
+    # --lambda is not --lambdas, nor --w --workers: options take their full names only
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not any(workdir.iterdir())
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.startswith("erdoslab ")]
+    assert len(lines) == 9
+    parser = build_parser()
+    for line in lines:
+        assert parser.parse_args(line[1:]).cmd == line[1]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--cache-dir=file"], [], ["--no-cache", "--out=out"]],
+    ids=["cache dir is a file", "cache file is a directory", "out is a directory"],
+)
+def test_os_error_exits_3(workdir, capsys, flags):
+    (workdir / "file").write_text("")
+    (workdir / "cache" / "primes-1000.bin").mkdir(parents=True)
+    (workdir / "out").mkdir()
+    assert main(["gaps", "blocks", "--limit=1000", *flags]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: range: [Errno ")
+    assert not any(workdir.glob("erdoslab-*"))
 
 
 @pytest.mark.parametrize("limit", ["0", "1", "-7"])
