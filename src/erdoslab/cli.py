@@ -13,12 +13,15 @@ and singular takes --tuple or --hmax, not both. --format and --out
 choose the artifact of every subcommand but calibrate, which writes its
 fixture. --cache-dir names the prime cache of every subcommand that reads
 a table (all but singular and paircorr); of those, all but sieve, which
-always writes the cache, take --no-cache. --limit, at least 2, overrides
-the table limit of sieve, series, equiv, tuples, gaps and parity; model,
-bias and calibrate derive theirs from x. Any other option exits 2.
+always writes the cache, take --no-cache. --limit, at least 2 and below
+2^32, overrides the table limit of sieve, series, equiv, tuples, gaps and
+parity; model, bias and calibrate derive theirs from x. calibrate takes
+--samples and --seed for the model and gaps suites only. Any other
+option exits 2.
 
 Exit codes: 0 success, 2 invalid configuration, 3 range or resource
-errors, any OSError among them (an unwritable --out or cache directory).
+errors, any OSError among them (an unwritable --out or cache directory)
+and a derived table limit of 2^32 or more.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from . import model as model_mod
 from . import series as series_mod
 from . import singular as singular_mod
 from .errors import BoundsError
-from .primes import PrimeTable, build_table, cache_path, load_or_build
+from .primes import LIMIT_CAP, PrimeTable, build_table, cache_path, load_or_build
 from .singular import OffsetTuple
 
 
@@ -82,10 +85,12 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_limit(text: str) -> int:
-    """A prime-table limit: an exact integer >= 2, the smallest table with a prime."""
+    """A prime-table limit: an exact integer >= 2, the smallest table with a prime, below 2^32."""
     v = _parse_int(text)
     if v < 2:
         raise argparse.ArgumentTypeError(f"must be >= 2, got {text!r}")
+    if v >= LIMIT_CAP:
+        raise argparse.ArgumentTypeError(f"must be below 2^32 (uint32 primes), got {text!r}")
     return v
 
 
@@ -337,18 +342,22 @@ def _run_parity(args) -> None:
 
 
 def _run_calibrate(args) -> None:
+    if args.suite == "series" and (args.samples is not None or args.seed is not None):
+        raise ValueError("calibrate --suite=series reads neither --samples nor --seed")
+    samples = 100_000 if args.samples is None else args.samples
+    seed = 20260808 if args.seed is None else args.seed
     try:
         fixture = calibration.load_fixture(args.fixture)
     except FileNotFoundError:
         fixture = {}
     if args.suite in ("model", "all"):
-        fixture["model"] = calibration.calibrate_model(_model_table(1e6, args), args.samples, args.seed)
+        fixture["model"] = calibration.calibrate_model(_model_table(1e6, args), samples, seed)
     if args.suite != "model":
         table = _get_table(181_000_000, args)
         if args.suite in ("series", "all"):
             fixture["series"] = calibration.calibrate_series(table)
         if args.suite in ("gaps", "all"):
-            fixture["gaps"] = calibration.calibrate_gaps(table, args.samples, args.seed)
+            fixture["gaps"] = calibration.calibrate_gaps(table, samples, seed)
     path = calibration.save_fixture(fixture, args.fixture)
     print(f"wrote {path}")
 
@@ -480,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="run oracle calibrations and write the fixture")
     _add_table(p, limit=False)
     p.add_argument("--suite", choices=("model", "series", "gaps", "all"), required=True)
-    p.add_argument("--samples", type=_parse_int, default=100_000)
-    p.add_argument("--seed", type=_parse_int, default=20260808)
+    p.add_argument("--samples", type=_parse_int, default=None, help="model and gaps suites only")
+    p.add_argument("--seed", type=_parse_int, default=None, help="model and gaps suites only")
     p.add_argument("--fixture", default=None, help="fixture path override")
     p.set_defaults(run=_run_calibrate)
 

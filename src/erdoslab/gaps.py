@@ -189,12 +189,14 @@ def empirical_parity_statistic(
     window = int(lam * math.log(x))
     spread = int(x**0.9)
     primes = table.upto(x + spread + window)
-    n = x + uniform_ints(seed, _PARITY_STREAM, base_points, spread + 1)
+    # keys in the table's dtype spare numpy an int64 copy of the table per search
+    n = (x + uniform_ints(seed, _PARITY_STREAM, base_points, spread + 1)).astype(primes.dtype)
     # only the count of odd (hi - lo) matters, and sorted keys let each
     # binary search start from the last one's bound
     n.sort()
     lo = np.searchsorted(primes, n, side="right")
-    hi = np.searchsorted(primes, n + window, side="right")
+    n += primes.dtype.type(window)
+    hi = np.searchsorted(primes, n, side="right")
     odd = int(np.count_nonzero((hi - lo) & 1))
     est = 1.0 - 2.0 * odd / base_points
     return ParityStatReport(

@@ -328,7 +328,7 @@ def _span_counts(configs: list[ModelConfig], samples: int, table: PrimeTable,
         raise ValueError(f"w marks exceed cutoff {cutoff}")
     primes = table.upto(marks[-1])
     # row i holds the count after the first sifted[i] primes; 0 primes leave L
-    sifted = np.searchsorted(primes, marks, side="right")
+    sifted = np.array([table.pi(w) for w in marks])
     taken = set(sifted.tolist())
     widest = max(configs, key=lambda c: c.window_len)
     words = -(-widest.window_len // 64)

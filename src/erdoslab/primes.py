@@ -1,14 +1,17 @@
 """Prime generation, caching, and rank queries.
 
-The central object is :class:`PrimeTable`: every prime up to a limit, in
-one int64 array from a segmented odd-only sieve of Eratosthenes, with
-O(log) rank queries (``pi``, ``nth_prime``, ``gap``) and the bounded
-reads ``upto`` and ``first``: readers elsewhere take their primes through
-these, so a short table raises BoundsError and never truncates. Its
-binary cache (``PRIMECACHE2``) stores the half-gaps (p_{i+1} - p_i)/2
-from p = 3 on as uint8: every prime gap below 3.04e11 is at most 500
-(Oliveira e Silva, Herzog and Pardi, Math. Comp. 2014). A file that fails
-a check, such as an old ``PRIMECACHE1`` bitset, is rebuilt on first use.
+The central object is :class:`PrimeTable`: every prime up to a limit
+below 2^32, in one uint32 array from a segmented odd-only sieve of
+Eratosthenes, with O(log) rank queries (``pi``, ``nth_prime``, ``gap``)
+and the bounded reads ``upto`` and ``first``: readers elsewhere take
+their primes through these, so a short table raises BoundsError and
+never truncates. A key searched in a primes array is cast to its dtype
+first: numpy would otherwise convert the whole array to int64 for each
+search. The binary cache (``PRIMECACHE2``) stores the half-gaps
+(p_{i+1} - p_i)/2 from p = 3 on as uint8: every prime gap below 3.04e11
+is at most 500 (Oliveira e Silva, Herzog and Pardi, Math. Comp. 2014).
+A file that fails a check, such as an old ``PRIMECACHE1`` bitset, is
+rebuilt on first use.
 """
 
 from __future__ import annotations
@@ -33,11 +36,14 @@ _HEADER = struct.Struct("<IQQ")
 # whose 512 KiB temporaries reuse heap pages (8 MiB ones fault in afresh).
 SEGMENT_ODDS, _GAP_CHUNK = 1 << 20, 1 << 16
 
+# Every table limit lies below this: its primes are uint32.
+LIMIT_CAP = 1 << 32
+
 
 def small_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array, empty below 2: build_table's primes."""
+    """All primes <= limit < 2^32 as a uint32 array, empty below 2: build_table's primes."""
     if limit < 2:
-        return np.array([], dtype=np.int64)
+        return np.array([], dtype=np.uint32)
     return build_table(limit).primes
 
 
@@ -47,9 +53,9 @@ class PrimeTable:
     Attributes
     ----------
     limit : int
-        Inclusive sieving bound.
+        Inclusive sieving bound, below 2^32.
     primes : numpy.ndarray
-        Strictly increasing int64 array of every prime <= limit.
+        Strictly increasing uint32 array of every prime <= limit.
     """
 
     def __init__(self, limit: int, primes: np.ndarray):
@@ -63,7 +69,9 @@ class PrimeTable:
         x = int(x)
         if x > self.limit:
             raise BoundsError(f"need primality up to {x} > table limit {self.limit}")
-        return int(np.searchsorted(self.primes, x, side="right"))
+        if x < 2:
+            return 0
+        return int(np.searchsorted(self.primes, self.primes.dtype.type(x), side="right"))
 
     def upto(self, x: int) -> np.ndarray:
         """Every prime <= x, a view of the table; BoundsError if x > limit."""
@@ -103,8 +111,9 @@ class PrimeTable:
         if lo < 0 or hi > self.limit + 1:
             raise BoundsError(f"window [{lo},{hi}) outside [0, {self.limit + 1})")
         out = np.zeros(max(hi - lo, 0), dtype=bool)
-        a, b = np.searchsorted(self.primes, [lo, hi])
-        out[self.primes[a:b] - lo] = True
+        # hi may be 2^32, which no uint32 key holds; the primes < v are pi(v - 1)
+        a, b = self.pi(min(lo, hi) - 1), self.pi(hi - 1)
+        out[np.subtract(self.primes[a:b], lo, dtype=np.intp)] = True
         return out
 
     # -- cache file ----------------------------------------------------
@@ -145,11 +154,14 @@ def build_table(limit: int) -> PrimeTable:
     Parameters
     ----------
     limit : int
-        Inclusive upper bound, at least 2.
+        Inclusive upper bound, at least 2 and below 2^32; BoundsError
+        above, before anything is allocated.
     """
     limit = int(limit)
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
+    if limit >= LIMIT_CAP:
+        raise BoundsError(f"table limit {limit} >= 2^32: the table holds uint32 primes")
 
     n_odds = (limit - 1) // 2  # odds in [3, limit]
     base = small_sieve(math.isqrt(limit))
@@ -157,7 +169,7 @@ def build_table(limit: int) -> PrimeTable:
 
     # each segment's primes go straight into one array, shrunk in place at the
     # end: pi(x) < 1.25506 x / log x (Rosser and Schoenfeld 1962), + 2 for rounding
-    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 2, dtype=np.int64)
+    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 2, dtype=np.uint32)
     primes[0] = 2
     k = 1
     for i0 in range(0, n_odds, SEGMENT_ODDS):
@@ -176,9 +188,14 @@ def build_table(limit: int) -> PrimeTable:
                 continue
             # consecutive odd multiples of p sit p odd-indices apart
             seg[(start - 3) // 2 - i0 :: p] = True
-        idx = np.flatnonzero(~seg)
-        primes[k : k + idx.size] = 2 * (idx + i0) + 3
+        # in place, so no temporary outgrows the segment's own indices
+        idx = np.flatnonzero(np.logical_not(seg, out=seg))
+        idx += i0
+        idx *= 2
+        idx += 3
+        primes[k : k + idx.size] = idx
         k += idx.size
+        del idx  # before the next segment's indices exist
     # in place, without numpy's reference check: no view of primes is alive
     # here, but a tracer (sys.settrace) holds frame references that fail it
     primes.resize(k, refcheck=False)
@@ -195,18 +212,23 @@ def load_table(path: str | Path) -> PrimeTable:
     crc, limit, count = _HEADER.unpack_from(raw, len(MAGIC))
     if zlib.crc32(memoryview(raw)[len(MAGIC) + 4 :]) != crc:
         raise ValueError(f"{path}: checksum mismatch")
+    if limit >= LIMIT_CAP:
+        raise ValueError(f"{path}: limit {limit} is not below 2^32")
     half = np.frombuffer(raw, dtype=np.uint8, offset=head)
     if count < 1 or half.size != max(count - 2, 0):
         raise ValueError(f"{path}: {half.size} half-gaps inconsistent with prime count {count}")
     if not half.all():
         raise ValueError(f"{path}: zero half-gap")
-    primes = np.empty(count, dtype=np.int64)
+    # checked before decoding: a last prime past the limit would wrap in uint32
+    last = 3 + 2 * int(half.sum(dtype=np.uint64)) if count > 1 else 2
+    if last > limit:
+        raise ValueError(f"{path}: last prime {last} exceeds limit {limit}")
+    primes = np.empty(count, dtype=np.uint32)
     primes[:2] = (2, 3)[:count]
     primes[2:] = half
     primes[2:] <<= 1
-    np.cumsum(primes[1:], out=primes[1:])  # in place: no second full-size array
-    if primes[-1] > limit:
-        raise ValueError(f"{path}: last prime {int(primes[-1])} exceeds limit {limit}")
+    # in place: no second full-size array
+    np.cumsum(primes[1:], out=primes[1:], dtype=np.uint32)
     return PrimeTable(limit, primes)
 
 

@@ -125,7 +125,7 @@ def _log_head(tup: OffsetTuple, primes: np.ndarray, norm_k: int) -> tuple[np.lon
     primes it covers; the sum is None when some nu(p) = p, i.e. the tuple
     is not admissible and the product vanishes.
     """
-    cut = int(np.searchsorted(primes, max(tup.span, tup.k), side="right"))
+    cut = int(np.searchsorted(primes, primes.dtype.type(max(tup.span, tup.k)), side="right"))
     total = _LD(0.0)
     for p in primes[:cut]:
         p = int(p)

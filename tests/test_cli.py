@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import erdoslab
+from erdoslab import calibration, cli
 from erdoslab.cli import _model_table, _parse_int, build_parser, main
 from erdoslab.model import sieve_cutoff
 from conftest import dense_sieve
@@ -311,6 +312,17 @@ def _old_format(limit: int) -> bytes:
 
 
 _LIMIT_AT = len(MAGIC) + 4
+
+
+def _wrapping(raw: bytes) -> bytes:
+    """A valid-looking file of 8421505 half-gaps of 255, whose last prime is 2^32 + 257.
+
+    Summed in uint32, that last prime wraps to 257, below the limit of
+    1000, so only a check made before decoding can refuse the file.
+    """
+    n = 8_421_505
+    assert (3 + 510 * n) % 2**32 == 257
+    return _resealed(raw[: _LIMIT_AT + 8] + (n + 2).to_bytes(8, "little") + b"\xff" * n)
 _CORRUPTIONS = {  # id: (corruption of a limit-1000 file, what load_table says)
     "3-byte file": (lambda raw: raw[:3], "bad magic"),
     "cut inside header": (lambda raw: raw[: len(MAGIC) + 3], "bad magic"),
@@ -320,6 +332,8 @@ _CORRUPTIONS = {  # id: (corruption of a limit-1000 file, what load_table says)
     "count mismatch": (lambda raw: _resealed(_put(raw, _LIMIT_AT + 8, (169).to_bytes(8, "little"))), "inconsistent"),
     "zero half-gap": (lambda raw: _resealed(_put(raw, len(raw) - 50, b"\0")), "zero half-gap"),
     "last prime above limit": (lambda raw: _resealed(_put(raw, len(raw) - 1, bytes([raw[-1] + 10]))), "exceeds limit"),
+    "half-gaps past 2^32": (_wrapping, "exceeds limit"),
+    "limit 2^32": (lambda raw: _resealed(_put(raw, _LIMIT_AT, (2**32).to_bytes(8, "little"))), "not below 2\\^32"),
     "PRIMECACHE1 file": (lambda raw: _old_format(1000), "bad magic"),
 }
 
@@ -461,6 +475,69 @@ def test_limit_below_two_exits_2(workdir, capsys, argv, limit):
     assert exc.value.code == 2
     assert "argument --limit: must be >= 2" in capsys.readouterr().err
     assert not any(workdir.iterdir())
+
+
+@pytest.mark.parametrize("limit", ["4294967296", "1e10", "9223372036854775807"])
+@pytest.mark.parametrize(
+    "argv",
+    [["sieve"], ["series", "--nmax=100"], ["equiv", "--x=100"], ["tuples", "--tuple=0,2", "--x=100"],
+     ["gaps", "series"], ["gaps", "smallgap"], ["gaps", "blocks"], ["parity", "--x=1000"]],
+    ids=lambda v: "-".join(a for a in v if not a.startswith("--")),
+)
+def test_limit_of_2_to_32_exits_2(workdir, capsys, argv, limit):
+    # the table holds uint32 primes
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--limit={limit}"])
+    assert exc.value.code == 2
+    assert "argument --limit: must be below 2^32" in capsys.readouterr().err
+    assert not any(workdir.iterdir())
+
+
+@pytest.mark.parametrize("no_cache", [[], ["--no-cache"]], ids=["cache", "no-cache"])
+@pytest.mark.parametrize(
+    "argv", [["equiv", "--x=1e9"], ["series", "--nmax=3e8"]], ids=["equiv x=1e9", "series nmax=3e8"]
+)
+def test_derived_limit_of_2_to_32_exits_3(workdir, capsys, argv, no_cache):
+    # x log x = 2.07e10 and the bound on p_(3e8), 6.7e9: refused before any sieving
+    assert main([*argv, *no_cache]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: range: table limit ") and "2^32" in err[0]
+    assert not any(workdir.iterdir())
+
+
+@pytest.mark.parametrize("flags", [["--samples=10000"], ["--seed=1"], ["--samples=10000", "--seed=1"]])
+def test_calibrate_series_rejects_samples_and_seed(workdir, capsys, flags):
+    # calibrate_series reads only the table, so these options would change nothing
+    assert main(["calibrate", "--suite=series", *flags, "--fixture=fix.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid: calibrate --suite=series reads neither --samples nor --seed\n"
+    )
+    assert not any(workdir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [(["--suite=all"], {"model": (100_000, 20260808), "series": (), "gaps": (100_000, 20260808)}),
+     (["--suite=all", "--samples=7", "--seed=3"], {"model": (7, 3), "series": (), "gaps": (7, 3)}),
+     (["--suite=model", "--seed=3"], {"model": (100_000, 3)}),
+     (["--suite=gaps", "--samples=7"], {"gaps": (7, 20260808)}),
+     (["--suite=series"], {"series": ()})],
+    ids=["all", "all samples seed", "model seed", "gaps samples", "series"],
+)
+def test_calibrate_suites_read_samples_and_seed(workdir, monkeypatch, argv, want):
+    calls = {}
+
+    def fake(suite):
+        def run(table, *rest):
+            calls[suite] = rest
+            return {}
+        return run
+
+    for suite in ("model", "series", "gaps"):
+        monkeypatch.setattr(calibration, f"calibrate_{suite}", fake(suite))
+    monkeypatch.setattr(cli, "_get_table", lambda limit, args: build_table(1000))
+    assert main(["calibrate", *argv, "--fixture=fix.json"]) == 0
+    assert calls == want
 
 
 def test_model_table_covers_the_cutoff():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import dense_sieve
 from erdoslab.errors import BoundsError
+from erdoslab.gaps import empirical_parity_statistic
+from erdoslab.singular import OffsetTuple, _log_head
 from erdoslab.primes import (
     MAGIC,
     PrimeTable,
@@ -49,7 +51,7 @@ def test_segmented_equals_dense(limit):
 @pytest.mark.parametrize("limit", [-3, 0, 1])
 def test_small_sieve_below_2_is_empty(limit):
     got = small_sieve(limit)
-    assert got.dtype == np.int64 and got.size == 0
+    assert got.dtype == np.uint32 and got.size == 0
 
 
 def test_build_under_a_tracer():
@@ -98,6 +100,7 @@ def test_pi_edges(mid_table):
     assert mid_table.pi(1) == 0
     assert mid_table.pi(2) == 1
     assert mid_table.pi(0) == 0
+    assert mid_table.pi(-5) == 0  # no uint32 key holds -5
     with pytest.raises(BoundsError):
         mid_table.pi(2_000_001)
 
@@ -164,6 +167,7 @@ def test_contains(mid_table):
     assert 97 in mid_table
     assert 1 not in mid_table
     assert 100 not in mid_table
+    assert -3 not in mid_table
 
 
 @functools.cache
@@ -221,7 +225,7 @@ def test_cache_roundtrip_at_decoder_edges(tmp_path, limit):
     path = table.save(tmp_path / "t.bin")
     loaded = load_table(path)
     assert loaded.limit == limit
-    assert loaded.primes.dtype == np.int64
+    assert loaded.primes.dtype == np.uint32
     assert np.array_equal(loaded.primes, table.primes)
     assert loaded.save(tmp_path / "t2.bin").read_bytes() == path.read_bytes()
 
@@ -250,6 +254,60 @@ def test_build_peak_memory():
     assert table.primes.size == 3_001_134
     assert current < 1.01 * table.primes.nbytes
     assert peak < 1.5 * table.primes.nbytes
+
+
+def test_limit_of_2_to_32_is_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        for limit in (2**32, 2 * 10**10):
+            with pytest.raises(BoundsError, match=r"2\^32"):
+                build_table(limit)
+            with pytest.raises(BoundsError, match=r"2\^32"):
+                small_sieve(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_queries_at_the_top_of_uint32():
+    top = 4_294_967_291  # the largest prime below 2^32
+    t = PrimeTable(2**32 - 1, np.array([2, 3, top], dtype=np.uint32))
+    assert t.pi(2**32 - 1) == 3 and t.pi(top - 1) == 2
+    assert top in t and 2**32 - 1 not in t
+    # hi = 2^32 is one past the limit, a key no uint32 holds
+    assert np.flatnonzero(t.is_prime_range(2**32 - 10, 2**32)).tolist() == [top - (2**32 - 10)]
+    assert t.is_prime_range(2**32, 2**32).size == 0
+
+
+@pytest.fixture(scope="module")
+def table_5e7():
+    return build_table(50_000_000)
+
+
+_QUERIES = {  # each touches the primes up to about 1e7 of a table 5 times longer
+    "pi": lambda t: t.pi(10**7),
+    "upto": lambda t: t.upto(10**7),
+    "first": lambda t: t.first(664_579),  # no key: a view by count
+    "in": lambda t: 10**7 + 19 in t,
+    "is_prime_range": lambda t: t.is_prime_range(10**7, 10**7 + 2**18),
+    "empirical_parity_statistic": lambda t: empirical_parity_statistic(t, 10**7, 1.0, 10**4, 42),
+    "singular._log_head": lambda t: _log_head(OffsetTuple([0, 2, 6]), t.primes, 3),
+}
+
+
+@pytest.mark.parametrize("query", _QUERIES.values(), ids=_QUERIES.keys())
+def test_queries_copy_no_table(table_5e7, query):
+    # numpy searches a uint32 array for a key of any other dtype, a Python
+    # int included, by first converting the whole array to int64
+    query(table_5e7)  # imports and caches on the first call are not the query's
+    tracemalloc.start()
+    try:
+        query(table_5e7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_5e7.primes.nbytes / 4
 
 
 def test_cache_rejects_garbage(tmp_path):
