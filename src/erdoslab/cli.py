@@ -160,7 +160,7 @@ def _run_sieve(args) -> None:
     path = cache_path(args.limit, args.cache_dir)
     table.save(path)
     config = {"limit": args.limit, "cache_file": str(path)}
-    rows = [(args.limit, table.primes.size, int(table.primes[-1]))]
+    rows = [(args.limit, table.count, table.nth_prime(table.count))]
     _emit(args.out, args.format, "sieve", config, ["limit", "pi", "largest_prime"], rows)
 
 
@@ -301,11 +301,16 @@ def _run_bias(args) -> None:
 
 def _run_gaps(args) -> None:
     if args.action == "series":
+        if args.c is not None and args.kind != "reciprocal_weighted":
+            raise ValueError(f"gaps series --kind={args.kind} does not read --c")
+        if args.theta is not None and args.kind != "theta_family":
+            raise ValueError(f"gaps series --kind={args.kind} does not read --theta")
+        given = {"c": args.c, "theta": args.theta}
+        cfg = gaps_mod.GapSeriesConfig(args.kind, **{k: v for k, v in given.items() if v is not None})
         table = _get_table(args.limit or _nth_prime_upper(args.nmax + 1), args)
-        cfg = gaps_mod.GapSeriesConfig(kind=args.kind, c=args.c, theta=args.theta)
         trace = gaps_mod.gap_series_partial(table, cfg, args.nmax)
-        config = {"action": "series", "kind": args.kind, "c": args.c,
-                  "theta": args.theta, "nmax": args.nmax, "table_limit": table.limit}
+        config = {"action": "series", "kind": args.kind, "c": cfg.c,
+                  "theta": cfg.theta, "nmax": args.nmax, "table_limit": table.limit}
         _emit(args.out, args.format, "gaps", config,
               ["index", "value_re", "value_im", "compensation"], list(trace._rows()))
     elif args.action == "smallgap":
@@ -466,8 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     actions = p.add_subparsers(dest="action", required=True, parser_class=_Parser)
     series = actions.add_parser("series", help="partial sums of a gap series")
     series.add_argument("--kind", choices=gaps_mod.KINDS, default="alternating_gap")
-    series.add_argument("--c", type=_parse_positive, default=3.0)
-    series.add_argument("--theta", type=_parse_positive, default=1.0)
+    series.add_argument("--c", type=_parse_positive, default=None,
+                        help="reciprocal_weighted only (default 3)")
+    series.add_argument("--theta", type=_parse_positive, default=None,
+                        help="theta_family only (default 1)")
     series.add_argument("--nmax", type=_parse_int, default=10_000)
     smallgap = actions.add_parser("smallgap", help="small-gap counts vs Gallagher")
     smallgap.add_argument("--X", type=_parse_int, default=100_000)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import uniform_ints
 from .primes import PrimeTable
-from .series import PartialSumTrace, _pieces, _scan, checkpoint_indices
+from .series import PartialSumTrace, _prime_pieces, _scan, checkpoint_indices
 from .singular import gallagher_sum
 
 KINDS = ("reciprocal_weighted", "alternating_gap", "alternating_weighted_gap", "theta_family")
@@ -70,11 +70,10 @@ def gap_series_partial(table: PrimeTable, config: GapSeriesConfig, n_max: int) -
 
 def _gap_terms(table: PrimeTable, config: GapSeriesConfig, n_max: int):
     """Yield pieces (n, t) of the unsigned gap series terms for start_index <= n <= n_max."""
-    primes = table.first(n_max + 1)
-    for a, b in _pieces(config.start_index, n_max + 1):
+    for (a, b), p in _prime_pieces(table, config.start_index, n_max + 1, overlap=1):
         idx = np.arange(a, b)
         n = idx.astype(np.float64)
-        g = (primes[a:b] - primes[a - 1 : b - 1]).astype(np.float64)
+        g = np.diff(p).astype(np.float64)
         if config.kind == "reciprocal_weighted":
             t = 1.0 / (n * np.log(np.log(n)) ** config.c * g)
         elif config.kind == "alternating_gap":
@@ -99,12 +98,11 @@ class DyadicBlockStats:
 
 def dyadic_gap_stats(table: PrimeTable) -> list[DyadicBlockStats]:
     """Min/max prime gap over each dyadic index block [N, 2N), N = 2, 4, 8, ..., in the table."""
-    gaps = np.diff(table.primes)
     out = []
     n_lo = 2
-    while n_lo <= gaps.size:
-        n_hi = min(2 * n_lo, gaps.size + 1)
-        block = gaps[n_lo - 1 : n_hi - 1]
+    while n_lo < table.count:
+        n_hi = min(2 * n_lo, table.count)
+        block = np.diff(table.ranks(n_lo - 1, n_hi))
         out.append(
             DyadicBlockStats(
                 n_lo=n_lo,
@@ -144,8 +142,7 @@ def small_gap_count(table: PrimeTable, X: int, lam: float) -> SmallGapReport:
     logX = math.log(X)
     # primes p_(i0+1) ... p_(i1) lie in [X, 2X); the last gap needs p_(i1+1)
     i0, i1 = table.pi(X - 1), table.pi(2 * X - 1)
-    primes = table.first(i1 + 1)
-    g = primes[i0 + 1 :] - primes[i0:i1]
+    g = np.diff(table.ranks(i0, i1 + 1))
     threshold = lam * logX
     count = int(np.count_nonzero(g <= threshold))
     M = int(threshold)
@@ -188,7 +185,8 @@ def empirical_parity_statistic(
         raise ValueError(f"need at least 1000 base points, got {base_points}")
     window = int(lam * math.log(x))
     spread = int(x**0.9)
-    primes = table.upto(x + spread + window)
+    # the primes in [x, x + spread + window]: the counts hi - lo are differences of ranks
+    primes = table.ranks(table.pi(x - 1), table.pi(x + spread + window))
     # keys in the table's dtype spare numpy an int64 copy of the table per search
     n = (x + uniform_ints(seed, _PARITY_STREAM, base_points, spread + 1)).astype(primes.dtype)
     # only the count of odd (hi - lo) matters, and sorted keys let each

@@ -144,12 +144,11 @@ def sieve_cutoff(x: float, table: PrimeTable) -> int:
     target = 1.0 / math.log(x)
     chunk = 4096
     carry = _LD(1.0)
-    for a in range(0, table.primes.size, chunk):
-        ps = table.primes[a : a + chunk].astype(np.float64)
-        cum = carry * np.cumprod((1.0 - 1.0 / ps).astype(_LD))
+    for p in table.walk(0, table.count, chunk):
+        cum = carry * np.cumprod((1.0 - 1.0 / p.astype(np.float64)).astype(_LD))
         hits = np.flatnonzero(cum <= _LD(target))
         if hits.size:
-            return int(table.primes[a + hits[0]])
+            return int(p[hits[0]])
         carry = cum[-1]
     raise BoundsError(
         f"table limit {table.limit} too small to reach the Mertens threshold for x={x}"

@@ -1,17 +1,22 @@
 """Prime generation, caching, and rank queries.
 
 The central object is :class:`PrimeTable`: every prime up to a limit
-below 2^32, in one uint32 array from a segmented odd-only sieve of
-Eratosthenes, with O(log) rank queries (``pi``, ``nth_prime``, ``gap``)
-and the bounded reads ``upto`` and ``first``: readers elsewhere take
-their primes through these, so a short table raises BoundsError and
-never truncates. A key searched in a primes array is cast to its dtype
-first: numpy would otherwise convert the whole array to int64 for each
-search. The binary cache (``PRIMECACHE2``) stores the half-gaps
-(p_{i+1} - p_i)/2 from p = 3 on as uint8: every prime gap below 3.04e11
-is at most 500 (Oliveira e Silva, Herzog and Pardi, Math. Comp. 2014).
-A file that fails a check, such as an old ``PRIMECACHE1`` bitset, is
-rebuilt on first use.
+below 2^32, with O(log) rank queries (``pi``, ``nth_prime``, ``gap``),
+the bounded reads ``ranks``, ``upto`` and ``first``, and ``walk``, a
+sequential read in runs. Readers elsewhere take their primes through
+these, so a short table raises BoundsError and never truncates. A table
+has one of two forms. ``build_table`` (a segmented odd-only sieve of
+Eratosthenes) holds the primes in one uint32 array. ``load_table`` holds
+the cache file's half-gaps as they were read, 1 byte a prime, plus a
+skip index, and decodes primes only when asked: ``pi``, ``ranks`` and
+``walk`` are the only methods that know the form. A key searched in a
+primes array is cast to its dtype first: numpy would otherwise convert
+the whole array to int64 for each search. The binary cache
+(``PRIMECACHE2``) stores the half-gaps (p_{i+1} - p_i)/2 from p = 3 on
+as uint8: every prime gap below 3.04e11 is at most 500 (Oliveira e
+Silva, Herzog and Pardi, Math. Comp. 2014). A file that fails a check,
+such as an old ``PRIMECACHE1`` bitset, is rebuilt on first use; every
+check runs before any prime is decoded.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ _HEADER = struct.Struct("<IQQ")
 # whose 512 KiB temporaries reuse heap pages (8 MiB ones fault in afresh).
 SEGMENT_ODDS, _GAP_CHUNK = 1 << 20, 1 << 16
 
+# Ranks per block of a loaded table's skip index: pi and the first read of
+# a walk or ranks decode at most one block beyond what they return.
+_SKIP = 1 << 10
+
 # Every table limit lies below this: its primes are uint32.
 LIMIT_CAP = 1 << 32
 
@@ -48,62 +57,154 @@ def small_sieve(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """Immutable table of all primes <= ``limit``.
+    """Immutable table of all primes <= ``limit``, held in one of two forms.
+
+    ``PrimeTable(limit, primes)`` holds the primes themselves, as the sieve
+    makes them. ``load_table`` holds the cache file's uint8 half-gaps and a
+    skip index, the prime at every _SKIP-th rank from p_2 = 3 on, and
+    decodes primes only when a reader asks for them: 1 byte a prime, not 4.
+    Only ``pi``, ``ranks`` and ``walk`` know the form; every other read is
+    written on top of them. ``upto`` and ``first`` of a loaded table decode
+    every prime they return (up to the whole array) afresh on each call,
+    so readers that scan take runs from ``walk``. ``primes`` of a loaded
+    table decodes the whole array on first use and keeps it.
 
     Attributes
     ----------
     limit : int
         Inclusive sieving bound, below 2^32.
+    count : int
+        Number of primes in the table, pi(limit).
     primes : numpy.ndarray
         Strictly increasing uint32 array of every prime <= limit.
     """
 
     def __init__(self, limit: int, primes: np.ndarray):
         self.limit = int(limit)
-        self.primes = primes
+        self.count = int(primes.size)
+        self._primes = primes  # None while a loaded table is undecoded
+        self._half = self._skip = None
 
-    # -- rank queries ------------------------------------------------
+    @classmethod
+    def _from_half_gaps(cls, limit: int, count: int, half: np.ndarray, skip: np.ndarray) -> PrimeTable:
+        """A loaded table: ``half[r]`` is (p_(r+3) - p_(r+2)) / 2 and ``skip[b]`` is p_(2 + b*_SKIP)."""
+        table = cls.__new__(cls)
+        table.limit, table.count, table._primes = int(limit), int(count), None
+        table._half, table._skip = half, skip
+        return table
+
+    @property
+    def primes(self) -> np.ndarray:
+        """Every prime of the table; a loaded table decodes them on first use and keeps them."""
+        if self._primes is None:
+            self._primes = self.ranks(0, self.count)
+        return self._primes
+
+    # -- the three reads that know the form ----------------------------
 
     def pi(self, x: int) -> int:
-        """Number of primes <= x, by one binary search of the table."""
+        """Number of primes <= x: a binary search of the table, or of the skip index and one block."""
         x = int(x)
         if x > self.limit:
             raise BoundsError(f"need primality up to {x} > table limit {self.limit}")
         if x < 2:
             return 0
-        return int(np.searchsorted(self.primes, self.primes.dtype.type(x), side="right"))
+        if self._primes is not None:
+            return int(np.searchsorted(self._primes, self._primes.dtype.type(x), side="right"))
+        if x < 3:
+            return 1
+        # block starts only: the block holding x, whose first prime is <= x
+        b = int(np.searchsorted(self._skip, np.uint32(x), side="right")) - 1
+        i = 1 + b * _SKIP
+        block = self._decode(i, min(i + _SKIP, self.count), int(self._skip[b]))
+        return i + int(np.searchsorted(block, np.uint32(x), side="right"))
+
+    def ranks(self, i: int, j: int) -> np.ndarray:
+        """p_(i+1) ... p_j, the primes of 0-based ranks [i, j); BoundsError past the table.
+
+        A view of the primes, or of a loaded table a fresh decoded array.
+        """
+        i, j = int(i), int(j)
+        self._need(j)
+        if not 0 <= i <= j:
+            raise ValueError(f"rank range [{i}, {j}) is not ordered")
+        if self._primes is not None:
+            return self._primes[i:j]
+        return self._decode(i, j, self._prime_at(i) if i < j else 0)
+
+    def walk(self, i: int, j: int, size: int, overlap: int = 0):
+        """Yield the primes of ranks [i, j) in runs of ``size``, in order.
+
+        Every run but the last also holds the first ``overlap`` primes of
+        the next. A loaded table decodes each run once, from the last prime
+        of the run before, so a scan costs what decoding the table once
+        does. BoundsError, before the first run, when j > count.
+        """
+        i, j = int(i), int(j)
+        self._need(j)
+        if self._primes is not None:
+            for s in range(i, j, size):
+                yield self._primes[s : min(s + size + overlap, j)]
+            return
+        p = self._prime_at(i) if i < j else 0
+        for s in range(i, j, size):
+            e = min(s + size, j)
+            run = self._decode(s, min(e + overlap, j), p)
+            if e < j:  # the prime of rank e, from the one before it
+                p = int(run[e - 1 - s]) + (2 * int(self._half[e - 2]) if e > 1 else 1)
+            yield run
+
+    def _need(self, j: int) -> None:
+        if j > self.count:
+            raise BoundsError(f"need p_{j} but table holds only {self.count} primes")
+
+    def _prime_at(self, r: int) -> int:
+        """The prime of 0-based rank r of a loaded table, from the skip index."""
+        if r == 0:
+            return 2
+        b = (r - 1) // _SKIP
+        return int(self._skip[b]) + 2 * int(self._half[b * _SKIP : r - 1].sum(dtype=np.uint64))
+
+    def _decode(self, i: int, j: int, p: int) -> np.ndarray:
+        """The primes of ranks [i, j) of a loaded table, p being the one of rank i."""
+        out = run = np.empty(j - i, dtype=np.uint32)
+        if i == 0 < j:  # 2 to 3 is the one step no half-gap holds
+            out[0] = 2
+            run, i, p = out[1:], 1, 3
+        if run.size:
+            run[0] = p
+            np.left_shift(self._half[i - 1 : j - 2], 1, out=run[1:], dtype=np.uint32)
+            np.cumsum(run, out=run)
+        return out
+
+    # -- reads on top of them --------------------------------------------
 
     def upto(self, x: int) -> np.ndarray:
-        """Every prime <= x, a view of the table; BoundsError if x > limit."""
-        return self.primes[: self.pi(x)]
+        """Every prime <= x; BoundsError if x > limit."""
+        return self.ranks(0, self.pi(x))
 
     def first(self, n: int) -> np.ndarray:
-        """p_1 ... p_n, a view of the table; BoundsError if it holds fewer."""
-        n = int(n)
-        if n > self.primes.size:
-            raise BoundsError(f"need p_{n} but table holds only {self.primes.size} primes")
-        return self.primes[: max(n, 0)]
+        """p_1 ... p_n; BoundsError if the table holds fewer."""
+        return self.ranks(0, max(int(n), 0))
 
     def nth_prime(self, n: int) -> int:
         """The n-th prime, 1-indexed (nth_prime(1) == 2)."""
         n = int(n)
-        if not 1 <= n <= self.primes.size:
-            raise BoundsError(f"n={n} outside [1, {self.primes.size}]")
-        return int(self.primes[n - 1])
+        if not 1 <= n <= self.count:
+            raise BoundsError(f"n={n} outside [1, {self.count}]")
+        return int(self.ranks(n - 1, n)[0])
 
     def gap(self, n: int) -> int:
         """Gap following the n-th prime: p_{n+1} - p_n."""
         n = int(n)
-        if not 1 <= n + 1 <= self.primes.size:
-            raise BoundsError(f"gap index n={n} needs n+1 <= {self.primes.size}")
-        return int(self.primes[n] - self.primes[n - 1])
+        if not 1 <= n < self.count:
+            raise BoundsError(f"gap index n={n} needs 1 <= n and n+1 <= {self.count}")
+        p, q = self.ranks(n - 1, n + 1).tolist()
+        return q - p
 
     def __contains__(self, v: int) -> bool:
-        v = int(v)
         i = self.pi(v)  # the primes <= v, the last of which is v if v is prime
-        return i > 0 and int(self.primes[i - 1]) == v
-
-    # -- windowed access ----------------------------------------------
+        return i > 0 and self.nth_prime(i) == int(v)
 
     def is_prime_range(self, lo: int, hi: int) -> np.ndarray:
         """Boolean primality for every integer in [lo, hi)."""
@@ -113,7 +214,7 @@ class PrimeTable:
         out = np.zeros(max(hi - lo, 0), dtype=bool)
         # hi may be 2^32, which no uint32 key holds; the primes < v are pi(v - 1)
         a, b = self.pi(min(lo, hi) - 1), self.pi(hi - 1)
-        out[np.subtract(self.primes[a:b], lo, dtype=np.intp)] = True
+        out[np.subtract(self.ranks(a, b), lo, dtype=np.intp)] = True
         return out
 
     # -- cache file ----------------------------------------------------
@@ -125,15 +226,17 @@ class PrimeTable:
         replaces ``path`` in one step, so readers never see a partial file.
         Raises ValueError when a half-gap falls outside [1, 255].
         """
-        p = self.primes
-        half = np.empty(max(p.size - 2, 0), dtype=np.uint8)
-        for i in range(0, half.size, _GAP_CHUNK):
-            h = np.diff(p[i + 1 : i + _GAP_CHUNK + 2])
+        half = np.empty(max(self.count - 2, 0), dtype=np.uint8)
+        # each run of primes from p_2 holds the first prime of the next, so
+        # its differences are _GAP_CHUNK half-gaps; a last run of one has none
+        runs = self.walk(1, self.count, _GAP_CHUNK, overlap=1)
+        for i, p in zip(range(0, half.size, _GAP_CHUNK), runs):
+            h = np.diff(p)
             h >>= 1
             if h.min() < 1 or h.max() > 255:
-                raise ValueError(f"half-gap outside [1, 255] after prime {int(p[i + 1])}")
+                raise ValueError(f"half-gap outside [1, 255] after prime {int(p[0])}")
             half[i : i + h.size] = h
-        body = struct.pack("<QQ", self.limit, p.size)
+        body = struct.pack("<QQ", self.limit, self.count)
         crc = zlib.crc32(half, zlib.crc32(body))
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -203,7 +306,11 @@ def build_table(limit: int) -> PrimeTable:
 
 
 def load_table(path: str | Path) -> PrimeTable:
-    """Load a PrimeTable from its cache file; ValueError if any check fails."""
+    """Load a PrimeTable from its cache file; ValueError if any check fails.
+
+    The table keeps the half-gaps as a view of the bytes read, which passed
+    every check, and decodes primes only when a reader asks for them.
+    """
     path = Path(path)
     raw = path.read_bytes()
     head = len(MAGIC) + _HEADER.size
@@ -219,17 +326,20 @@ def load_table(path: str | Path) -> PrimeTable:
         raise ValueError(f"{path}: {half.size} half-gaps inconsistent with prime count {count}")
     if not half.all():
         raise ValueError(f"{path}: zero half-gap")
-    # checked before decoding: a last prime past the limit would wrap in uint32
-    last = 3 + 2 * int(half.sum(dtype=np.uint64)) if count > 1 else 2
+    # sums by block of _SKIP, in uint64 row by row: a uint64 cast of the whole
+    # array would take 8 bytes a half-gap
+    n = half.size // _SKIP
+    ends = np.cumsum(half[: n * _SKIP].reshape(n, _SKIP).sum(axis=1, dtype=np.uint64))
+    total = int(ends[-1]) if n else 0
+    total += int(half[n * _SKIP :].sum(dtype=np.uint64))
+    # checked before any prime is decoded: a last prime past the limit would wrap in uint32
+    last = 3 + 2 * total if count > 1 else 2
     if last > limit:
         raise ValueError(f"{path}: last prime {last} exceeds limit {limit}")
-    primes = np.empty(count, dtype=np.uint32)
-    primes[:2] = (2, 3)[:count]
-    primes[2:] = half
-    primes[2:] <<= 1
-    # in place: no second full-size array
-    np.cumsum(primes[1:], out=primes[1:], dtype=np.uint32)
-    return PrimeTable(limit, primes)
+    skip = np.empty(n + 1, dtype=np.uint32)
+    skip[0] = 3
+    skip[1:] = 3 + 2 * ends
+    return PrimeTable._from_half_gaps(limit, count, half, skip)
 
 
 def cache_path(limit: int, cache_dir: str | Path | None = None) -> Path:

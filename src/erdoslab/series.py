@@ -64,6 +64,12 @@ def _pieces(lo: int, hi: int):
     return ((s, min(s + _SUB, hi)) for s in range(lo, hi, _SUB))
 
 
+def _prime_pieces(table: PrimeTable, lo: int, hi: int, overlap: int = 0):
+    """Pair each span (s, e) of _pieces(lo, hi) with p_s ... p_(e-1) and the ``overlap`` primes after."""
+    # pieces first: zip then stops before a last run that lies past them
+    return zip(_pieces(lo, hi), table.walk(lo - 1, hi - 1 + overlap, _SUB, overlap))
+
+
 @dataclass
 class PartialSumTrace:
     """Partial sums of a series recorded at checkpoint indices.
@@ -221,10 +227,9 @@ def _phase_powers(phase: complex, carry: complex, count: int) -> tuple[np.ndarra
 
 def _erdos_terms(table: PrimeTable, first: int, last: int):
     """Yield pieces (n, t) of at most _SUB terms t[i] = n[i] / p_(n[i]) for first <= n <= last."""
-    primes = table.first(last)
-    for s, e in _pieces(first, last + 1):
+    for (s, e), p in _prime_pieces(table, first, last + 1):
         n = np.arange(s, e)
-        yield n, n / primes[s - 1 : e - 1]
+        yield n, n / p
 
 
 def erdos_partial(
@@ -290,14 +295,16 @@ def _parity_blocks(table: PrimeTable, m_max: int, checkpoints: np.ndarray):
         yield np.arange(s, e), head_k[s - 2 : e - 2], 1.0 / (m * np.log(m))
     if m_max < _BLOCK_CUTOFF:
         return
-    primes = table.first(j1)  # every prime <= m_max
     j0 = table.pi(_BLOCK_CUTOFF)  # k of the first block
     splits = checkpoints[checkpoints >= _BLOCK_CUTOFF] + 1
-    for s, e in _pieces(j0, j1 + 1):
+    # every prime <= m_max; a run holds the next run's first prime too
+    runs = table.walk(j0 - 1, j1, _SUB, overlap=1)
+    for (s, e), p in zip(_pieces(j0, j1 + 1), runs):
         # block k starts at p_k and ends where block k + 1 starts
         edges = np.empty(e - s + 1, dtype=np.int64)
-        edges[:-1] = primes[s - 1 : e - 1]
-        edges[-1] = primes[e - 1] if e <= j1 else m_max + 1
+        edges[: p.size] = p
+        if e > j1:
+            edges[-1] = m_max + 1
         if s == j0:
             edges[0] = _BLOCK_CUTOFF
         k = np.arange(s, e)
@@ -435,14 +442,14 @@ def oscillation_stats(table: PrimeTable, n_lo: int, n_hi: int) -> tuple[float, f
     if not 1 <= n_lo < n_hi:
         raise ValueError("need 1 <= n_lo < n_hi")
 
-    primes = table.first(n_hi)  # BoundsError before any chunk is summed
     raw = _LD(0.0)
     avg = _LD(0.0)
     prev = np.empty(0)  # the last magnitude before the chunk
-    for a in range(n_lo + 1, n_hi + 1, _REAL_CHUNK):
+    # BoundsError before any chunk is summed
+    runs = table.walk(n_lo, n_hi, _REAL_CHUNK)
+    for a, p in zip(range(n_lo + 1, n_hi + 1, _REAL_CHUNK), runs):
         # one whole chunk, so that the longdouble sums keep their pairwise order
-        last = min(a + _REAL_CHUNK - 1, n_hi)
-        m = np.arange(a, last + 1) / primes[a - 1 : last]
+        m = np.arange(a, a + p.size) / p
         raw += m.astype(_LD).sum()
         avg += (np.abs(np.diff(m, prepend=prev)) / 2.0).astype(_LD).sum()
         prev = m[-1:].copy()

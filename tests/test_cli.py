@@ -422,6 +422,27 @@ def test_unread_action_option_exits_2(workdir, capsys, argv, flag):
 
 
 @pytest.mark.parametrize(
+    "kind, flag",
+    [(k, "--c=2") for k in ("alternating_gap", "alternating_weighted_gap", "theta_family")]
+    + [(k, "--theta=0.5") for k in ("reciprocal_weighted", "alternating_gap", "alternating_weighted_gap")],
+)
+def test_gap_series_option_its_kind_does_not_read_exits_2(workdir, capsys, kind, flag):
+    # --c weights reciprocal_weighted only and --theta is theta_family's exponent
+    assert main(["gaps", "series", f"--kind={kind}", "--nmax=100", flag]) == 2
+    name = flag.split("=")[0]
+    assert capsys.readouterr().err == f"error: invalid: gaps series --kind={kind} does not read {name}\n"
+    assert not any(workdir.iterdir())
+
+
+def test_gap_series_header_keeps_default_c_and_theta(workdir):
+    assert main(["gaps", "series", "--kind=alternating_gap", "--nmax=100", "--out=g.csv"]) == 0
+    assert (workdir / "g.csv").read_bytes().split(b"\n")[0] == (
+        f"# erdoslab={erdoslab.__version__} cmd=gaps config="
+        '{"action":"series","c":3.0,"kind":"alternating_gap","nmax":100,"table_limit":630,"theta":1.0}'
+    ).encode()
+
+
+@pytest.mark.parametrize(
     "argv",
     [["series", "--nm=100"], ["bias", "--x=1e4", "--samples=10000", "--lambda=1"],
      ["model", "bias", "--x=1e4", "--samples=10000", "--w=5"],

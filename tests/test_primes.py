@@ -4,14 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_sieve
 from erdoslab.errors import BoundsError
 from erdoslab.gaps import empirical_parity_statistic
+from erdoslab.series import verify_equivalence
 from erdoslab.singular import OffsetTuple, _log_head
 from erdoslab.primes import (
+    _SKIP,
     MAGIC,
     PrimeTable,
     build_table,
@@ -231,7 +233,8 @@ def test_cache_roundtrip_at_decoder_edges(tmp_path, limit):
 
 
 def test_load_peak_memory(big_table, tmp_path):
-    # the primes array plus the file bytes; the half-gaps decode in place
+    # the file's bytes are the table: a byte a prime, a quarter of the
+    # decoded array, plus the header and the skip index
     path = big_table.save(tmp_path / "big.bin")
     tracemalloc.start()
     try:
@@ -240,7 +243,20 @@ def test_load_peak_memory(big_table, tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(loaded.primes, big_table.primes)
-    assert peak < 1.75 * loaded.primes.nbytes
+    assert peak < 0.3 * loaded.primes.nbytes
+
+
+def test_scans_of_a_loaded_table_decode_no_whole_array(big_table, tmp_path):
+    # the paper's check up to x = 1e7 reads the table in runs: beyond the
+    # file's bytes it holds, less than a quarter of the decoded array
+    path = big_table.save(tmp_path / "big.bin")
+    tracemalloc.start()
+    try:
+        verify_equivalence(load_table(path), [10**5, 10**6, 10**7])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size + big_table.primes.nbytes / 4
 
 
 def test_build_peak_memory():
@@ -339,3 +355,80 @@ def test_cache_dir_env(tmp_path, monkeypatch):
     assert (tmp_path / "primes-1000.bin").exists()
     t2 = load_or_build(1000)
     assert np.array_equal(t.primes, t2.primes)
+
+
+# -- a loaded table against the dense array it encodes ---------------------
+
+_ORACLE_LIMIT = 400_000  # 33860 primes: many skip blocks, and walks of 2^14 cross two
+_WALK_SIZES = (1, 7, 2**14)
+
+
+@pytest.fixture(scope="module")
+def oracle(tmp_path_factory):
+    """The dense primes to 400000 and their cache file."""
+    dense = build_table(_ORACLE_LIMIT)
+    return dense.primes, dense.save(tmp_path_factory.mktemp("oracle") / "t.bin")
+
+
+def _edge_ranks(n):
+    return sorted({0, 1, 2, 3, _SKIP - 1, _SKIP, _SKIP + 1, 2**14 - 1, 2**14, 2**14 + 1, n - 1})
+
+
+def _check_rank_reads(t, primes, a, b):
+    got = t.ranks(a, b)
+    assert got.dtype == np.uint32 and np.array_equal(got, primes[a:b]), (a, b)
+    for size in _WALK_SIZES:
+        for overlap in (0, 1):
+            stop = min(b, a + 50 * size)  # at most 50 runs
+            want = [primes[s : min(s + size + overlap, stop)] for s in range(a, stop, size)]
+            runs = list(t.walk(a, stop, size, overlap))
+            assert len(runs) == len(want), (a, stop, size, overlap)
+            assert all(np.array_equal(r, w) for r, w in zip(runs, want)), (a, stop, size, overlap)
+
+
+def _check_value_reads(t, primes, v):
+    if v <= _ORACLE_LIMIT:
+        assert t.pi(v) == np.count_nonzero(primes <= v), v
+        assert (v in t) == (v >= 0 and bool(_dense_is_prime(_ORACLE_LIMIT)[v])), v
+
+
+def test_loaded_table_reads_at_the_edges(oracle, tmp_path):
+    primes, path = oracle
+    t = load_table(path)
+    n = primes.size
+    for r in _edge_ranks(n):
+        for d in (0, 1, 2, _SKIP, 2**14 + 1):
+            _check_rank_reads(t, primes, r, min(r + d, n))
+        assert t.nth_prime(r + 1) == primes[r]
+        if r + 1 < n:
+            assert t.gap(r + 1) == primes[r + 1] - primes[r]
+        for v in (int(primes[r]) - 1, int(primes[r]), int(primes[r]) + 1):
+            _check_value_reads(t, primes, v)
+    for v in (-3, 0, 1, 2, 3, 4, 5, _ORACLE_LIMIT):
+        _check_value_reads(t, primes, v)
+    end = _ORACLE_LIMIT + 1
+    for lo, hi in [(0, end), (0, 6), (2, 3), (end - 97, end), (end, end)]:
+        assert np.array_equal(t.is_prime_range(lo, hi), _dense_is_prime(_ORACLE_LIMIT)[lo:hi])
+    with pytest.raises(BoundsError, match=f"need p_{n + 1} but table holds only {n} primes"):
+        t.ranks(0, n + 1)
+    with pytest.raises(BoundsError, match=f"need p_{n + 1} but table holds only {n} primes"):
+        next(t.walk(n - 5, n + 1, 7))
+    # a loaded table writes the file it came from, without decoding it whole
+    assert t.save(tmp_path / "again.bin").read_bytes() == path.read_bytes()
+    assert t._primes is None  # every read above ran on the half-gaps
+    assert np.array_equal(t.upto(_ORACLE_LIMIT), primes) and np.array_equal(t.first(n), primes)
+
+
+@given(x=st.integers(-3, _ORACLE_LIMIT), width=st.integers(0, 3000), i=st.integers(0, 33_860),
+       length=st.integers(0, 40_000))
+@settings(max_examples=100, deadline=None)
+def test_loaded_table_reads_match_dense(oracle, x, width, i, length):
+    primes, path = oracle
+    t = load_table(path)
+    _check_value_reads(t, primes, x)
+    lo, hi = max(x, 0), min(max(x, 0) + width, _ORACLE_LIMIT + 1)
+    assert np.array_equal(t.is_prime_range(lo, hi), _dense_is_prime(_ORACLE_LIMIT)[lo:hi])
+    a = min(i, primes.size)
+    _check_rank_reads(t, primes, a, min(a + length, primes.size))
+    assert t.nth_prime(max(a, 1)) == primes[max(a, 1) - 1]
+    assert t._primes is None

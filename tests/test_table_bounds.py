@@ -1,7 +1,7 @@
 """A table read is its own bound check.
 
-Every reader takes its primes through ``PrimeTable.pi``, ``upto`` or
-``first``. Given the smallest table that covers the read, it returns what
+Every reader takes its primes through ``PrimeTable.pi``, ``ranks``,
+``walk``, ``upto`` or ``first``. Given the smallest table that covers the read, it returns what
 a large table gives; given a table one prime or one integer short, it
 raises BoundsError instead of returning a number from fewer primes.
 """
@@ -15,7 +15,7 @@ from erdoslab import census, gaps, model, series
 from erdoslab.errors import BoundsError
 from erdoslab.gaps import GapSeriesConfig
 from erdoslab.model import ModelConfig
-from erdoslab.primes import build_table
+from erdoslab.primes import build_table, load_table
 from erdoslab.singular import OffsetTuple
 
 LARGE = build_table(100_000)
@@ -70,3 +70,15 @@ def test_short_table_raises(read, need):
     assert pickle.dumps(got) == pickle.dumps(read(LARGE))
     with pytest.raises(BoundsError):
         read(build_table(need - 1))
+
+
+@pytest.mark.parametrize("read, need", _READERS.values(), ids=_READERS.keys())
+def test_short_loaded_table_raises(tmp_path, read, need):
+    # the same reads of tables loaded from their cache files, which hold half-gaps
+    def loaded(limit):
+        return load_table(build_table(limit).save(tmp_path / f"{limit}.bin"))
+
+    got = read(loaded(need))
+    assert pickle.dumps(got) == pickle.dumps(read(LARGE))
+    with pytest.raises(BoundsError):
+        read(loaded(need - 1))
