@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import uniform_ints
+from .model import residues_for_prime
 from .primes import PrimeTable
 from .series import PartialSumTrace, _prime_pieces, _scan, checkpoint_indices
 from .singular import gallagher_sum
@@ -23,6 +23,9 @@ KINDS = ("reciprocal_weighted", "alternating_gap", "alternating_weighted_gap", "
 
 # stream id for the base-point sampler, separating it from model substreams
 _PARITY_STREAM = 0x5057
+
+# base points per block of the parity statistic's draw and count
+_PARITY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -187,15 +190,23 @@ def empirical_parity_statistic(
     spread = int(x**0.9)
     # the primes in [x, x + spread + window]: the counts hi - lo are differences of ranks
     primes = table.ranks(table.pi(x - 1), table.pi(x + spread + window))
-    # keys in the table's dtype spare numpy an int64 copy of the table per search
-    n = (x + uniform_ints(seed, _PARITY_STREAM, base_points, spread + 1)).astype(primes.dtype)
+    # keys in the table's dtype spare numpy an int64 copy of the table per
+    # search; each block's draws are those of uniform_ints at its positions
+    keys = np.empty(base_points, dtype=primes.dtype)
+    blocks = range(0, base_points, _PARITY_BLOCK)
+    for a in blocks:
+        idx = np.arange(a, min(a + _PARITY_BLOCK, base_points))
+        keys[a : a + idx.size] = residues_for_prime(seed, _PARITY_STREAM, spread + 1, idx)
+    keys += keys.dtype.type(x)
     # only the count of odd (hi - lo) matters, and sorted keys let each
     # binary search start from the last one's bound
-    n.sort()
-    lo = np.searchsorted(primes, n, side="right")
-    n += primes.dtype.type(window)
-    hi = np.searchsorted(primes, n, side="right")
-    odd = int(np.count_nonzero((hi - lo) & 1))
+    keys.sort()
+    odd = 0
+    for a in blocks:
+        n = keys[a : a + _PARITY_BLOCK]
+        lo = np.searchsorted(primes, n, side="right")
+        hi = np.searchsorted(primes, n + keys.dtype.type(window), side="right")
+        odd += int(np.count_nonzero((hi - lo) & 1))
     est = 1.0 - 2.0 * odd / base_points
     return ParityStatReport(
         x=x,

@@ -7,16 +7,17 @@ sequential read in runs. Readers elsewhere take their primes through
 these, so a short table raises BoundsError and never truncates. A table
 has one of two forms. ``build_table`` (a segmented odd-only sieve of
 Eratosthenes) holds the primes in one uint32 array. ``load_table`` holds
-the cache file's half-gaps as they were read, 1 byte a prime, plus a
-skip index, and decodes primes only when asked: ``pi``, ``ranks`` and
-``walk`` are the only methods that know the form. A key searched in a
-primes array is cast to its dtype first: numpy would otherwise convert
-the whole array to int64 for each search. The binary cache
-(``PRIMECACHE2``) stores the half-gaps (p_{i+1} - p_i)/2 from p = 3 on
-as uint8: every prime gap below 3.04e11 is at most 500 (Oliveira e
-Silva, Herzog and Pardi, Math. Comp. 2014). A file that fails a check,
-such as an old ``PRIMECACHE1`` bitset, is rebuilt on first use; every
-check runs before any prime is decoded.
+the checked cache file open, plus a skip index and a CRC-32 for each
+block of its half-gaps, and reads and decodes primes only when asked:
+``pi``, ``ranks`` and ``walk`` are the only methods that know the form.
+A block whose bytes changed after the check raises OSError when it is
+read. A key searched in a primes array is cast to its dtype first: numpy
+would otherwise convert the whole array to int64 for each search. The
+binary cache (``PRIMECACHE2``) stores the half-gaps (p_{i+1} - p_i)/2
+from p = 3 on as uint8: every prime gap below 3.04e11 is at most 500
+(Oliveira e Silva, Herzog and Pardi, Math. Comp. 2014). A file that
+fails a check, such as an old ``PRIMECACHE1`` bitset, is rebuilt on
+first use; every check runs before any prime is decoded.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import contextlib
 import math
 import os
 import struct
+import weakref
 import zlib
 from pathlib import Path
 
@@ -36,6 +38,7 @@ MAGIC = b"PRIMECACHE2"
 
 # After MAGIC: CRC-32 of all that follows it, then limit and prime count.
 _HEADER = struct.Struct("<IQQ")
+_HEAD = len(MAGIC) + _HEADER.size  # where the half-gaps start
 
 # Odd numbers per sieve segment, and gaps per step of the half-gap encoder,
 # whose 512 KiB temporaries reuse heap pages (8 MiB ones fault in afresh).
@@ -44,6 +47,10 @@ SEGMENT_ODDS, _GAP_CHUNK = 1 << 20, 1 << 16
 # Ranks per block of a loaded table's skip index: pi and the first read of
 # a walk or ranks decode at most one block beyond what they return.
 _SKIP = 1 << 10
+
+# Half-gaps per checked block of a loaded table, a multiple of _SKIP so that
+# pi reads one block, and bytes per read of load_table's checking pass.
+_CRC_BLOCK, _LOAD_READ = 1 << 12, 1 << 20
 
 # Every table limit lies below this: its primes are uint32.
 LIMIT_CAP = 1 << 32
@@ -60,9 +67,13 @@ class PrimeTable:
     """Immutable table of all primes <= ``limit``, held in one of two forms.
 
     ``PrimeTable(limit, primes)`` holds the primes themselves, as the sieve
-    makes them. ``load_table`` holds the cache file's uint8 half-gaps and a
-    skip index, the prime at every _SKIP-th rank from p_2 = 3 on, and
-    decodes primes only when a reader asks for them: 1 byte a prime, not 4.
+    makes them. ``load_table`` holds the cache file it checked, open, plus
+    a skip index, the prime at every _SKIP-th rank from p_2 = 3 on, and the
+    running CRC-32 of the file at the end of each _CRC_BLOCK half-gaps. It
+    reads the half-gaps a reader needs in whole blocks, checks each against
+    its CRC and decodes them: a block that changed after the check, or was
+    cut short, raises OSError. The descriptor is that of the file which
+    passed the checks, so a cache replaced or removed later reads the same.
     Only ``pi``, ``ranks`` and ``walk`` know the form; every other read is
     written on top of them. ``upto`` and ``first`` of a loaded table decode
     every prime they return (up to the whole array) afresh on each call,
@@ -83,14 +94,15 @@ class PrimeTable:
         self.limit = int(limit)
         self.count = int(primes.size)
         self._primes = primes  # None while a loaded table is undecoded
-        self._half = self._skip = None
+        self._fd = self._skip = self._crcs = None
 
     @classmethod
-    def _from_half_gaps(cls, limit: int, count: int, half: np.ndarray, skip: np.ndarray) -> PrimeTable:
-        """A loaded table: ``half[r]`` is (p_(r+3) - p_(r+2)) / 2 and ``skip[b]`` is p_(2 + b*_SKIP)."""
+    def _from_file(cls, limit: int, count: int, fd: int, skip: np.ndarray, crcs: np.ndarray) -> PrimeTable:
+        """A loaded table: ``skip[b]`` is p_(2 + b*_SKIP), ``crcs[k + 1]`` the CRC-32 to the end of block k."""
         table = cls.__new__(cls)
         table.limit, table.count, table._primes = int(limit), int(count), None
-        table._half, table._skip = half, skip
+        table._fd, table._skip, table._crcs = fd, skip, crcs
+        weakref.finalize(table, os.close, fd)
         return table
 
     @property
@@ -114,15 +126,14 @@ class PrimeTable:
         if x < 3:
             return 1
         # block starts only: the block holding x, whose first prime is <= x
-        b = int(np.searchsorted(self._skip, np.uint32(x), side="right")) - 1
-        i = 1 + b * _SKIP
-        block = self._decode(i, min(i + _SKIP, self.count), int(self._skip[b]))
+        i = 1 + (int(np.searchsorted(self._skip, np.uint32(x), side="right")) - 1) * _SKIP
+        block = self._decode(i, min(i + _SKIP, self.count))
         return i + int(np.searchsorted(block, np.uint32(x), side="right"))
 
     def ranks(self, i: int, j: int) -> np.ndarray:
         """p_(i+1) ... p_j, the primes of 0-based ranks [i, j); BoundsError past the table.
 
-        A view of the primes, or of a loaded table a fresh decoded array.
+        A view of the primes, or of a loaded table a freshly decoded array.
         """
         i, j = int(i), int(j)
         self._need(j)
@@ -130,15 +141,16 @@ class PrimeTable:
             raise ValueError(f"rank range [{i}, {j}) is not ordered")
         if self._primes is not None:
             return self._primes[i:j]
-        return self._decode(i, j, self._prime_at(i) if i < j else 0)
+        return self._decode(i, j)
 
     def walk(self, i: int, j: int, size: int, overlap: int = 0):
         """Yield the primes of ranks [i, j) in runs of ``size``, in order.
 
         Every run but the last also holds the first ``overlap`` primes of
-        the next. A loaded table decodes each run once, from the last prime
-        of the run before, so a scan costs what decoding the table once
-        does. BoundsError, before the first run, when j > count.
+        the next. A loaded table decodes each run once, with at least the
+        first prime of the next, which the next run starts from, so a scan
+        costs what decoding the table once does. BoundsError, before the
+        first run, when j > count.
         """
         i, j = int(i), int(j)
         self._need(j)
@@ -146,36 +158,48 @@ class PrimeTable:
             for s in range(i, j, size):
                 yield self._primes[s : min(s + size + overlap, j)]
             return
-        p = self._prime_at(i) if i < j else 0
+        p = None
         for s in range(i, j, size):
             e = min(s + size, j)
-            run = self._decode(s, min(e + overlap, j), p)
-            if e < j:  # the prime of rank e, from the one before it
-                p = int(run[e - 1 - s]) + (2 * int(self._half[e - 2]) if e > 1 else 1)
-            yield run
+            run = self._decode(s, min(e + max(overlap, 1), j), p)
+            p = int(run[e - s]) if e < j else None
+            yield run[: min(e + overlap, j) - s]
 
     def _need(self, j: int) -> None:
         if j > self.count:
             raise BoundsError(f"need p_{j} but table holds only {self.count} primes")
 
-    def _prime_at(self, r: int) -> int:
-        """The prime of 0-based rank r of a loaded table, from the skip index."""
-        if r == 0:
-            return 2
-        b = (r - 1) // _SKIP
-        return int(self._skip[b]) + 2 * int(self._half[b * _SKIP : r - 1].sum(dtype=np.uint64))
-
-    def _decode(self, i: int, j: int, p: int) -> np.ndarray:
-        """The primes of ranks [i, j) of a loaded table, p being the one of rank i."""
+    def _decode(self, i: int, j: int, p: int | None = None) -> np.ndarray:
+        """The primes of ranks [i, j) of a loaded table, from p, the one of rank i, or the skip index."""
+        if i >= j:
+            return np.empty(0, dtype=np.uint32)
+        if p is None and i > 0:  # from the block start at or before i
+            s = 1 + (i - 1) // _SKIP * _SKIP
+            return self._decode(s, j, int(self._skip[(i - 1) // _SKIP]))[i - s :]
         out = run = np.empty(j - i, dtype=np.uint32)
-        if i == 0 < j:  # 2 to 3 is the one step no half-gap holds
+        if i == 0:  # 2 to 3 is the one step no half-gap holds
             out[0] = 2
             run, i, p = out[1:], 1, 3
         if run.size:
             run[0] = p
-            np.left_shift(self._half[i - 1 : j - 2], 1, out=run[1:], dtype=np.uint32)
+            np.left_shift(self._half_gaps(i - 1, j - 2), 1, out=run[1:], dtype=np.uint32)
             np.cumsum(run, out=run)
         return out
+
+    def _half_gaps(self, a: int, b: int) -> np.ndarray:
+        """Half-gaps [a, b) of a loaded table, read in whole blocks, each checked against its CRC."""
+        if a >= b:
+            return np.empty(0, dtype=np.uint8)
+        k0, k1 = a // _CRC_BLOCK, -(-b // _CRC_BLOCK)
+        start = k0 * _CRC_BLOCK
+        want = min(k1 * _CRC_BLOCK, self.count - 2) - start  # the last block may be short
+        raw = os.pread(self._fd, want, _HEAD + start)
+        view, crcs = memoryview(raw), self._crcs[k0 : k1 + 1].tolist()
+        for k in range(k1 - k0):  # a block cut short, or not read at all, fails its CRC too
+            block = view[k * _CRC_BLOCK : (k + 1) * _CRC_BLOCK]
+            if zlib.crc32(block, crcs[k]) != crcs[k + 1]:
+                raise OSError(f"prime cache changed after it was checked, in half-gap block {k0 + k}")
+        return np.frombuffer(raw, dtype=np.uint8, count=b - a, offset=a - start)
 
     # -- reads on top of them --------------------------------------------
 
@@ -308,38 +332,52 @@ def build_table(limit: int) -> PrimeTable:
 def load_table(path: str | Path) -> PrimeTable:
     """Load a PrimeTable from its cache file; ValueError if any check fails.
 
-    The table keeps the half-gaps as a view of the bytes read, which passed
-    every check, and decodes primes only when a reader asks for them.
+    One pass of _LOAD_READ-byte reads runs every check before any prime is
+    decoded, and records the skip index and the running CRC-32 at the end
+    of each block. The table keeps a descriptor of the file and reads its
+    half-gaps only when a reader asks for them.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    head = len(MAGIC) + _HEADER.size
-    if raw[: len(MAGIC)] != MAGIC or len(raw) < head:
-        raise ValueError(f"{path} is not a prime cache file (bad magic or truncated header)")
-    crc, limit, count = _HEADER.unpack_from(raw, len(MAGIC))
-    if zlib.crc32(memoryview(raw)[len(MAGIC) + 4 :]) != crc:
-        raise ValueError(f"{path}: checksum mismatch")
-    if limit >= LIMIT_CAP:
-        raise ValueError(f"{path}: limit {limit} is not below 2^32")
-    half = np.frombuffer(raw, dtype=np.uint8, offset=head)
-    if count < 1 or half.size != max(count - 2, 0):
-        raise ValueError(f"{path}: {half.size} half-gaps inconsistent with prime count {count}")
-    if not half.all():
-        raise ValueError(f"{path}: zero half-gap")
-    # sums by block of _SKIP, in uint64 row by row: a uint64 cast of the whole
-    # array would take 8 bytes a half-gap
-    n = half.size // _SKIP
-    ends = np.cumsum(half[: n * _SKIP].reshape(n, _SKIP).sum(axis=1, dtype=np.uint64))
-    total = int(ends[-1]) if n else 0
-    total += int(half[n * _SKIP :].sum(dtype=np.uint64))
-    # checked before any prime is decoded: a last prime past the limit would wrap in uint32
-    last = 3 + 2 * total if count > 1 else 2
-    if last > limit:
-        raise ValueError(f"{path}: last prime {last} exceeds limit {limit}")
-    skip = np.empty(n + 1, dtype=np.uint32)
-    skip[0] = 3
-    skip[1:] = 3 + 2 * ends
-    return PrimeTable._from_half_gaps(limit, count, half, skip)
+    with open(path, "rb", buffering=0) as fh:
+        raw = fh.read(_HEAD)
+        if raw[: len(MAGIC)] != MAGIC or len(raw) < _HEAD:
+            raise ValueError(f"{path} is not a prime cache file (bad magic or truncated header)")
+        crc, limit, count = _HEADER.unpack_from(raw, len(MAGIC))
+        crcs = [zlib.crc32(raw[len(MAGIC) + 4 :])]
+        buf = np.empty(_LOAD_READ, dtype=np.uint8)  # every read lands here
+        sums, tail, size, zero = [], 0, 0, False
+        while True:
+            half = buf[: fh.readinto(buf)]
+            for k in range(0, half.size, _CRC_BLOCK):
+                crcs.append(zlib.crc32(half[k : k + _CRC_BLOCK], crcs[-1]))
+            zero = zero or not half.all()
+            # sums by block of _SKIP, in uint64 row by row; only the last read has a tail
+            n = half.size // _SKIP
+            sums.append(half[: n * _SKIP].reshape(n, _SKIP).sum(axis=1, dtype=np.uint64))
+            tail = int(half[n * _SKIP :].sum(dtype=np.uint64))
+            size += half.size
+            if half.size < _LOAD_READ:
+                break
+        if crcs[-1] != crc:
+            raise ValueError(f"{path}: checksum mismatch")
+        if limit >= LIMIT_CAP:
+            raise ValueError(f"{path}: limit {limit} is not below 2^32")
+        if count < 1 or size != max(count - 2, 0):
+            raise ValueError(f"{path}: {size} half-gaps inconsistent with prime count {count}")
+        if zero:
+            raise ValueError(f"{path}: zero half-gap")
+        ends = np.cumsum(np.concatenate(sums))
+        total = (int(ends[-1]) if ends.size else 0) + tail
+        # checked before any prime is decoded: a last prime past the limit would wrap in uint32
+        last = 3 + 2 * total if count > 1 else 2
+        if last > limit:
+            raise ValueError(f"{path}: last prime {last} exceeds limit {limit}")
+        skip = np.empty(ends.size + 1, dtype=np.uint32)
+        skip[0] = 3
+        skip[1:] = 3 + 2 * ends
+        # the file that passed the checks, whatever later replaces or removes its path
+        fd = os.dup(fh.fileno())
+    return PrimeTable._from_file(limit, count, fd, skip, np.array(crcs, dtype=np.uint32))
 
 
 def cache_path(limit: int, cache_dir: str | Path | None = None) -> Path:

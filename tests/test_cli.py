@@ -11,6 +11,7 @@ import pytest
 
 import erdoslab
 from erdoslab import calibration, cli
+from erdoslab import primes as primes_mod
 from erdoslab.cli import _model_table, _parse_int, build_parser, main
 from erdoslab.model import sieve_cutoff
 from conftest import dense_sieve
@@ -349,6 +350,29 @@ def test_corrupt_cache_is_rebuilt(workdir, corrupt, reason):
     assert (workdir / "cached.csv").read_bytes() == (workdir / "fresh.csv").read_bytes()
     assert load_table(path).primes.tolist() == build_table(1000).primes.tolist()
     assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left
+
+
+def test_cache_changed_after_its_load_exits_3(workdir, monkeypatch, capsys):
+    # a half-gap rewritten in place between the load's checks and the reads
+    # (an atomic save never does that; another writer or a faulty disk might)
+    # stops the command with exit 3, and it writes no artifact
+    path = build_table(100_000).save(cache_path(100_000))
+    checked = primes_mod.load_table
+
+    def load_then_change(p):
+        table = checked(p)
+        with open(p, "r+b") as fh:
+            fh.seek(len(MAGIC) + 20 + 5000)  # half-gap 5000, which p_5002 needs
+            byte = fh.read(1)
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([byte[0] ^ 2]))
+        return table
+
+    monkeypatch.setattr(primes_mod, "load_table", load_then_change)
+    assert main(["series", "--kind=erdos", "--nmax=6000", "--limit=100000", "--out=s.csv"]) == 3
+    assert "changed after it was checked" in capsys.readouterr().err
+    assert not (workdir / "s.csv").exists()
+    assert path.exists()
 
 
 def test_unknown_flag_exits_2(workdir):

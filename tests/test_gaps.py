@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from erdoslab import gaps as gaps_mod
 from erdoslab import series
 from erdoslab.errors import BoundsError
 from erdoslab.gaps import (
@@ -184,6 +185,15 @@ def test_parity_statistic_matches_unsorted_oracle(x, lam):
         for pts in (1000, 4321):
             rep = empirical_parity_statistic(TABLE, x, lam, pts, seed)
             assert (rep.estimate, rep.stderr) == _unsorted_parity_oracle(TABLE, x, lam, pts, seed)
+
+
+@pytest.mark.parametrize("block, points", [(1, 4321), (7, 4321), (1000, 4321), (1 << 16, 150_000)])
+def test_parity_statistic_in_blocks_matches_unsorted_oracle(monkeypatch, block, points):
+    # the draw and the count run block by block, each ending in a short block
+    monkeypatch.setattr(gaps_mod, "_PARITY_BLOCK", block)
+    for x, lam in [(10_000, 1.0), (200_000, 0.5)]:
+        rep = empirical_parity_statistic(TABLE, x, lam, points, 7)
+        assert (rep.estimate, rep.stderr) == _unsorted_parity_oracle(TABLE, x, lam, points, 7)
 
 
 def test_parity_statistic_seeded_reproducible():

@@ -379,6 +379,21 @@ def test_uniform_ints_is_residues_over_arange(seed, stream, count, bound):
     assert np.array_equal(got, residues_for_prime(seed, stream, bound, np.arange(count)))
 
 
+@pytest.mark.parametrize("bound", [7, 3 << 61], ids=["bound 7", "bound 3 * 2^61"])
+def test_uniform_ints_drawn_in_blocks_is_one_draw(bound):
+    # a position's draw, rejections included, depends only on (seed, position),
+    # so blocks of positions give one whole draw, as the parity statistic takes it
+    count, block = 200_003, 1 << 16
+    whole = uniform_ints(42, 0x5057, count, bound)
+    blocks = [residues_for_prime(42, 0x5057, bound, np.arange(a, min(a + block, count)))
+              for a in range(0, count, block)]
+    assert np.array_equal(np.concatenate(blocks), whole)
+    if bound == 3 << 61:  # a quarter of the first words are rejected at this bound
+        pos = np.arange(count, dtype=np.uint64) * np.uint64(model_mod._DRAW_BLOCK)
+        first = model_mod._stream_words(42, 0x5057, pos)
+        assert 0.2 < np.mean(first >= np.uint64((1 << 64) - (1 << 62))) < 0.3
+
+
 # -- the packed sifting kernel against the bool-matrix kernel it replaced --
 
 def _bool_sift(config, primes, idx):

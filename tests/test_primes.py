@@ -1,6 +1,8 @@
 import functools
+import os
 import sys
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from erdoslab.gaps import empirical_parity_statistic
 from erdoslab.series import verify_equivalence
 from erdoslab.singular import OffsetTuple, _log_head
 from erdoslab.primes import (
+    _CRC_BLOCK,
+    _HEAD,
     _SKIP,
     MAGIC,
     PrimeTable,
@@ -233,8 +237,8 @@ def test_cache_roundtrip_at_decoder_edges(tmp_path, limit):
 
 
 def test_load_peak_memory(big_table, tmp_path):
-    # the file's bytes are the table: a byte a prime, a quarter of the
-    # decoded array, plus the header and the skip index
+    # the load streams the 10.1 MB file through one read buffer and keeps
+    # the skip index and the block CRCs, not the half-gaps
     path = big_table.save(tmp_path / "big.bin")
     tracemalloc.start()
     try:
@@ -243,7 +247,7 @@ def test_load_peak_memory(big_table, tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(loaded.primes, big_table.primes)
-    assert peak < 0.3 * loaded.primes.nbytes
+    assert peak < 2 << 20
 
 
 def test_scans_of_a_loaded_table_decode_no_whole_array(big_table, tmp_path):
@@ -371,7 +375,9 @@ def oracle(tmp_path_factory):
 
 
 def _edge_ranks(n):
-    return sorted({0, 1, 2, 3, _SKIP - 1, _SKIP, _SKIP + 1, 2**14 - 1, 2**14, 2**14 + 1, n - 1})
+    # rank r + 2 follows half-gap r, so ranks _CRC_BLOCK + 1 and + 2 straddle the first block end
+    crc = range(_CRC_BLOCK - 1, _CRC_BLOCK + 4)
+    return sorted({0, 1, 2, 3, _SKIP - 1, _SKIP, _SKIP + 1, *crc, 2**14 - 1, 2**14, 2**14 + 1, n - 1})
 
 
 def _check_rank_reads(t, primes, a, b):
@@ -432,3 +438,105 @@ def test_loaded_table_reads_match_dense(oracle, x, width, i, length):
     _check_rank_reads(t, primes, a, min(a + length, primes.size))
     assert t.nth_prime(max(a, 1)) == primes[max(a, 1) - 1]
     assert t._primes is None
+
+
+# -- a loaded table reads the file it checked, block by checked block -------
+
+
+def _check_all_reads(t, primes):
+    for r in _edge_ranks(primes.size):
+        _check_rank_reads(t, primes, r, min(r + _CRC_BLOCK + 1, primes.size))
+        for v in (int(primes[r]) - 1, int(primes[r]), int(primes[r]) + 1):
+            _check_value_reads(t, primes, v)
+    assert np.array_equal(t.ranks(0, primes.size), primes)
+
+
+def test_loaded_table_outlives_its_file(oracle, tmp_path):
+    # a concurrent save replaces the cache with os.replace, and a clean-up may
+    # remove it: the table reads the inode that passed the checks, and of it
+    # only the bytes that were checked
+    primes, src = oracle
+    path = tmp_path / "t.bin"
+    path.write_bytes(src.read_bytes())
+    t = load_table(path)
+    with open(path, "ab") as fh:
+        fh.write(b"\x01" * 100)
+    _check_all_reads(t, primes)
+    build_table(1000).save(path)
+    _check_all_reads(t, primes)
+    path.unlink()
+    _check_all_reads(t, primes)
+
+
+def _rewrite_byte(path, offset):
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        old = fh.read(1)
+        fh.seek(offset)
+        fh.write(bytes([old[0] ^ 2]))
+
+
+@pytest.mark.parametrize("block", [0, 3, 8], ids=["first block", "inner block", "short last block"])
+def test_a_block_changed_after_the_load_raises_oserror(oracle, tmp_path, block):
+    primes, src = oracle
+    path = tmp_path / "t.bin"
+    path.write_bytes(src.read_bytes())
+    t = load_table(path)
+    half = primes.size - 2
+    assert (half - 1) // _CRC_BLOCK == 8  # block 8 is the last, and short
+    _rewrite_byte(path, _HEAD + min(block * _CRC_BLOCK + 17, half - 1))
+    first = 2 + block * _CRC_BLOCK  # the ranks whose half-gaps block holds
+    last = min(first + _CRC_BLOCK, primes.size)
+    # the blocks before still read, and every reader of the changed one raises
+    assert np.array_equal(t.ranks(0, first), primes[:first])
+    for read in (
+        lambda: t.ranks(first, last),
+        lambda: t.pi(int(primes[first + 100])),
+        lambda: t.nth_prime(first + 100),
+        lambda: list(t.walk(0, primes.size, 2**14)),
+        lambda: t.primes,
+    ):
+        with pytest.raises(OSError, match="changed after it was checked"):
+            read()
+
+
+def test_a_file_cut_short_after_the_load_raises_oserror(oracle, tmp_path):
+    primes, src = oracle
+    path = tmp_path / "t.bin"
+    path.write_bytes(src.read_bytes())
+    t = load_table(path)
+    os.truncate(path, _HEAD + 5 * _CRC_BLOCK + 100)
+    assert np.array_equal(t.ranks(0, 2 + 5 * _CRC_BLOCK), primes[: 2 + 5 * _CRC_BLOCK])
+    with pytest.raises(OSError, match="changed after it was checked"):
+        t.ranks(2 + 5 * _CRC_BLOCK, 3 + 5 * _CRC_BLOCK)
+    with pytest.raises(OSError, match="changed after it was checked"):
+        t.pi(_ORACLE_LIMIT)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_loads_leave_no_descriptor_open(oracle, tmp_path):
+    primes, src = oracle
+    before = _open_fds()
+    for _ in range(200):
+        t = load_table(src)
+        assert t.pi(_ORACLE_LIMIT) == primes.size
+    del t
+    assert _open_fds() == before
+    raw = src.read_bytes()
+    corrupt = {
+        "bad magic": raw[:20],
+        "checksum": raw[:100] + bytes([raw[100] ^ 4]) + raw[101:],
+        "inconsistent": raw[: len(MAGIC)] + zlib.crc32(raw[len(MAGIC) + 4 : -5]).to_bytes(4, "little")
+        + raw[len(MAGIC) + 4 : -5],
+    }
+    path = tmp_path / "bad.bin"
+    for _ in range(50):
+        for reason, data in corrupt.items():
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=reason):
+                load_table(path)
+    assert _open_fds() == before
