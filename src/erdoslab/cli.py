@@ -19,9 +19,9 @@ parity; model, bias and calibrate derive theirs from x. calibrate takes
 --samples and --seed for the model and gaps suites only. Any other
 option exits 2.
 
-Exit codes: 0 success, 2 invalid configuration, 3 range or resource
-errors, any OSError among them (an unwritable --out or cache directory)
-and a derived table limit of 2^32 or more.
+Exit codes: 0 success, 2 invalid configuration, 3 "range" errors (a table
+too short, a derived table limit of 2^32 or more) or "resource" errors (a
+MemoryError or any OSError, such as an unwritable --out or cache directory).
 """
 
 from __future__ import annotations
@@ -512,7 +512,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.run(args)
     except (BoundsError, MemoryError, OSError) as exc:
-        print(f"error: range: {exc}", file=sys.stderr)
+        label = "range" if isinstance(exc, BoundsError) else "resource"
+        print(f"error: {label}: {exc}", file=sys.stderr)
         return 3
     except (ValueError, argparse.ArgumentTypeError) as exc:  # the latter from _parse_int
         print(f"error: invalid: {exc}", file=sys.stderr)

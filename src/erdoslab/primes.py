@@ -4,14 +4,13 @@ The central object is :class:`PrimeTable`: every prime up to a limit
 below 2^32, with O(log) rank queries (``pi``, ``nth_prime``, ``gap``),
 the bounded reads ``ranks``, ``upto`` and ``first``, and ``walk``, a
 sequential read in runs. Readers elsewhere take their primes through
-these, so a short table raises BoundsError and never truncates. A table
-has one of two forms. ``build_table`` (a segmented odd-only sieve of
-Eratosthenes) holds the primes in one uint32 array. ``load_table`` holds
-the checked cache file open, plus a skip index and a CRC-32 for each
-block of its half-gaps, and reads and decodes primes only when asked:
-``pi``, ``ranks`` and ``walk`` are the only methods that know the form.
-A block whose bytes changed after the check raises OSError when it is
-read. A key searched in a primes array is cast to its dtype first: numpy
+these, so a short table raises BoundsError and never truncates. The
+table of ``build_table`` (a segmented odd-only sieve of Eratosthenes)
+holds the primes in one uint32 array; that of ``load_table`` holds the
+checked cache file open and decodes primes only when asked, raising
+OSError for a block whose bytes changed after the check. Only
+``_decode`` and ``_half_gaps`` know the form, and ``save`` streams the
+half-gaps in runs. A key searched in an array is cast to its dtype: numpy
 would otherwise convert the whole array to int64 for each search. The
 binary cache (``PRIMECACHE2``) stores the half-gaps (p_{i+1} - p_i)/2
 from p = 3 on as uint8: every prime gap below 3.04e11 is at most 500
@@ -40,12 +39,12 @@ MAGIC = b"PRIMECACHE2"
 _HEADER = struct.Struct("<IQQ")
 _HEAD = len(MAGIC) + _HEADER.size  # where the half-gaps start
 
-# Odd numbers per sieve segment, and gaps per step of the half-gap encoder,
-# whose 512 KiB temporaries reuse heap pages (8 MiB ones fault in afresh).
+# Odd numbers per sieve segment, and half-gaps per run of save, whose
+# sub-MiB temporaries reuse heap pages (4-8 MiB ones fault in afresh).
 SEGMENT_ODDS, _GAP_CHUNK = 1 << 20, 1 << 16
 
-# Ranks per block of a loaded table's skip index: pi and the first read of
-# a walk or ranks decode at most one block beyond what they return.
+# Ranks per block of the skip index: pi and the first read of a walk or
+# ranks decode at most one block beyond what they return.
 _SKIP = 1 << 10
 
 # Half-gaps per checked block of a loaded table, a multiple of _SKIP so that
@@ -68,17 +67,19 @@ class PrimeTable:
 
     ``PrimeTable(limit, primes)`` holds the primes themselves, as the sieve
     makes them. ``load_table`` holds the cache file it checked, open, plus
-    a skip index, the prime at every _SKIP-th rank from p_2 = 3 on, and the
-    running CRC-32 of the file at the end of each _CRC_BLOCK half-gaps. It
-    reads the half-gaps a reader needs in whole blocks, checks each against
-    its CRC and decodes them: a block that changed after the check, or was
-    cut short, raises OSError. The descriptor is that of the file which
-    passed the checks, so a cache replaced or removed later reads the same.
-    Only ``pi``, ``ranks`` and ``walk`` know the form; every other read is
-    written on top of them. ``upto`` and ``first`` of a loaded table decode
-    every prime they return (up to the whole array) afresh on each call,
-    so readers that scan take runs from ``walk``. ``primes`` of a loaded
-    table decodes the whole array on first use and keeps it.
+    the running CRC-32 of the file at the end of each _CRC_BLOCK half-gaps.
+    It reads the half-gaps a reader needs in whole blocks, checks each
+    against its CRC and decodes them: a block that changed after the check,
+    or was cut short, raises OSError. The descriptor is that of the file
+    which passed the checks, so a cache replaced or removed later reads the
+    same. Both forms keep a skip index, the prime at every _SKIP-th rank
+    from p_2 = 3 on. Only ``_decode`` (primes) and ``_half_gaps`` (cache
+    bytes) know the form; ``pi``, ``ranks``, ``walk`` and ``save`` are
+    written once on top of them; ``save`` streams half-gaps in runs.
+    ``upto`` and ``first`` of a loaded table decode every prime they return
+    (up to the whole array) afresh on each call, so readers that scan take
+    runs from ``walk``. ``primes`` of a loaded table decodes the whole array
+    on first use and keeps it.
 
     Attributes
     ----------
@@ -94,7 +95,8 @@ class PrimeTable:
         self.limit = int(limit)
         self.count = int(primes.size)
         self._primes = primes  # None while a loaded table is undecoded
-        self._fd = self._skip = self._crcs = None
+        self._skip = np.ascontiguousarray(primes[1::_SKIP])  # the index a loaded table has
+        self._fd = self._crcs = None
 
     @classmethod
     def _from_file(cls, limit: int, count: int, fd: int, skip: np.ndarray, crcs: np.ndarray) -> PrimeTable:
@@ -112,23 +114,21 @@ class PrimeTable:
             self._primes = self.ranks(0, self.count)
         return self._primes
 
-    # -- the three reads that know the form ----------------------------
+    # -- rank reads; of them only _decode and _half_gaps know the form --
 
     def pi(self, x: int) -> int:
-        """Number of primes <= x: a binary search of the table, or of the skip index and one block."""
+        """Number of primes <= x: a binary search of the skip index, then of one block."""
         x = int(x)
         if x > self.limit:
             raise BoundsError(f"need primality up to {x} > table limit {self.limit}")
         if x < 2:
             return 0
-        if self._primes is not None:
-            return int(np.searchsorted(self._primes, self._primes.dtype.type(x), side="right"))
         if x < 3:
             return 1
         # block starts only: the block holding x, whose first prime is <= x
-        i = 1 + (int(np.searchsorted(self._skip, np.uint32(x), side="right")) - 1) * _SKIP
+        i = 1 + (int(np.searchsorted(self._skip, self._skip.dtype.type(x), side="right")) - 1) * _SKIP
         block = self._decode(i, min(i + _SKIP, self.count))
-        return i + int(np.searchsorted(block, np.uint32(x), side="right"))
+        return i + int(np.searchsorted(block, block.dtype.type(x), side="right"))
 
     def ranks(self, i: int, j: int) -> np.ndarray:
         """p_(i+1) ... p_j, the primes of 0-based ranks [i, j); BoundsError past the table.
@@ -139,25 +139,19 @@ class PrimeTable:
         self._need(j)
         if not 0 <= i <= j:
             raise ValueError(f"rank range [{i}, {j}) is not ordered")
-        if self._primes is not None:
-            return self._primes[i:j]
         return self._decode(i, j)
 
     def walk(self, i: int, j: int, size: int, overlap: int = 0):
         """Yield the primes of ranks [i, j) in runs of ``size``, in order.
 
         Every run but the last also holds the first ``overlap`` primes of
-        the next. A loaded table decodes each run once, with at least the
-        first prime of the next, which the next run starts from, so a scan
+        the next. Each run is read once, with at least the first prime of
+        the next, which a loaded table decodes the next run from, so a scan
         costs what decoding the table once does. BoundsError, before the
         first run, when j > count.
         """
         i, j = int(i), int(j)
         self._need(j)
-        if self._primes is not None:
-            for s in range(i, j, size):
-                yield self._primes[s : min(s + size + overlap, j)]
-            return
         p = None
         for s in range(i, j, size):
             e = min(s + size, j)
@@ -170,7 +164,9 @@ class PrimeTable:
             raise BoundsError(f"need p_{j} but table holds only {self.count} primes")
 
     def _decode(self, i: int, j: int, p: int | None = None) -> np.ndarray:
-        """The primes of ranks [i, j) of a loaded table, from p, the one of rank i, or the skip index."""
+        """The primes of ranks [i, j): a view of the array, or decoded from p, the one of rank i, or the skip index."""
+        if self._primes is not None:
+            return self._primes[i:j]
         if i >= j:
             return np.empty(0, dtype=np.uint32)
         if p is None and i > 0:  # from the block start at or before i
@@ -187,7 +183,14 @@ class PrimeTable:
         return out
 
     def _half_gaps(self, a: int, b: int) -> np.ndarray:
-        """Half-gaps [a, b) of a loaded table, read in whole blocks, each checked against its CRC."""
+        """Half-gaps [a, b): from the array, ValueError outside [1, 255], or from whole blocks, each CRC-checked."""
+        if self._primes is not None:
+            # a falling pair wraps to a huge uint32, or is negative in int64
+            h = np.diff(self._primes[a + 1 : b + 2])
+            h >>= 1
+            if h.min() < 1 or h.max() > 255:
+                raise ValueError(f"half-gap outside [1, 255] after prime {int(self._primes[a + 1])}")
+            return h.astype(np.uint8)
         if a >= b:
             return np.empty(0, dtype=np.uint8)
         k0, k1 = a // _CRC_BLOCK, -(-b // _CRC_BLOCK)
@@ -246,29 +249,24 @@ class PrimeTable:
     def save(self, path: str | Path) -> Path:
         """Write the cache file: MAGIC, <IQQ crc/limit/count, uint8 half-gaps.
 
-        The bytes go to a temporary file in the same directory, which then
-        replaces ``path`` in one step, so readers never see a partial file.
-        Raises ValueError when a half-gap falls outside [1, 255].
+        The half-gaps stream in runs to a temporary file in the same directory,
+        which then replaces ``path`` in one step, so readers never see a
+        partial file. Raises ValueError when a half-gap falls outside [1, 255].
         """
-        half = np.empty(max(self.count - 2, 0), dtype=np.uint8)
-        # each run of primes from p_2 holds the first prime of the next, so
-        # its differences are _GAP_CHUNK half-gaps; a last run of one has none
-        runs = self.walk(1, self.count, _GAP_CHUNK, overlap=1)
-        for i, p in zip(range(0, half.size, _GAP_CHUNK), runs):
-            h = np.diff(p)
-            h >>= 1
-            if h.min() < 1 or h.max() > 255:
-                raise ValueError(f"half-gap outside [1, 255] after prime {int(p[0])}")
-            half[i : i + h.size] = h
-        body = struct.pack("<QQ", self.limit, self.count)
-        crc = zlib.crc32(half, zlib.crc32(body))
+        body, n = struct.pack("<QQ", self.limit, self.count), max(self.count - 2, 0)
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as fh:
-                fh.write(MAGIC + struct.pack("<I", crc) + body)
-                fh.write(half)
+                fh.write(MAGIC + bytes(4) + body)  # the CRC, once the half-gaps are written
+                crc = zlib.crc32(body)
+                for a in range(0, n, _GAP_CHUNK):
+                    half = self._half_gaps(a, min(a + _GAP_CHUNK, n))
+                    fh.write(half)
+                    crc = zlib.crc32(half, crc)
+                fh.seek(len(MAGIC))
+                fh.write(struct.pack("<I", crc))
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -393,11 +391,10 @@ def load_or_build(limit: int, cache_dir: str | Path | None = None) -> PrimeTable
     that cannot be parsed counts as a miss, so it is overwritten.
     """
     path = cache_path(limit, cache_dir)
-    if path.exists():
-        with contextlib.suppress(ValueError):
-            table = load_table(path)
-            if table.limit == int(limit):
-                return table
+    with contextlib.suppress(FileNotFoundError, ValueError):  # a file removed mid-load, too
+        table = load_table(path)
+        if table.limit == int(limit):
+            return table
     table = build_table(limit)
     table.save(path)
     return table

@@ -502,7 +502,7 @@ def test_os_error_exits_3(workdir, capsys, flags):
     (workdir / "out").mkdir()
     assert main(["gaps", "blocks", "--limit=1000", *flags]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: range: [Errno ")
+    assert len(err) == 1 and err[0].startswith("error: resource: [Errno ")
     assert not any(workdir.glob("erdoslab-*"))
 
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import os
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_sieve
+from conftest import BIG_LIMIT, dense_sieve
 from erdoslab.errors import BoundsError
 from erdoslab.gaps import empirical_parity_statistic
 from erdoslab.series import verify_equivalence
@@ -540,3 +541,108 @@ def test_loads_leave_no_descriptor_open(oracle, tmp_path):
             with pytest.raises(ValueError, match=reason):
                 load_table(path)
     assert _open_fds() == before
+
+
+# -- save streams the PRIMECACHE2 bytes, pinned ------------------------------
+
+_CACHE_SHA256 = {
+    1000: "ed04012ad41fd0cd95cda3585fbc276fe1e6d69cba88c7e163fc58418c73b65f",
+    2**21 + 1: "7b144e3d67280f4672e747084b20cf48edce15e769140d168be429e4e0a29c50",
+    BIG_LIMIT: "0d0bb7c85f331dfa8dabd0369acd11e7957bbdfc80479c4e5cf9442f76d218d5",
+}
+
+
+@pytest.mark.parametrize("limit", _CACHE_SHA256)
+def test_cache_bytes_are_pinned(request, tmp_path, limit):
+    # a sieved table encodes its array, and its loaded re-save copies the checked blocks
+    table = request.getfixturevalue("big_table") if limit == BIG_LIMIT else build_table(limit)
+    path = table.save(tmp_path / "t.bin")
+    again = load_table(path).save(tmp_path / "again.bin")
+    for p in (path, again):
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == _CACHE_SHA256[limit], p.name
+
+
+def _save_peak(table, path):
+    tracemalloc.start()
+    try:
+        table.save(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_of_a_sieved_table_streams(big_table, tmp_path):
+    # the 10.1 MB of half-gaps go to the file one run of 2^16 at a time
+    assert _save_peak(big_table, tmp_path / "big.bin") < 2 << 20
+
+
+def test_save_of_a_loaded_table_copies_its_blocks(big_table, tmp_path):
+    path = big_table.save(tmp_path / "big.bin")
+    t = load_table(path)
+    assert _save_peak(t, tmp_path / "again.bin") < 1 << 20
+    assert t._primes is None  # no prime decoded
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def test_save_of_a_file_changed_after_the_load_writes_nothing(oracle, tmp_path):
+    _, src = oracle
+    path = tmp_path / "t.bin"
+    path.write_bytes(src.read_bytes())
+    t = load_table(path)
+    _rewrite_byte(path, _HEAD + 3 * _CRC_BLOCK + 17)
+    with pytest.raises(OSError, match="changed after it was checked"):
+        t.save(tmp_path / "again.bin")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]  # neither the target nor its .tmp
+
+
+def test_load_or_build_rebuilds_a_cache_removed_during_its_load(tmp_path, monkeypatch):
+    # a concurrent clean-up may unlink the cache between the lookup and the open
+    path = build_table(1000).save(cache_path(1000, tmp_path))
+    checked = load_table
+
+    def unlink_then_load(p):
+        path.unlink()
+        return checked(p)
+
+    monkeypatch.setattr("erdoslab.primes.load_table", unlink_then_load)
+    t = load_or_build(1000, tmp_path)
+    assert np.array_equal(t.primes, dense_sieve(1000))
+    assert np.array_equal(load_table(path).primes, t.primes)
+
+
+# -- a sieved table reads through the same skip index -------------------------
+
+
+@pytest.fixture(scope="module")
+def sieved():
+    """A sieved table to 400000 and the dense sieve's primes."""
+    return build_table(_ORACLE_LIMIT), dense_sieve(_ORACLE_LIMIT)
+
+
+def test_sieved_table_reads_at_the_edges(sieved):
+    t, primes = sieved
+    n = primes.size
+    # every skip block starts at rank 1 + b * _SKIP: pi searches the index, then one block
+    for r in sorted({*_edge_ranks(n), *range(0, n, _SKIP), *range(1, n, _SKIP), *range(2, n, _SKIP)}):
+        for d in (0, 1, 2, _SKIP):
+            _check_rank_reads(t, primes, r, min(r + d, n))
+        for v in (int(primes[r]) - 1, int(primes[r]), int(primes[r]) + 1):
+            _check_value_reads(t, primes, v)
+    for v in (-3, 0, 1, 2, 3, 4, 5, _ORACLE_LIMIT):
+        _check_value_reads(t, primes, v)
+    for limit in (2, 3, 4, 5):  # a table of one prime has an empty skip index
+        small, dense = build_table(limit), dense_sieve(limit)
+        for v in range(-1, limit + 1):
+            assert small.pi(v) == np.count_nonzero(dense <= v), (limit, v)
+
+
+@given(x=st.integers(-3, _ORACLE_LIMIT), width=st.integers(0, 3000), i=st.integers(0, 33_860),
+       length=st.integers(0, 40_000))
+@settings(max_examples=100, deadline=None)
+def test_sieved_table_reads_match_dense(sieved, x, width, i, length):
+    t, primes = sieved
+    _check_value_reads(t, primes, x)
+    lo, hi = max(x, 0), min(max(x, 0) + width, _ORACLE_LIMIT + 1)
+    assert np.array_equal(t.is_prime_range(lo, hi), _dense_is_prime(_ORACLE_LIMIT)[lo:hi])
+    a = min(i, primes.size)
+    _check_rank_reads(t, primes, a, min(a + length, primes.size))
