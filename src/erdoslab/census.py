@@ -1,8 +1,8 @@
 """Exact prime-tuple counts against their density predictions.
 
 count_tuples walks [1, x] in chunks: each chunk is one boolean primality
-window, marked from one walk over the table's primes, and every tuple
-ANDs its shifted slices of that window into one reused buffer.
+window from the table's ``is_prime_range``, and every tuple ANDs its
+shifted slices of that window into one reused buffer.
 log_integral evaluates the density integral int_2^x dy/log^k y by
 adaptive Gauss-Kronrod bisection, and check_tuples packages both sides
 with a normalized error, one report per tuple.
@@ -54,28 +54,11 @@ def _count_many(table: PrimeTable, tups: list[OffsetTuple], x: int) -> list[int]
     max_off = max((tup.offsets[-1] for tup in tups if tup.k), default=None)
     if max_off is None:
         return totals
-    end = table.pi(x + max_off)  # BoundsError before any counting, if the table is short
-
-    # one walk over the primes to x + max_off, cut at the window ends:
-    # ``primes`` holds those read so far from the window start a on
-    runs = table.walk(0, end, _COUNT_CHUNK >> 4)
-    primes = table.ranks(0, 0)
+    table.pi(x + max_off)  # BoundsError before any counting, if the table is short
     buf = np.empty(min(_COUNT_CHUNK, x), dtype=bool)
-    window = np.empty(buf.size + max_off, dtype=bool)
     for a in range(1, x + 1, _COUNT_CHUNK):
         b = min(a + _COUNT_CHUNK, x + 1)
-        last = b + max_off - 1  # the window is [a, last]
-        while not primes.size or primes[-1] <= last:
-            run = next(runs, None)
-            if run is None:
-                break
-            primes = np.concatenate([primes, run])
-        key = primes.dtype.type
-        win = window[: last - a + 1]
-        win[:] = False
-        inside = primes[: np.searchsorted(primes, key(last), side="right")]
-        win[np.subtract(inside, a, dtype=np.intp)] = True
-        primes = primes[np.searchsorted(primes, key(b - 1), side="right") :]
+        win = table.is_prime_range(a, b + max_off)
         acc = buf[: b - a]
         for i, tup in enumerate(tups):
             if tup.k == 0:

@@ -167,6 +167,9 @@ def _run_sieve(args) -> None:
 def _run_series(args) -> None:
     phase = _parse_phase(args.phase)
     dense = tuple(tuple(_parse_int(s) for s in w.split(":")) for w in args.dense)
+    for w, d in zip(args.dense, dense):
+        if len(d) != 2 or d[0] > d[1]:
+            raise ValueError(f"--dense expects LO:HI with LO <= HI, got {w!r}")
     erdos = args.kind == "erdos"
     table = _get_table(args.limit or (_nth_prime_upper(args.nmax) if erdos else args.nmax), args)
     partial = series_mod.erdos_partial if erdos else series_mod.parity_partial
@@ -186,6 +189,8 @@ def _run_series(args) -> None:
 def _run_equiv(args) -> None:
     phase = _parse_phase(args.phase)
     xs = [_parse_int(s) for s in args.x.split(",")]
+    if min(xs) < 2:  # before log(x) below
+        raise ValueError("x_values must be integers >= 2")
     need = max(int(x * math.log(x)) for x in xs) + 10
     table = _get_table(args.limit or max(need, _nth_prime_upper(max(xs))), args)
     rep = series_mod.verify_equivalence(table, xs, phase)

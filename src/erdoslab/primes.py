@@ -7,10 +7,11 @@ sequential read in runs. Readers elsewhere take their primes through
 these, so a short table raises BoundsError and never truncates. The
 table of ``build_table`` (a segmented odd-only sieve of Eratosthenes)
 holds the primes in one uint32 array; that of ``load_table`` holds the
-checked cache file open and decodes primes only when asked, raising
-OSError for a block whose bytes changed after the check. Only
-``_decode`` and ``_half_gaps`` know the form, and ``save`` streams the
-half-gaps in runs. A key searched in an array is cast to its dtype: numpy
+checked cache file open and decodes primes only when asked, each read
+from the skip block at or before its first rank, raising OSError for a
+block whose bytes changed after the check. Only ``_decode`` and
+``_half_gaps`` know the form, and ``save`` streams the half-gaps in
+runs. A key searched in an array is cast to its dtype: numpy
 would otherwise convert the whole array to int64 for each search. The
 binary cache (``PRIMECACHE2``) stores the half-gaps (p_{i+1} - p_i)/2
 from p = 3 on as uint8: every prime gap below 3.04e11 is at most 500
@@ -43,8 +44,8 @@ _HEAD = len(MAGIC) + _HEADER.size  # where the half-gaps start
 # sub-MiB temporaries reuse heap pages (4-8 MiB ones fault in afresh).
 SEGMENT_ODDS, _GAP_CHUNK = 1 << 20, 1 << 16
 
-# Ranks per block of the skip index: pi and the first read of a walk or
-# ranks decode at most one block beyond what they return.
+# Ranks per block of the skip index: a read of a loaded table decodes from
+# the block start at or before its first rank, at most _SKIP - 1 primes early.
 _SKIP = 1 << 10
 
 # Half-gaps per checked block of a loaded table, a multiple of _SKIP so that
@@ -73,13 +74,14 @@ class PrimeTable:
     or was cut short, raises OSError. The descriptor is that of the file
     which passed the checks, so a cache replaced or removed later reads the
     same. Both forms keep a skip index, the prime at every _SKIP-th rank
-    from p_2 = 3 on. Only ``_decode`` (primes) and ``_half_gaps`` (cache
-    bytes) know the form; ``pi``, ``ranks``, ``walk`` and ``save`` are
-    written once on top of them; ``save`` streams half-gaps in runs.
-    ``upto`` and ``first`` of a loaded table decode every prime they return
-    (up to the whole array) afresh on each call, so readers that scan take
-    runs from ``walk``. ``primes`` of a loaded table decodes the whole array
-    on first use and keeps it.
+    from p_2 = 3 on, and a loaded table decodes each read from the skip
+    block at or before its first rank. Only ``_decode`` (primes) and
+    ``_half_gaps`` (cache bytes) know the form; ``pi``, ``ranks``,
+    ``walk``, ``is_prime_range`` and ``save`` are written once on top of
+    them. ``upto`` and ``first`` of a loaded table decode every prime they
+    return (up to the whole array) afresh on each call, so readers that
+    scan take runs from ``walk``. ``primes`` of a loaded table decodes the
+    whole array on first use and keeps it.
 
     Attributes
     ----------
@@ -123,10 +125,7 @@ class PrimeTable:
             raise BoundsError(f"need primality up to {x} > table limit {self.limit}")
         if x < 2:
             return 0
-        if x < 3:
-            return 1
-        # block starts only: the block holding x, whose first prime is <= x
-        i = 1 + (int(np.searchsorted(self._skip, self._skip.dtype.type(x), side="right")) - 1) * _SKIP
+        i = self._block_start(x)
         block = self._decode(i, min(i + _SKIP, self.count))
         return i + int(np.searchsorted(block, block.dtype.type(x), side="right"))
 
@@ -145,42 +144,38 @@ class PrimeTable:
         """Yield the primes of ranks [i, j) in runs of ``size``, in order.
 
         Every run but the last also holds the first ``overlap`` primes of
-        the next. Each run is read once, with at least the first prime of
-        the next, which a loaded table decodes the next run from, so a scan
-        costs what decoding the table once does. BoundsError, before the
-        first run, when j > count.
+        the next. Each run is one ``_decode``, so runs share no state.
+        BoundsError, before the first run, when j > count.
         """
         i, j = int(i), int(j)
         self._need(j)
-        p = None
         for s in range(i, j, size):
-            e = min(s + size, j)
-            run = self._decode(s, min(e + max(overlap, 1), j), p)
-            p = int(run[e - s]) if e < j else None
-            yield run[: min(e + overlap, j) - s]
+            yield self._decode(s, min(s + size + overlap, j))
 
     def _need(self, j: int) -> None:
         if j > self.count:
             raise BoundsError(f"need p_{j} but table holds only {self.count} primes")
 
-    def _decode(self, i: int, j: int, p: int | None = None) -> np.ndarray:
-        """The primes of ranks [i, j): a view of the array, or decoded from p, the one of rank i, or the skip index."""
+    def _block_start(self, x: int) -> int:
+        """First rank of the skip block holding x >= 2, whose first prime is <= x; 0 below block 0 (x < 3)."""
+        b = int(np.searchsorted(self._skip, self._skip.dtype.type(x), side="right"))
+        return 1 + (b - 1) * _SKIP if b else 0
+
+    def _decode(self, i: int, j: int) -> np.ndarray:
+        """The primes of ranks [i, j): a view of the array, or decoded from the skip block at or before rank i."""
         if self._primes is not None:
             return self._primes[i:j]
         if i >= j:
             return np.empty(0, dtype=np.uint32)
-        if p is None and i > 0:  # from the block start at or before i
-            s = 1 + (i - 1) // _SKIP * _SKIP
-            return self._decode(s, j, int(self._skip[(i - 1) // _SKIP]))[i - s :]
-        out = run = np.empty(j - i, dtype=np.uint32)
-        if i == 0:  # 2 to 3 is the one step no half-gap holds
-            out[0] = 2
-            run, i, p = out[1:], 1, 3
+        s = max(1 + (i - 1) // _SKIP * _SKIP, 0)  # rank 0, the prime 2, comes before block 0
+        out = run = np.empty(j - s, dtype=np.uint32)
+        if s == 0:  # 2 to 3 is the one step no half-gap holds
+            out[0], run, s = 2, out[1:], 1
         if run.size:
-            run[0] = p
-            np.left_shift(self._half_gaps(i - 1, j - 2), 1, out=run[1:], dtype=np.uint32)
+            run[0] = self._skip[(s - 1) // _SKIP]
+            np.left_shift(self._half_gaps(s - 1, j - 2), 1, out=run[1:], dtype=np.uint32)
             np.cumsum(run, out=run)
-        return out
+        return out[out.size - (j - i) :]
 
     def _half_gaps(self, a: int, b: int) -> np.ndarray:
         """Half-gaps [a, b): from the array, ValueError outside [1, 255], or from whole blocks, each CRC-checked."""
@@ -234,14 +229,19 @@ class PrimeTable:
         return i > 0 and self.nth_prime(i) == int(v)
 
     def is_prime_range(self, lo: int, hi: int) -> np.ndarray:
-        """Boolean primality for every integer in [lo, hi)."""
+        """Boolean primality for every integer in [lo, hi), from one decode of the skip blocks it spans."""
         lo, hi = int(lo), int(hi)
         if lo < 0 or hi > self.limit + 1:
             raise BoundsError(f"window [{lo},{hi}) outside [0, {self.limit + 1})")
         out = np.zeros(max(hi - lo, 0), dtype=bool)
-        # hi may be 2^32, which no uint32 key holds; the primes < v are pi(v - 1)
-        a, b = self.pi(min(lo, hi) - 1), self.pi(hi - 1)
-        out[np.subtract(self.ranks(a, b), lo, dtype=np.intp)] = True
+        if hi <= max(lo, 2):  # no prime in the window
+            return out
+        # the blocks holding lo and hi - 1 (hi may be 2^32, which no uint32 key holds)
+        i, j = self._block_start(max(lo, 2)), self._block_start(hi - 1) + _SKIP
+        primes = self._decode(i, min(j, self.count))
+        key = primes.dtype.type
+        inside = primes[np.searchsorted(primes, key(lo)) : np.searchsorted(primes, key(hi - 1), side="right")]
+        out[np.subtract(inside, lo, dtype=np.intp)] = True
         return out
 
     # -- cache file ----------------------------------------------------

@@ -352,6 +352,32 @@ def test_corrupt_cache_is_rebuilt(workdir, corrupt, reason):
     assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "--kind=erdos", "--nmax=30000"],
+    ["series", "--kind=parity", "--nmax=400000"],
+    ["equiv", "--x=1000,30000"],
+    ["tuples", "--tuple=0,2", "--tuple=0,2,6", "--x=300000"],
+    ["gaps", "series", "--nmax=30000"],
+    ["gaps", "smallgap", "--X=150000", "--lambdas=0.5"],
+    ["gaps", "blocks"],
+    ["parity", "--x=100000", "--points=10000", "--seed=1"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_loaded_table_writes_the_sieved_artifacts(workdir, monkeypatch, argv):
+    # 33860 primes to 400000: 34 skip blocks and 9 CRC blocks of a loaded table
+    assert main(["sieve", "--limit=400000", "--out=sieve.csv"]) == 0
+    loaded, checked = [], primes_mod.load_table
+
+    def load(path):
+        loaded.append(checked(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(primes_mod, "load_table", load)
+    assert main([*argv, "--limit=400000", "--out=cached.csv"]) == 0
+    assert [t.limit for t in loaded] == [400_000]  # the file sieve wrote, not a rebuild
+    assert main([*argv, "--limit=400000", "--no-cache", "--out=fresh.csv"]) == 0
+    assert (workdir / "cached.csv").read_bytes() == (workdir / "fresh.csv").read_bytes()
+
+
 def test_cache_changed_after_its_load_exits_3(workdir, monkeypatch, capsys):
     # a half-gap rewritten in place between the load's checks and the reads
     # (an atomic save never does that; another writer or a faulty disk might)
@@ -594,6 +620,7 @@ def test_model_table_covers_the_cutoff():
 
 
 _NOT_INT = "expected an integer in (-2^63, 2^63), got '1.5'"
+_NOT_WINDOW = "error: invalid: --dense expects LO:HI with LO <= HI, got"
 
 
 @pytest.mark.parametrize(
@@ -603,8 +630,13 @@ _NOT_INT = "expected an integer in (-2^63, 2^63), got '1.5'"
      # parsed by the runners, not by argparse
      (["equiv", "--x=100,1.5"], f"error: invalid: {_NOT_INT}"),
      (["series", "--nmax=100", "--dense=1.5:3"], f"error: invalid: {_NOT_INT}"),
-     (["tuples", "--tuple=0,2", "--x=100", "--eps=2"], "error: invalid: epsilon must be in (0,1), got 2.0")],
-    ids=["nmax 1.5", "nmax ten", "equiv x", "dense", "eps 2"],
+     (["tuples", "--tuple=0,2", "--x=100", "--eps=2"], "error: invalid: epsilon must be in (0,1), got 2.0"),
+     (["series", "--nmax=1000", "--dense=10:5", "--average"], f"{_NOT_WINDOW} '10:5'"),
+     (["series", "--nmax=1000", "--dense=5"], f"{_NOT_WINDOW} '5'"),
+     (["series", "--nmax=1000", "--dense=1:2:3"], f"{_NOT_WINDOW} '1:2:3'"),
+     (["equiv", "--x=0"], "error: invalid: x_values must be integers >= 2")],
+    ids=["nmax 1.5", "nmax ten", "equiv x", "dense", "eps 2",
+         "dense reversed", "dense one value", "dense three values", "equiv x 0"],
 )
 def test_invalid_option_message_exits_2(workdir, capsys, argv, err):
     try:

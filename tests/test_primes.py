@@ -393,6 +393,11 @@ def _check_rank_reads(t, primes, a, b):
             assert all(np.array_equal(r, w) for r, w in zip(runs, want)), (a, stop, size, overlap)
 
 
+def _check_window(t, lo, hi):
+    hi = min(hi, _ORACLE_LIMIT + 1)
+    assert np.array_equal(t.is_prime_range(lo, hi), _dense_is_prime(_ORACLE_LIMIT)[lo:hi]), (lo, hi)
+
+
 def _check_value_reads(t, primes, v):
     if v <= _ORACLE_LIMIT:
         assert t.pi(v) == np.count_nonzero(primes <= v), v
@@ -411,10 +416,13 @@ def test_loaded_table_reads_at_the_edges(oracle, tmp_path):
             assert t.gap(r + 1) == primes[r + 1] - primes[r]
         for v in (int(primes[r]) - 1, int(primes[r]), int(primes[r]) + 1):
             _check_value_reads(t, primes, v)
+            for w in (1, 64):
+                _check_window(t, v, v + w)
     for v in (-3, 0, 1, 2, 3, 4, 5, _ORACLE_LIMIT):
         _check_value_reads(t, primes, v)
     end = _ORACLE_LIMIT + 1
-    for lo, hi in [(0, end), (0, 6), (2, 3), (end - 97, end), (end, end)]:
+    spans = (int(primes[_SKIP]) - 1, int(primes[4 * _SKIP]) + 1)  # skip blocks 0 to 4
+    for lo, hi in [(0, end), (0, 6), (2, 3), (end - 97, end), (end, end), spans]:
         assert np.array_equal(t.is_prime_range(lo, hi), _dense_is_prime(_ORACLE_LIMIT)[lo:hi])
     with pytest.raises(BoundsError, match=f"need p_{n + 1} but table holds only {n} primes"):
         t.ranks(0, n + 1)
@@ -628,8 +636,11 @@ def test_sieved_table_reads_at_the_edges(sieved):
             _check_rank_reads(t, primes, r, min(r + d, n))
         for v in (int(primes[r]) - 1, int(primes[r]), int(primes[r]) + 1):
             _check_value_reads(t, primes, v)
+            for w in (1, 64):
+                _check_window(t, v, v + w)
     for v in (-3, 0, 1, 2, 3, 4, 5, _ORACLE_LIMIT):
         _check_value_reads(t, primes, v)
+    _check_window(t, int(primes[_SKIP]) - 1, int(primes[4 * _SKIP]) + 1)  # skip blocks 0 to 4
     for limit in (2, 3, 4, 5):  # a table of one prime has an empty skip index
         small, dense = build_table(limit), dense_sieve(limit)
         for v in range(-1, limit + 1):
