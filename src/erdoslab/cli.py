@@ -226,6 +226,8 @@ def _run_singular(args) -> None:
 def _run_paircorr(args) -> None:
     if args.step < 1:
         raise ValueError(f"--step must be >= 1, got {args.step}")
+    if args.hmin > args.hmax:
+        raise ValueError(f"--hmin must be <= --hmax, got {args.hmin} > {args.hmax}")
     hs = np.arange(args.hmin, args.hmax + 1, args.step, dtype=np.int64)
     curve = singular_mod.pair_correlation_curve(hs)
     # empirical first H from which the square bound holds through hmax
@@ -339,6 +341,8 @@ def _run_gaps(args) -> None:
 
 
 def _run_parity(args) -> None:
+    if args.x < 10:  # before log(x)
+        raise ValueError(f"x must be >= 10, got {args.x}")
     window = int(args.lam * math.log(args.x))
     table = _get_table(args.limit or (args.x + int(args.x**0.9) + window + 10), args)
     rep = gaps_mod.empirical_parity_statistic(table, args.x, args.lam, args.points, args.seed)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import residues_for_prime
 from .primes import PrimeTable
-from .series import PartialSumTrace, _prime_pieces, _scan, checkpoint_indices
+from .series import PartialSumTrace, _scan, checkpoint_indices
 from .singular import gallagher_sum
 
 KINDS = ("reciprocal_weighted", "alternating_gap", "alternating_weighted_gap", "theta_family")
@@ -72,11 +72,14 @@ def gap_series_partial(table: PrimeTable, config: GapSeriesConfig, n_max: int) -
 
 
 def _gap_terms(table: PrimeTable, config: GapSeriesConfig, n_max: int):
-    """Yield pieces (n, t) of the unsigned gap series terms for start_index <= n <= n_max."""
-    for (a, b), p in _prime_pieces(table, config.start_index, n_max + 1, overlap=1):
-        idx = np.arange(a, b)
-        n = idx.astype(np.float64)
+    """Yield pieces (n, t), one per walk run, of the unsigned gap series terms for start_index <= n <= n_max."""
+    # term n takes the gap p_(n+1) - p_n: the walk runs to rank n_max + 1
+    for s, _, p in table.walk(config.start_index - 1, n_max + 1):
         g = np.diff(p).astype(np.float64)
+        if not g.size:  # a last run of one prime adds no term
+            continue
+        idx = np.arange(s + 1, s + 1 + g.size)
+        n = idx.astype(np.float64)
         if config.kind == "reciprocal_weighted":
             t = 1.0 / (n * np.log(np.log(n)) ** config.c * g)
         elif config.kind == "alternating_gap":

@@ -144,7 +144,8 @@ def sieve_cutoff(x: float, table: PrimeTable) -> int:
     target = 1.0 / math.log(x)
     chunk = 4096
     carry = _LD(1.0)
-    for p in table.walk(0, table.count, chunk):
+    for a in range(0, table.count, chunk):
+        p = table.ranks(a, min(a + chunk, table.count))
         cum = carry * np.cumprod((1.0 - 1.0 / p.astype(np.float64)).astype(_LD))
         hits = np.flatnonzero(cum <= _LD(target))
         if hits.size:

@@ -3,21 +3,22 @@
 The central object is :class:`PrimeTable`: every prime up to a limit
 below 2^32, with O(log) rank queries (``pi``, ``nth_prime``, ``gap``),
 the bounded reads ``ranks``, ``upto`` and ``first``, and ``walk``, a
-sequential read in runs. Readers elsewhere take their primes through
-these, so a short table raises BoundsError and never truncates. The
-table of ``build_table`` (a segmented odd-only sieve of Eratosthenes)
-holds the primes in one uint32 array; that of ``load_table`` holds the
-checked cache file open and decodes primes only when asked, each read
-from the skip block at or before its first rank, raising OSError for a
-block whose bytes changed after the check. Only ``_decode`` and
-``_half_gaps`` know the form, and ``save`` streams the half-gaps in
-runs. A key searched in an array is cast to its dtype: numpy
-would otherwise convert the whole array to int64 for each search. The
-binary cache (``PRIMECACHE2``) stores the half-gaps (p_{i+1} - p_i)/2
-from p = 3 on as uint8: every prime gap below 3.04e11 is at most 500
-(Oliveira e Silva, Herzog and Pardi, Math. Comp. 2014). A file that
-fails a check, such as an old ``PRIMECACHE1`` bitset, is rebuilt on
-first use; every check runs before any prime is decoded.
+sequential read in runs cut where the cache's checked blocks start.
+Readers elsewhere take their primes through these, so a short table
+raises BoundsError and never truncates. The table of ``build_table`` (a
+segmented odd-only sieve of Eratosthenes) holds the primes in one uint32
+array; that of ``load_table`` holds the checked cache file open and
+decodes primes only when asked, each read from the skip block at or
+before its first rank, raising OSError for a block whose bytes changed
+after the check. Only ``_decode`` and ``_half_gaps`` know the form, and
+``save`` streams the half-gaps in runs. A key searched in an array is
+cast to its dtype: numpy would otherwise convert the whole array to
+int64 for each search. The binary cache (``PRIMECACHE2``) stores the
+half-gaps (p_{i+1} - p_i)/2 from p = 3 on as uint8: every prime gap
+below 3.04e11 is at most 500 (Oliveira e Silva, Herzog and Pardi, Math.
+Comp. 2014). A file that fails a check, such as an old ``PRIMECACHE1``
+bitset, is rebuilt on first use; every check runs before any prime is
+decoded.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ SEGMENT_ODDS, _GAP_CHUNK = 1 << 20, 1 << 16
 _SKIP = 1 << 10
 
 # Half-gaps per checked block of a loaded table, a multiple of _SKIP so that
-# pi reads one block, and bytes per read of load_table's checking pass.
+# pi reads one block; bytes per read of load_table's checking pass; and ranks
+# per run of walk, whose runs start at ranks 1 + m*_RUN, where blocks start.
 _CRC_BLOCK, _LOAD_READ = 1 << 12, 1 << 20
+_RUN = 4 * _CRC_BLOCK
 
 # Every table limit lies below this: its primes are uint32.
 LIMIT_CAP = 1 << 32
@@ -134,27 +137,31 @@ class PrimeTable:
 
         A view of the primes, or of a loaded table a freshly decoded array.
         """
-        i, j = int(i), int(j)
-        self._need(j)
-        if not 0 <= i <= j:
-            raise ValueError(f"rank range [{i}, {j}) is not ordered")
-        return self._decode(i, j)
+        return self._decode(*self._span(i, j))
 
-    def walk(self, i: int, j: int, size: int, overlap: int = 0):
-        """Yield the primes of ranks [i, j) in runs of ``size``, in order.
+    def walk(self, i: int, j: int):
+        """Yield runs ``(s, e, primes)`` whose ranks [s, e) cover [i, j), in order.
 
-        Every run but the last also holds the first ``overlap`` primes of
-        the next. Each run is one ``_decode``, so runs share no state.
-        BoundsError, before the first run, when j > count.
+        Runs after the first start at ranks 1 + m*_RUN, where a skip block
+        and a CRC block begin, so a loaded table reads each block once and
+        decodes no prime it does not return but those before rank i in its
+        skip block. ``primes`` holds ranks [s, min(e + 1, j)), so each run
+        but the last holds the next one's first. Checked as ``ranks`` is.
         """
-        i, j = int(i), int(j)
-        self._need(j)
-        for s in range(i, j, size):
-            yield self._decode(s, min(s + size + overlap, j))
+        i, j = self._span(i, j)
+        while i < j:
+            e = min(i - (i - 1) % _RUN + _RUN, j)  # the first rank 1 + m*_RUN after i
+            yield i, e, self._decode(i, min(e + 1, j))
+            i = e
 
-    def _need(self, j: int) -> None:
+    def _span(self, i: int, j: int) -> tuple[int, int]:
+        """The ranks [i, j) as ints; BoundsError when j > count, ValueError unless 0 <= i <= j."""
+        i, j = int(i), int(j)
         if j > self.count:
             raise BoundsError(f"need p_{j} but table holds only {self.count} primes")
+        if not 0 <= i <= j:
+            raise ValueError(f"rank range [{i}, {j}) is not ordered")
+        return i, j
 
     def _block_start(self, x: int) -> int:
         """First rank of the skip block holding x >= 2, whose first prime is <= x; 0 below block 0 (x < 3)."""

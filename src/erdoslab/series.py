@@ -8,11 +8,11 @@ the two series track each other up to a constant.
 Accumulation is compensated: chunk prefixes are carried in extended
 precision and every checkpoint stores the float64 value plus the residual
 (compensation) beyond it, so downstream consumers can reconstruct the sum
-to better than float64. Term producers yield pieces ``(ends, k, mags)`` of
-unsigned terms and the exponent k of the phase that multiplies each; one
-scan (_scan) alone decides which chunk a term belongs to and which phase
-power it gets, and folds the prefixes through a reused buffer of _SUB + 1
-extended-precision values, so no value depends on how the pieces are cut.
+to better than float64. Term producers yield pieces ``(ends, k, mags)``,
+one per run of ``PrimeTable.walk`` (which alone cuts the runs), of unsigned
+terms and the exponent k of the phase on each. One scan (_scan) alone
+decides each term's chunk and phase power, and folds the prefixes through a
+reused buffer of _SUB + 1 longdouble values, so no value depends on the cuts.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ RENORM_STEPS = 1 << 16
 # Real-phase scans carry exact signs, so larger chunks are safe.
 _REAL_CHUNK = 1 << 20
 
-# Producers yield pieces of this many terms (the parity series: prime gaps)
-# and _scan takes prefixes this many terms at a time, so that a piece's
+# _scan takes prefixes this many terms at a time, and the parity series'
+# per-integer head comes in pieces of this many integers, so that a piece's
 # arrays stay in cache; it sets no value (see _scan).
 _SUB = 1 << 14
 
@@ -57,17 +57,6 @@ def _as_phase(phase: complex) -> complex:
 def _is_sign(phase: complex) -> bool:
     """Whether the phase is exactly +1 or -1, so its powers are exact float64 signs."""
     return phase.imag == 0.0 and phase.real in (1.0, -1.0)
-
-
-def _pieces(lo: int, hi: int):
-    """Cut [lo, hi) into consecutive spans (s, e) of at most _SUB integers."""
-    return ((s, min(s + _SUB, hi)) for s in range(lo, hi, _SUB))
-
-
-def _prime_pieces(table: PrimeTable, lo: int, hi: int, overlap: int = 0):
-    """Pair each span (s, e) of _pieces(lo, hi) with p_s ... p_(e-1) and the ``overlap`` primes after."""
-    # pieces first: zip then stops before a last run that lies past them
-    return zip(_pieces(lo, hi), table.walk(lo - 1, hi - 1 + overlap, _SUB, overlap))
 
 
 @dataclass
@@ -115,7 +104,7 @@ def checkpoint_indices(
     dense_windows: tuple[tuple[int, int], ...] = (),
     explicit: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Geometric checkpoints from start to stop plus dense unit-step windows."""
+    """Geometric checkpoints from start to stop plus dense unit-step windows (lo, hi), lo <= hi."""
     if stop < start:
         raise ValueError(f"stop={stop} precedes start={start}")
     if explicit is not None:
@@ -132,7 +121,10 @@ def checkpoint_indices(
         grid = np.array(marks, dtype=np.int64)
     parts = [grid, np.array([stop], dtype=np.int64)]
     for lo, hi in dense_windows:
-        parts.append(np.arange(max(int(lo), start), min(int(hi), stop) + 1, dtype=np.int64))
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise ValueError(f"dense window ({lo}, {hi}) has lo > hi")
+        parts.append(np.arange(max(lo, start), min(hi, stop) + 1, dtype=np.int64))
     return np.unique(np.concatenate(parts))
 
 
@@ -226,10 +218,10 @@ def _phase_powers(phase: complex, carry: complex, count: int) -> tuple[np.ndarra
 
 
 def _erdos_terms(table: PrimeTable, first: int, last: int):
-    """Yield pieces (n, t) of at most _SUB terms t[i] = n[i] / p_(n[i]) for first <= n <= last."""
-    for (s, e), p in _prime_pieces(table, first, last + 1):
-        n = np.arange(s, e)
-        yield n, n / p
+    """Yield pieces (n, t), one per run of ``walk``, of terms t[i] = n[i] / p_(n[i]) for first <= n <= last."""
+    for s, e, p in table.walk(first - 1, last):
+        n = np.arange(s + 1, e + 1)
+        yield n, n / p[: n.size]
 
 
 def erdos_partial(
@@ -285,12 +277,13 @@ def _parity_blocks(table: PrimeTable, m_max: int, checkpoints: np.ndarray):
     _BLOCK_CUTOFF every integer is a block of its own, and a piece spans
     _SUB integers. From it on a block runs from one prime to the next, cut
     at _BLOCK_CUTOFF, at m_max + 1 and after every checkpoint, and a piece
-    spans _SUB values of k.
+    spans the values of k of one run of ``walk``.
     """
     j1 = table.pi(m_max)  # k of the last block
     cut = min(_BLOCK_CUTOFF, m_max + 1)
     head_k = np.cumsum(table.is_prime_range(2, cut))
-    for s, e in _pieces(2, cut):
+    for s in range(2, cut, _SUB):
+        e = min(s + _SUB, cut)
         m = np.arange(s, e, dtype=np.float64)
         yield np.arange(s, e), head_k[s - 2 : e - 2], 1.0 / (m * np.log(m))
     if m_max < _BLOCK_CUTOFF:
@@ -298,16 +291,15 @@ def _parity_blocks(table: PrimeTable, m_max: int, checkpoints: np.ndarray):
     j0 = table.pi(_BLOCK_CUTOFF)  # k of the first block
     splits = checkpoints[checkpoints >= _BLOCK_CUTOFF] + 1
     # every prime <= m_max; a run holds the next run's first prime too
-    runs = table.walk(j0 - 1, j1, _SUB, overlap=1)
-    for (s, e), p in zip(_pieces(j0, j1 + 1), runs):
+    for s, e, p in table.walk(j0 - 1, j1):
         # block k starts at p_k and ends where block k + 1 starts
         edges = np.empty(e - s + 1, dtype=np.int64)
         edges[: p.size] = p
-        if e > j1:
+        if e == j1:
             edges[-1] = m_max + 1
-        if s == j0:
+        if s == j0 - 1:
             edges[0] = _BLOCK_CUTOFF
-        k = np.arange(s, e)
+        k = np.arange(s + 1, e + 1)
         inside = np.searchsorted(splits, [edges[0] + 1, edges[-1]])
         cuts = splits[inside[0] : inside[1]]
         pos = np.searchsorted(edges, cuts)
@@ -442,14 +434,14 @@ def oscillation_stats(table: PrimeTable, n_lo: int, n_hi: int) -> tuple[float, f
     if not 1 <= n_lo < n_hi:
         raise ValueError("need 1 <= n_lo < n_hi")
 
+    table.nth_prime(n_hi)  # BoundsError before any chunk is summed
     raw = _LD(0.0)
     avg = _LD(0.0)
     prev = np.empty(0)  # the last magnitude before the chunk
-    # BoundsError before any chunk is summed
-    runs = table.walk(n_lo, n_hi, _REAL_CHUNK)
-    for a, p in zip(range(n_lo + 1, n_hi + 1, _REAL_CHUNK), runs):
+    for a in range(n_lo, n_hi, _REAL_CHUNK):
         # one whole chunk, so that the longdouble sums keep their pairwise order
-        m = np.arange(a, a + p.size) / p
+        p = table.ranks(a, min(a + _REAL_CHUNK, n_hi))
+        m = np.arange(a + 1, a + 1 + p.size) / p
         raw += m.astype(_LD).sum()
         avg += (np.abs(np.diff(m, prepend=prev)) / 2.0).astype(_LD).sum()
         prev = m[-1:].copy()

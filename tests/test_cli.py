@@ -634,9 +634,13 @@ _NOT_WINDOW = "error: invalid: --dense expects LO:HI with LO <= HI, got"
      (["series", "--nmax=1000", "--dense=10:5", "--average"], f"{_NOT_WINDOW} '10:5'"),
      (["series", "--nmax=1000", "--dense=5"], f"{_NOT_WINDOW} '5'"),
      (["series", "--nmax=1000", "--dense=1:2:3"], f"{_NOT_WINDOW} '1:2:3'"),
-     (["equiv", "--x=0"], "error: invalid: x_values must be integers >= 2")],
+     (["equiv", "--x=0"], "error: invalid: x_values must be integers >= 2"),
+     (["parity", "--x=0"], "error: invalid: x must be >= 10, got 0"),
+     (["parity", "--x=-5"], "error: invalid: x must be >= 10, got -5"),
+     (["paircorr", "--hmin=100", "--hmax=50"], "error: invalid: --hmin must be <= --hmax, got 100 > 50")],
     ids=["nmax 1.5", "nmax ten", "equiv x", "dense", "eps 2",
-         "dense reversed", "dense one value", "dense three values", "equiv x 0"],
+         "dense reversed", "dense one value", "dense three values", "equiv x 0",
+         "parity x 0", "parity x negative", "paircorr hmin above hmax"],
 )
 def test_invalid_option_message_exits_2(workdir, capsys, argv, err):
     try:

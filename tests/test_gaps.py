@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from erdoslab import gaps as gaps_mod
+from erdoslab import primes as primes_mod
 from erdoslab import series
 from erdoslab.errors import BoundsError
 from erdoslab.gaps import (
@@ -67,11 +68,12 @@ def test_alternating_direct_oracle():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_gap_terms_strided_sign_matches_mask(monkeypatch, kind):
-    # Pieces of 7 terms start at odd and even n in turn. The producer yields
-    # unsigned terms, bit-equal to the direct formulas; the sign _scan gives
-    # an alternating kind's term, _SIGNS[k & 1] at k = n - start + 1, must
-    # be the mask flip of it.
+    # Walk runs, and so pieces, of 7 terms start at odd and even n in turn.
+    # The producer yields unsigned terms, bit-equal to the direct formulas;
+    # the sign _scan gives an alternating kind's term, _SIGNS[k & 1] at
+    # k = n - start + 1, must be the mask flip of it.
     monkeypatch.setattr(series, "_SUB", 7)
+    monkeypatch.setattr(primes_mod, "_RUN", 7)
     cfg = GapSeriesConfig(kind=kind)
     starts = []
     for idx, t in _gap_terms(TABLE, cfg, 150):

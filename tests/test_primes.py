@@ -18,6 +18,7 @@ from erdoslab.singular import OffsetTuple, _log_head
 from erdoslab.primes import (
     _CRC_BLOCK,
     _HEAD,
+    _RUN,
     _SKIP,
     MAGIC,
     PrimeTable,
@@ -365,7 +366,6 @@ def test_cache_dir_env(tmp_path, monkeypatch):
 # -- a loaded table against the dense array it encodes ---------------------
 
 _ORACLE_LIMIT = 400_000  # 33860 primes: many skip blocks, and walks of 2^14 cross two
-_WALK_SIZES = (1, 7, 2**14)
 
 
 @pytest.fixture(scope="module")
@@ -384,13 +384,14 @@ def _edge_ranks(n):
 def _check_rank_reads(t, primes, a, b):
     got = t.ranks(a, b)
     assert got.dtype == np.uint32 and np.array_equal(got, primes[a:b]), (a, b)
-    for size in _WALK_SIZES:
-        for overlap in (0, 1):
-            stop = min(b, a + 50 * size)  # at most 50 runs
-            want = [primes[s : min(s + size + overlap, stop)] for s in range(a, stop, size)]
-            runs = list(t.walk(a, stop, size, overlap))
-            assert len(runs) == len(want), (a, stop, size, overlap)
-            assert all(np.array_equal(r, w) for r, w in zip(runs, want)), (a, stop, size, overlap)
+    # contiguous non-empty runs cover [a, b), each after the first starting at
+    # 1 + m*_RUN and holding the next one's first prime
+    runs = list(t.walk(a, b))
+    edges = [a] + [e for _, e, _ in runs]
+    assert [s for s, _, _ in runs] == edges[:-1] and edges[-1] == b, (a, b)
+    assert all(s < e for s, e, _ in runs), (a, b)
+    assert all((s - 1) % _RUN == 0 for s, _, _ in runs[1:]), (a, b)
+    assert all(np.array_equal(p, primes[s : min(e + 1, b)]) for s, e, p in runs), (a, b)
 
 
 def _check_window(t, lo, hi):
@@ -427,7 +428,10 @@ def test_loaded_table_reads_at_the_edges(oracle, tmp_path):
     with pytest.raises(BoundsError, match=f"need p_{n + 1} but table holds only {n} primes"):
         t.ranks(0, n + 1)
     with pytest.raises(BoundsError, match=f"need p_{n + 1} but table holds only {n} primes"):
-        next(t.walk(n - 5, n + 1, 7))
+        next(t.walk(n - 5, n + 1))
+    for i, j in ((-2, 4), (5, 3)):  # as ranks does, in either form
+        with pytest.raises(ValueError, match="is not ordered"):
+            next(t.walk(i, j))
     # a loaded table writes the file it came from, without decoding it whole
     assert t.save(tmp_path / "again.bin").read_bytes() == path.read_bytes()
     assert t._primes is None  # every read above ran on the half-gaps
@@ -502,11 +506,31 @@ def test_a_block_changed_after_the_load_raises_oserror(oracle, tmp_path, block):
         lambda: t.ranks(first, last),
         lambda: t.pi(int(primes[first + 100])),
         lambda: t.nth_prime(first + 100),
-        lambda: list(t.walk(0, primes.size, 2**14)),
+        lambda: list(t.walk(0, primes.size)),
         lambda: t.primes,
     ):
         with pytest.raises(OSError, match="changed after it was checked"):
             read()
+
+
+def test_a_loaded_walk_reads_each_half_gap_once(oracle, monkeypatch):
+    # runs start where a CRC block starts, so no block is read twice: a walk
+    # of every rank reads the count - 2 half-gaps once, and one from an
+    # unaligned rank at most the blocks at its two ends besides
+    primes, path = oracle
+    t = load_table(path)
+    read, pread = [], os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, at: read.append(n) or pread(fd, n, at))
+
+    def bytes_read(i, j):
+        read.clear()
+        runs = list(t.walk(i, j))
+        assert len(runs) > 1
+        assert np.array_equal(np.concatenate([p[: e - s] for s, e, p in runs]), primes[i:j])
+        return sum(read)
+
+    assert bytes_read(0, primes.size) == primes.size - 2
+    assert bytes_read(9, 20_000) <= 20_000 - 9 + 2 * _CRC_BLOCK
 
 
 def test_a_file_cut_short_after_the_load_raises_oserror(oracle, tmp_path):
@@ -641,6 +665,9 @@ def test_sieved_table_reads_at_the_edges(sieved):
     for v in (-3, 0, 1, 2, 3, 4, 5, _ORACLE_LIMIT):
         _check_value_reads(t, primes, v)
     _check_window(t, int(primes[_SKIP]) - 1, int(primes[4 * _SKIP]) + 1)  # skip blocks 0 to 4
+    for i, j in ((-2, 4), (5, 3)):  # as ranks does, in either form
+        with pytest.raises(ValueError, match="is not ordered"):
+            next(t.walk(i, j))
     for limit in (2, 3, 4, 5):  # a table of one prime has an empty skip index
         small, dense = build_table(limit), dense_sieve(limit)
         for v in range(-1, limit + 1):

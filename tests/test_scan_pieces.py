@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _chunk_scan
+from erdoslab import primes as primes_mod
 from erdoslab import series
 from erdoslab.gaps import KINDS, GapSeriesConfig, gap_series_partial
 from erdoslab.primes import build_table
@@ -35,7 +36,10 @@ _LD = np.longdouble
 
 
 def _set_checkpoint_indices(start, stop, ratio=1.25, dense_windows=(), explicit=None):
-    """Oracle: the checkpoint builder that collected its marks in a Python set."""
+    """Oracle: the checkpoint builder that collected its marks in a Python set.
+
+    It rejects a reversed dense window, as ``checkpoint_indices`` does.
+    """
     if stop < start:
         raise ValueError(f"stop={stop} precedes start={start}")
     marks = set()
@@ -51,6 +55,8 @@ def _set_checkpoint_indices(start, stop, ratio=1.25, dense_windows=(), explicit=
             c = max(c + 1, int(math.ceil(c * ratio)))
     marks.add(stop)
     for lo, hi in dense_windows:
+        if int(lo) > int(hi):
+            raise ValueError(f"dense window ({int(lo)}, {int(hi)}) has lo > hi")
         lo, hi = max(int(lo), start), min(int(hi), stop)
         marks.update(range(lo, hi + 1))
     return np.array(sorted(marks), dtype=np.int64)
@@ -188,12 +194,13 @@ def _assert_same_bits(got, want):
 
 @pytest.fixture
 def small_pieces(monkeypatch):
-    """Pieces of 5 terms in chunks of 24 (phases +-1) or 20 (other phases).
+    """Pieces (and walk runs) of 5 terms in chunks of 24 (phases +-1) or 20 (other phases).
 
     The parity series sums per gap from 50 on; pi(50) = 15 is below both
     chunk lengths, so the per-integer head stays in chunk 0.
     """
     monkeypatch.setattr(series, "_SUB", 5)
+    monkeypatch.setattr(primes_mod, "_RUN", 5)
     monkeypatch.setattr(series, "_REAL_CHUNK", 24)
     monkeypatch.setattr(series, "RENORM_STEPS", 20)
     monkeypatch.setattr(series, "_BLOCK_CUTOFF", 50)
@@ -275,6 +282,7 @@ def test_piece_cuts_do_not_matter(kind, phase, sizes):
     # straddle the chunk edges (every 20 or 24 terms) and _SUB = 5 cuts
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "_SUB", 5)
+        mp.setattr(primes_mod, "_RUN", 5)
         mp.setattr(series, "_REAL_CHUNK", 24)
         mp.setattr(series, "RENORM_STEPS", 20)
         mp.setattr(series, "_BLOCK_CUTOFF", 50)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from erdoslab.errors import BoundsError
 from erdoslab.primes import build_table
+from erdoslab import primes as primes_mod
 from erdoslab import series
 from erdoslab.series import (
     _REAL_CHUNK,
@@ -234,10 +235,11 @@ def test_parity_scan_frees_each_chunk(big_table):
 
 @pytest.mark.parametrize("first", [1, 2, 9, 100])
 def test_strided_sign_matches_mask(monkeypatch, first):
-    # Pieces of 7 terms start at odd and even n in turn. The producer yields
-    # n / p_n unsigned, bit-equal to the direct formula; the sign _scan gives
+    # Walk runs, and so pieces, of 7 terms start at odd and even n in turn.
+    # The producer yields n / p_n unsigned, bit-equal to the direct formula; the sign _scan gives
     # the term at phase -1, _SIGNS[n & 1], must be the mask flip of it.
     monkeypatch.setattr(series, "_SUB", 7)
+    monkeypatch.setattr(primes_mod, "_RUN", 7)
     last = 150
     starts = []
     for n, t in _erdos_terms(TABLE, first, last):
