@@ -285,6 +285,9 @@ def _run_model(args) -> None:
         _emit(args.out, args.format, "model", config,
               ["seed", "sample_index", "size", "survivors"], rows)
     else:  # moments
+        if not cfg.window_len <= w <= cfg.cutoff_z:
+            raise ValueError(
+                f"--w must lie in [{cfg.window_len}, {cfg.cutoff_z}], the window to the cutoff, got {w}")
         rep = model_mod.moments(cfg, w, args.samples, table)
         config = {**base, "action": "moments", "w": w, "samples": args.samples}
         rows = [(rep.w, rep.sample_count, rep.mean, rep.variance,

@@ -103,21 +103,18 @@ class DyadicBlockStats:
 
 
 def dyadic_gap_stats(table: PrimeTable) -> list[DyadicBlockStats]:
-    """Min/max prime gap over each dyadic index block [N, 2N), N = 2, 4, 8, ..., in the table."""
+    """Min/max prime gap over each dyadic index block [N, 2N), N = 2, 4, 8, ..., in the table.
+
+    Each block folds over the runs of ``table.walk``, whose diffs already
+    hold the gap to the next run, so no more than one run is decoded at once.
+    """
     out = []
     n_lo = 2
     while n_lo < table.count:
         n_hi = min(2 * n_lo, table.count)
-        block = np.diff(table.ranks(n_lo - 1, n_hi))
-        out.append(
-            DyadicBlockStats(
-                n_lo=n_lo,
-                n_hi=n_hi,
-                min_gap=int(block.min()),
-                max_gap=int(block.max()),
-                has_gap_two=bool((block == 2).any()),
-            )
-        )
+        gaps = (np.diff(p) for _, _, p in table.walk(n_lo - 1, n_hi))
+        lo, hi, two = zip(*((g.min(), g.max(), (g == 2).any()) for g in gaps if g.size))
+        out.append(DyadicBlockStats(n_lo, n_hi, int(min(lo)), int(max(hi)), bool(any(two))))
         n_lo = 2 * n_lo
     return out
 
@@ -148,9 +145,8 @@ def small_gap_count(table: PrimeTable, X: int, lam: float) -> SmallGapReport:
     logX = math.log(X)
     # primes p_(i0+1) ... p_(i1) lie in [X, 2X); the last gap needs p_(i1+1)
     i0, i1 = table.pi(X - 1), table.pi(2 * X - 1)
-    g = np.diff(table.ranks(i0, i1 + 1))
     threshold = lam * logX
-    count = int(np.count_nonzero(g <= threshold))
+    count = sum(int(np.count_nonzero(np.diff(p) <= threshold)) for _, _, p in table.walk(i0, i1 + 1))
     M = int(threshold)
     main = gallagher_sum(2, M) if M >= 2 else 0.0
     return SmallGapReport(

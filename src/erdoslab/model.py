@@ -518,26 +518,26 @@ def binomial_moment_sum(
 
 
 def exact_parity_bias(config: ModelConfig, table: PrimeTable, combo_limit: int = 10**7) -> float:
-    """Mean of (-1)^(survivor count) by full enumeration of residue tuples.
+    """Mean of (-1)^(survivor count) over all residue tuples, exactly.
 
-    Only feasible for small cutoffs: the state space is the product of all
-    primes up to the cutoff.
+    Primes p <= L = window_len sift a count of tuples per survivor mask of
+    [1, L], exact in float64 (below primorial(L) < 2^53 for L <= 42). A
+    larger prime meets the window at most once, so s of its p residues kill
+    one of s survivors. combo_limit bounds the 2^L masks.
     """
+    L = config.window_len
     primes = [int(p) for p in table.upto(config.cutoff_z)]
-    n_combos = 1
-    for p in primes:
-        n_combos *= p
-    if n_combos > combo_limit:
-        raise ValueError(f"{n_combos} residue combinations exceed limit {combo_limit}")
-    if not primes:
-        return 1.0 if config.window_len % 2 == 0 else -1.0
-
-    grids = np.indices(primes).reshape(len(primes), -1)
-    sizes = np.zeros(n_combos, dtype=np.int64)
-    for h in range(1, config.window_len + 1):
-        alive = np.ones(n_combos, dtype=bool)
-        for j, p in enumerate(primes):
-            alive &= grids[j] != (h % p)
-        sizes += alive
-    signs_total = n_combos - 2 * int(np.count_nonzero(sizes & 1))
-    return float(Fraction(signs_total, n_combos))
+    if 2**L > combo_limit:
+        raise ValueError(f"{2**L} survivor masks exceed limit {combo_limit}")
+    masks, counts, total = np.arange(2**L), np.zeros(2**L), 1
+    counts[-1] = 1.0  # before any sifting, every offset survives
+    for p in (p for p in primes if p <= L):
+        kills = [sum(1 << i for i in range(a, L, p)) for a in range(p)]
+        counts = sum(np.bincount(masks & ~k, weights=counts, minlength=2**L) for k in kills)
+        total *= p
+    pop = _POPCOUNT8[masks.view(np.uint8)].reshape(2**L, -1).sum(axis=1)
+    n = [int(c) for c in np.bincount(pop, weights=counts, minlength=L + 1)]
+    for p in (p for p in primes if p > L):
+        n = [c * (p - s) + d * (s + 1) for s, (c, d) in enumerate(zip(n, n[1:] + [0]))]
+        total *= p
+    return (sum(n[::2]) - sum(n[1::2])) / total

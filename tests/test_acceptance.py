@@ -136,8 +136,19 @@ def test_criterion_07_exact_small_scale_bias(model_table):
     mc = parity_bias(cfg, 100_000, model_table)
     se = parity_bias_stderr(mc, 100_000)
     assert abs(mc - exact) <= 3 * se
-    _ok(7, f"window {cfg.window_len}, cutoff {cfg.cutoff_z}: enumeration "
-           f"{exact:.6f} vs Monte Carlo {mc:.6f} (|diff|/se = {abs(mc - exact) / se:.2f})")
+    # desk scale, where the residue tuples number the primorial of 2293
+    desk = ModelConfig.from_scale(1e6, 1.0, model_table, seed=SEED)
+    exact_desk = exact_parity_bias(desk, model_table)
+    mc_desk = parity_bias(desk, 100_000, model_table)
+    se_desk = parity_bias_stderr(mc_desk, 100_000)
+    assert abs(mc_desk - exact_desk) <= 3 * se_desk
+    lo, hi = load_fixture()["model"]["bias_lambda1_band"]
+    assert lo <= exact_desk <= hi
+    _ok(7, f"window {cfg.window_len}, cutoff {cfg.cutoff_z}: exact "
+           f"{exact:.6f} vs Monte Carlo {mc:.6f} (|diff|/se = {abs(mc - exact) / se:.2f}); "
+           f"window {desk.window_len}, cutoff {desk.cutoff_z}: exact {exact_desk:.6f} vs "
+           f"Monte Carlo {mc_desk:.6f} (|diff|/se = {abs(mc_desk - exact_desk) / se_desk:.2f}), "
+           f"in band [{lo:.4f}, {hi:.4f}]")
 
 
 def test_criterion_08_bias_decay(model_table):

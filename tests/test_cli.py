@@ -621,6 +621,7 @@ def test_model_table_covers_the_cutoff():
 
 _NOT_INT = "expected an integer in (-2^63, 2^63), got '1.5'"
 _NOT_WINDOW = "error: invalid: --dense expects LO:HI with LO <= HI, got"
+_W_RANGE = "error: invalid: --w must lie in [14, 2293], the window to the cutoff, got"
 
 
 @pytest.mark.parametrize(
@@ -637,10 +638,14 @@ _NOT_WINDOW = "error: invalid: --dense expects LO:HI with LO <= HI, got"
      (["equiv", "--x=0"], "error: invalid: x_values must be integers >= 2"),
      (["parity", "--x=0"], "error: invalid: x must be >= 10, got 0"),
      (["parity", "--x=-5"], "error: invalid: x must be >= 10, got -5"),
-     (["paircorr", "--hmin=100", "--hmax=50"], "error: invalid: --hmin must be <= --hmax, got 100 > 50")],
+     (["paircorr", "--hmin=100", "--hmax=50"], "error: invalid: --hmin must be <= --hmax, got 100 > 50"),
+     # the lemma range of the moments is [window_len, cutoff_z] = [14, 2293] at 1e6
+     (["model", "moments", "--x=1e6", "--w=5"], f"{_W_RANGE} 5"),
+     (["model", "moments", "--x=1e6", "--w=3000"], f"{_W_RANGE} 3000")],
     ids=["nmax 1.5", "nmax ten", "equiv x", "dense", "eps 2",
          "dense reversed", "dense one value", "dense three values", "equiv x 0",
-         "parity x 0", "parity x negative", "paircorr hmin above hmax"],
+         "parity x 0", "parity x negative", "paircorr hmin above hmax",
+         "moments w below window", "moments w above cutoff"],
 )
 def test_invalid_option_message_exits_2(workdir, capsys, argv, err):
     try:

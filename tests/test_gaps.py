@@ -17,7 +17,7 @@ from erdoslab.gaps import (
     small_gap_count,
 )
 from erdoslab.model import uniform_ints
-from erdoslab.primes import build_table
+from erdoslab.primes import build_table, load_table
 from erdoslab.singular import gallagher_sum
 
 TABLE = build_table(300_000)
@@ -115,6 +115,26 @@ def test_terms_do_not_vanish():
         block = gaps[s.n_lo - 1 : s.n_hi - 1]
         assert (1.0 / block).min() == 1.0 / s.max_gap
 
+
+
+def test_block_and_small_gap_readers_decode_one_walk_run_at_a_time(tmp_path, monkeypatch):
+    # a loaded table decodes run by run: no read spans the 32769 ranks of the
+    # block [2^15, 2^16) or the 23 101 primes of [3e5, 6e5)
+    dense = build_table(1_000_000)
+    table = load_table(dense.save(tmp_path / "t.bin"))
+    gaps = np.diff(dense.primes)
+    spans, decode = [], primes_mod.PrimeTable._decode
+    monkeypatch.setattr(
+        primes_mod.PrimeTable, "_decode", lambda t, i, j: spans.append(j - i) or decode(t, i, j))
+    stats = dyadic_gap_stats(table)
+    assert [s.n_hi for s in stats][-2:] == [2**16, dense.count]
+    for s in stats:
+        block = gaps[s.n_lo - 1 : s.n_hi - 1]
+        assert (s.min_gap, s.max_gap, s.has_gap_two) == (block.min(), block.max(), (block == 2).any())
+    i0, i1 = np.searchsorted(dense.primes, [300_000, 600_000])
+    want = np.count_nonzero(gaps[i0:i1] <= math.log(300_000))
+    assert small_gap_count(table, 300_000, 1.0).count == want
+    assert max(spans) <= primes_mod._RUN + primes_mod._SKIP
 
 def test_small_gap_count_brute():
     X = 100

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -309,9 +311,66 @@ def test_exact_enumeration_matches_monte_carlo():
 
 
 def test_exact_enumeration_guard():
-    cfg = ModelConfig.from_scale(1e6, 1.0, TABLE, seed=0)
-    with pytest.raises(ValueError):
+    # L = round(2 log 1e6) = 28: 2^28 survivor masks exceed the default limit
+    cfg = ModelConfig.from_scale(1e6, 2.0, TABLE, seed=0)
+    assert cfg.window_len == 28
+    with pytest.raises(ValueError, match="survivor masks exceed limit"):
         exact_parity_bias(cfg, TABLE)
+
+
+def _enumerated_parity_bias(config: ModelConfig, table, combo_limit: int = 10**7) -> float:
+    """Mean of (-1)^(survivor count) by full enumeration of residue tuples.
+
+    Only feasible for small cutoffs: the state space is the product of all
+    primes up to the cutoff.
+    """
+    primes = [int(p) for p in table.upto(config.cutoff_z)]
+    n_combos = 1
+    for p in primes:
+        n_combos *= p
+    if n_combos > combo_limit:
+        raise ValueError(f"{n_combos} residue combinations exceed limit {combo_limit}")
+    if not primes:
+        return 1.0 if config.window_len % 2 == 0 else -1.0
+
+    grids = np.indices(primes).reshape(len(primes), -1)
+    sizes = np.zeros(n_combos, dtype=np.int64)
+    for h in range(1, config.window_len + 1):
+        alive = np.ones(n_combos, dtype=bool)
+        for j, p in enumerate(primes):
+            alive &= grids[j] != (h % p)
+        sizes += alive
+    signs_total = n_combos - 2 * int(np.count_nonzero(sizes & 1))
+    return float(Fraction(signs_total, n_combos))
+
+
+@pytest.mark.parametrize("z", [1, 2, 3, 5, 7, 11, 13])
+def test_exact_parity_bias_matches_enumeration(z):
+    # the survivor chain against every residue tuple, bit for bit
+    for L in range(13):
+        cfg = ModelConfig(x=1e6, lam=1.0, window_len=L, cutoff_z=z)
+        assert exact_parity_bias(cfg, TABLE) == _enumerated_parity_bias(cfg, TABLE), L
+
+
+def test_exact_parity_bias_memory_and_scale():
+    # x = 300 (L = 6, z = 19) has 9.7e6 residue tuples; the chain holds only
+    # the counts of 2^6 survivor masks
+    cfg = ModelConfig.from_scale(300, 1.0, TABLE)
+    assert (cfg.window_len, cfg.cutoff_z) == (6, 19)
+    tracemalloc.start()
+    try:
+        value = exact_parity_bias(cfg, TABLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == -0.11533048994349304
+    assert peak < 1e6
+    # desk scale: L = 14 and z = 2293, far past any enumeration
+    cfg = ModelConfig.from_scale(1e6, 1.0, TABLE)
+    assert (cfg.window_len, cfg.cutoff_z) == (14, 2293)
+    t0 = time.perf_counter()
+    assert exact_parity_bias(cfg, TABLE) == 0.040209641147796994
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_binomial_moment_collapse_and_sandwich():
