@@ -23,7 +23,8 @@ print("  pi(10^8)        =", table.pi(10**8))
 print("  pi(1000)        =", table.pi(1000))
 print("  25th prime      =", table.nth_prime(25))
 print("  millionth prime =", table.nth_prime(10**6))
-print("  gap after p_30  =", table.gap(30), f"(p_31 - p_30 = {table.nth_prime(31)} - {table.nth_prime(30)})")
+p30, p31 = table.nth_prime(30), table.nth_prime(31)
+print("  gap after p_30  =", p31 - p30, f"(p_31 - p_30 = {p31} - {p30})")
 
 with tempfile.TemporaryDirectory() as d:
     path = os.path.join(d, "primes.bin")

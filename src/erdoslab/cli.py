@@ -189,8 +189,8 @@ def _run_series(args) -> None:
 def _run_equiv(args) -> None:
     phase = _parse_phase(args.phase)
     xs = [_parse_int(s) for s in args.x.split(",")]
-    if min(xs) < 2:  # before log(x) below
-        raise ValueError("x_values must be integers >= 2")
+    if min(xs) < 3:  # before log(x) below
+        raise ValueError(series_mod._X_VALUES)
     need = max(int(x * math.log(x)) for x in xs) + 10
     table = _get_table(args.limit or max(need, _nth_prime_upper(max(xs))), args)
     rep = series_mod.verify_equivalence(table, xs, phase)

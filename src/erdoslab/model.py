@@ -9,7 +9,7 @@ the survivor count, with truncated binomial (Bonferroni) expansions of
 the parity as exact companions. Every reader takes the primes up to its
 cutoff through ``PrimeTable.upto``, so a table that stops short of the
 cutoff raises BoundsError instead of sifting fewer primes; sieve_cutoff
-alone scans the whole table.
+alone walks the table, until its product crosses the threshold.
 
 Randomness is a SplitMix64 counter stream per prime: the word consumed by
 (seed, prime rank, sample index, attempt) is a pure function of those
@@ -137,15 +137,16 @@ def sieve_cutoff(x: float, table: PrimeTable) -> int:
 
     The product is decreasing, so this z is the unique prime where the
     threshold is crossed; the previous prime's product still exceeds it.
+    It is taken in longdouble over the runs of ``walk``, carried from one
+    run to the next.
     """
     x = float(x)
     if x < 10:
         raise ValueError(f"x must be >= 10, got {x}")
     target = 1.0 / math.log(x)
-    chunk = 4096
     carry = _LD(1.0)
-    for a in range(0, table.count, chunk):
-        p = table.ranks(a, min(a + chunk, table.count))
+    for s, e, p in table.walk(0, table.count):
+        p = p[: e - s]  # without the next run's first prime
         cum = carry * np.cumprod((1.0 - 1.0 / p.astype(np.float64)).astype(_LD))
         hits = np.flatnonzero(cum <= _LD(target))
         if hits.size:

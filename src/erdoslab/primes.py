@@ -1,9 +1,9 @@
 """Prime generation, caching, and rank queries.
 
 The central object is :class:`PrimeTable`: every prime up to a limit
-below 2^32, with O(log) rank queries (``pi``, ``nth_prime``, ``gap``),
-the bounded reads ``ranks``, ``upto`` and ``first``, and ``walk``, a
-sequential read in runs cut where the cache's checked blocks start.
+below 2^32, with O(log) rank queries (``pi``, ``nth_prime``), the
+bounded reads ``ranks`` and ``upto``, and ``walk``, a sequential read in
+runs cut where the cache's checked blocks start, which every scan takes.
 Readers elsewhere take their primes through these, so a short table
 raises BoundsError and never truncates. The table of ``build_table`` (a
 segmented odd-only sieve of Eratosthenes) holds the primes in one uint32
@@ -81,7 +81,7 @@ class PrimeTable:
     block at or before its first rank. Only ``_decode`` (primes) and
     ``_half_gaps`` (cache bytes) know the form; ``pi``, ``ranks``,
     ``walk``, ``is_prime_range`` and ``save`` are written once on top of
-    them. ``upto`` and ``first`` of a loaded table decode every prime they
+    them. ``ranks`` and ``upto`` of a loaded table decode every prime they
     return (up to the whole array) afresh on each call, so readers that
     scan take runs from ``walk``. ``primes`` of a loaded table decodes the
     whole array on first use and keeps it.
@@ -212,24 +212,12 @@ class PrimeTable:
         """Every prime <= x; BoundsError if x > limit."""
         return self.ranks(0, self.pi(x))
 
-    def first(self, n: int) -> np.ndarray:
-        """p_1 ... p_n; BoundsError if the table holds fewer."""
-        return self.ranks(0, max(int(n), 0))
-
     def nth_prime(self, n: int) -> int:
         """The n-th prime, 1-indexed (nth_prime(1) == 2)."""
         n = int(n)
         if not 1 <= n <= self.count:
             raise BoundsError(f"n={n} outside [1, {self.count}]")
         return int(self.ranks(n - 1, n)[0])
-
-    def gap(self, n: int) -> int:
-        """Gap following the n-th prime: p_{n+1} - p_n."""
-        n = int(n)
-        if not 1 <= n < self.count:
-            raise BoundsError(f"gap index n={n} needs 1 <= n and n+1 <= {self.count}")
-        p, q = self.ranks(n - 1, n + 1).tolist()
-        return q - p
 
     def __contains__(self, v: int) -> bool:
         i = self.pi(v)  # the primes <= v, the last of which is v if v is prime

@@ -46,6 +46,9 @@ _LD = np.longdouble
 # phase^k for k even and odd at phase -1
 _SIGNS = np.array([1.0, -1.0])
 
+# verify_equivalence's domain, which the equiv command checks before log(x)
+_X_VALUES = "x_values must be integers >= 3, so that M = floor(x log x) >= 2"
+
 
 def _as_phase(phase: complex) -> complex:
     z = complex(phase)
@@ -409,8 +412,8 @@ def verify_equivalence(
     if phase == 1:
         raise ValueError("phase 1 has no finite comparison constant; both sides diverge")
     xs = np.array(sorted(set(int(x) for x in x_values)), dtype=np.int64)
-    if xs.size == 0 or xs[0] < 2:
-        raise ValueError("x_values must be integers >= 2")
+    if xs.size == 0 or xs[0] < 3:
+        raise ValueError(_X_VALUES)
     ms = np.array([int(x * math.log(x)) for x in xs], dtype=np.int64)
     lhs_trace = erdos_partial(table, int(xs[-1]), phase, checkpoints=xs)
     rhs_trace = parity_partial(table, int(ms[-1]), phase, checkpoints=np.unique(ms))
@@ -428,21 +431,20 @@ def oscillation_stats(table: PrimeTable, n_lo: int, n_hi: int) -> tuple[float, f
     sum |t_{k+1} + t_{k+2}| / 2, both accumulated term-wise without
     materializing dense traces. Consecutive terms have opposite signs, so
     |t_k + t_(k+1)| is |m_k - m_(k+1)| exactly, with m_k = |t_k|, and no
-    sign is formed.
+    sign is formed. Each sum takes one longdouble sum per ``walk`` run,
+    split exactly into two float64 parts, and one ``math.fsum`` of all the
+    parts rounds their total once.
     """
     n_lo, n_hi = int(n_lo), int(n_hi)
     if not 1 <= n_lo < n_hi:
         raise ValueError("need 1 <= n_lo < n_hi")
 
-    table.nth_prime(n_hi)  # BoundsError before any chunk is summed
-    raw = _LD(0.0)
-    avg = _LD(0.0)
-    prev = np.empty(0)  # the last magnitude before the chunk
-    for a in range(n_lo, n_hi, _REAL_CHUNK):
-        # one whole chunk, so that the longdouble sums keep their pairwise order
-        p = table.ranks(a, min(a + _REAL_CHUNK, n_hi))
-        m = np.arange(a + 1, a + 1 + p.size) / p
-        raw += m.astype(_LD).sum()
-        avg += (np.abs(np.diff(m, prepend=prev)) / 2.0).astype(_LD).sum()
-        prev = m[-1:].copy()
-    return float(raw), float(avg)
+    raw, avg = [], []  # the parts of every run sum
+    prev = np.empty(0)  # the last magnitude of the run before
+    for _, m in _erdos_terms(table, n_lo + 1, n_hi):
+        for parts, terms in ((raw, m), (avg, np.abs(np.diff(m, prepend=prev)) / 2.0)):
+            run = terms.astype(_LD).sum()
+            hi = float(run)
+            parts += (hi, float(run - _LD(hi)))  # exact: x87 run - hi has <= 11 bits
+        prev = m[-1:]
+    return math.fsum(raw), math.fsum(avg)

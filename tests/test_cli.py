@@ -621,6 +621,7 @@ def test_model_table_covers_the_cutoff():
 
 _NOT_INT = "expected an integer in (-2^63, 2^63), got '1.5'"
 _NOT_WINDOW = "error: invalid: --dense expects LO:HI with LO <= HI, got"
+_X_VALUES = "error: invalid: x_values must be integers >= 3, so that M = floor(x log x) >= 2"
 _W_RANGE = "error: invalid: --w must lie in [14, 2293], the window to the cutoff, got"
 
 
@@ -635,7 +636,8 @@ _W_RANGE = "error: invalid: --w must lie in [14, 2293], the window to the cutoff
      (["series", "--nmax=1000", "--dense=10:5", "--average"], f"{_NOT_WINDOW} '10:5'"),
      (["series", "--nmax=1000", "--dense=5"], f"{_NOT_WINDOW} '5'"),
      (["series", "--nmax=1000", "--dense=1:2:3"], f"{_NOT_WINDOW} '1:2:3'"),
-     (["equiv", "--x=0"], "error: invalid: x_values must be integers >= 2"),
+     (["equiv", "--x=0"], _X_VALUES),
+     (["equiv", "--x=2,3,10"], _X_VALUES),
      (["parity", "--x=0"], "error: invalid: x must be >= 10, got 0"),
      (["parity", "--x=-5"], "error: invalid: x must be >= 10, got -5"),
      (["paircorr", "--hmin=100", "--hmax=50"], "error: invalid: --hmin must be <= --hmax, got 100 > 50"),
@@ -643,7 +645,7 @@ _W_RANGE = "error: invalid: --w must lie in [14, 2293], the window to the cutoff
      (["model", "moments", "--x=1e6", "--w=5"], f"{_W_RANGE} 5"),
      (["model", "moments", "--x=1e6", "--w=3000"], f"{_W_RANGE} 3000")],
     ids=["nmax 1.5", "nmax ten", "equiv x", "dense", "eps 2",
-         "dense reversed", "dense one value", "dense three values", "equiv x 0",
+         "dense reversed", "dense one value", "dense three values", "equiv x 0", "equiv x 2",
          "parity x 0", "parity x negative", "paircorr hmin above hmax",
          "moments w below window", "moments w above cutoff"],
 )

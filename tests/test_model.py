@@ -58,6 +58,26 @@ def test_cutoff_range_error():
         sieve_cutoff(5, TABLE)
 
 
+def _chunked_sieve_cutoff(x, table):
+    """Oracle: the Mertens product carried across 4096-rank chunks of ``ranks``, as first written."""
+    target = 1.0 / math.log(x)
+    carry = np.longdouble(1.0)
+    for a in range(0, table.count, 4096):
+        p = table.ranks(a, min(a + 4096, table.count))
+        cum = carry * np.cumprod((1.0 - 1.0 / p.astype(np.float64)).astype(np.longdouble))
+        hits = np.flatnonzero(cum <= np.longdouble(target))
+        if hits.size:
+            return int(p[hits[0]])
+        carry = cum[-1]
+    raise BoundsError("oracle table too short")
+
+
+def test_cutoff_matches_chunked_oracle(mid_table):
+    # z reaches 411 259 at 1e10, so the products cross many chunk and walk-run edges
+    for x in np.geomspace(10, 1e10, 500).tolist():
+        assert sieve_cutoff(x, mid_table) == _chunked_sieve_cutoff(x, mid_table), x
+
+
 def test_config_from_scale():
     cfg = ModelConfig.from_scale(1e6, 1.0, TABLE, seed=1)
     assert cfg.window_len == round(math.log(1e6))

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BIG_LIMIT, dense_sieve
+from erdoslab.calibration import load_fixture
 from erdoslab.errors import BoundsError
 from erdoslab.gaps import empirical_parity_statistic
-from erdoslab.series import verify_equivalence
+from erdoslab.series import oscillation_stats, verify_equivalence
 from erdoslab.singular import OffsetTuple, _log_head
 from erdoslab.primes import (
     _CRC_BLOCK,
@@ -47,7 +48,7 @@ def test_against_trial_division(trial_division_primes):
     assert table.pi(100) == 25
     assert table.pi(1000) == 168
     assert table.nth_prime(25) == 97
-    assert table.gap(30) == 127 - 113
+    assert table.nth_prime(31) - table.nth_prime(30) == 127 - 113
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 5, 16, 17, 100, 1000, 65_536, 65_537, 100_000])
@@ -116,14 +117,10 @@ def test_pi_edges(mid_table):
 def test_nth_gap_edges(mid_table):
     assert mid_table.nth_prime(1) == 2
     assert mid_table.nth_prime(4) == 7
-    assert mid_table.gap(1) == 1
-    assert mid_table.gap(2) == 2
     with pytest.raises(BoundsError):
         mid_table.nth_prime(0)
     with pytest.raises(BoundsError):
         mid_table.nth_prime(mid_table.primes.size + 1)
-    with pytest.raises(BoundsError):
-        mid_table.gap(mid_table.primes.size)
 
 
 def test_gaps_even_beyond_two(mid_table):
@@ -160,14 +157,14 @@ def test_is_prime_range(mid_table, trial_division_primes):
 def test_upto_first(mid_table, trial_division_primes):
     n = mid_table.primes.size
     assert mid_table.upto(2000).tolist() == trial_division_primes.tolist()
-    assert mid_table.first(trial_division_primes.size).tolist() == trial_division_primes.tolist()
-    assert mid_table.upto(96).tolist() == mid_table.upto(97)[:-1].tolist() == mid_table.first(24).tolist()
-    assert mid_table.upto(1).size == mid_table.first(0).size == 0
-    assert mid_table.upto(mid_table.limit).size == mid_table.first(n).size == n
+    assert mid_table.ranks(0, trial_division_primes.size).tolist() == trial_division_primes.tolist()
+    assert mid_table.upto(96).tolist() == mid_table.upto(97)[:-1].tolist() == mid_table.ranks(0, 24).tolist()
+    assert mid_table.upto(1).size == mid_table.ranks(0, 0).size == 0
+    assert mid_table.upto(mid_table.limit).size == mid_table.ranks(0, n).size == n
     with pytest.raises(BoundsError, match="need primality up to 2000001 > table limit 2000000"):
         mid_table.upto(mid_table.limit + 1)
     with pytest.raises(BoundsError, match=f"need p_{n + 1} but table holds only {n} primes"):
-        mid_table.first(n + 1)
+        mid_table.ranks(0, n + 1)
 
 
 def test_contains(mid_table):
@@ -263,6 +260,18 @@ def test_scans_of_a_loaded_table_decode_no_whole_array(big_table, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size + big_table.primes.nbytes / 4
+    # the calibrated oscillation statistics fold one walk run at a time (whole
+    # chunks of 2^20 primes and their longdouble copies peaked at 37.8 MB)
+    table = load_table(path)
+    tracemalloc.start()
+    try:
+        got = oscillation_stats(table, 10**5, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = load_fixture()["series"]
+    assert got == (want["oscillation_raw_tv"], want["oscillation_averaged_tv"])
+    assert peak < 4 << 20
 
 
 def test_build_peak_memory():
@@ -310,7 +319,7 @@ def table_5e7():
 _QUERIES = {  # each touches the primes up to about 1e7 of a table 5 times longer
     "pi": lambda t: t.pi(10**7),
     "upto": lambda t: t.upto(10**7),
-    "first": lambda t: t.first(664_579),  # no key: a view by count
+    "first": lambda t: t.ranks(0, 664_579),  # the first primes, by count: no key
     "in": lambda t: 10**7 + 19 in t,
     "is_prime_range": lambda t: t.is_prime_range(10**7, 10**7 + 2**18),
     "empirical_parity_statistic": lambda t: empirical_parity_statistic(t, 10**7, 1.0, 10**4, 42),
@@ -414,7 +423,7 @@ def test_loaded_table_reads_at_the_edges(oracle, tmp_path):
             _check_rank_reads(t, primes, r, min(r + d, n))
         assert t.nth_prime(r + 1) == primes[r]
         if r + 1 < n:
-            assert t.gap(r + 1) == primes[r + 1] - primes[r]
+            assert t.nth_prime(r + 2) - t.nth_prime(r + 1) == primes[r + 1] - primes[r]
         for v in (int(primes[r]) - 1, int(primes[r]), int(primes[r]) + 1):
             _check_value_reads(t, primes, v)
             for w in (1, 64):
@@ -435,7 +444,7 @@ def test_loaded_table_reads_at_the_edges(oracle, tmp_path):
     # a loaded table writes the file it came from, without decoding it whole
     assert t.save(tmp_path / "again.bin").read_bytes() == path.read_bytes()
     assert t._primes is None  # every read above ran on the half-gaps
-    assert np.array_equal(t.upto(_ORACLE_LIMIT), primes) and np.array_equal(t.first(n), primes)
+    assert np.array_equal(t.upto(_ORACLE_LIMIT), primes) and np.array_equal(t.ranks(0, n), primes)
 
 
 @given(x=st.integers(-3, _ORACLE_LIMIT), width=st.integers(0, 3000), i=st.integers(0, 33_860),

@@ -258,6 +258,18 @@ def test_oscillation_stats_match_chunks(small_pieces):
         )
 
 
+def test_default_oscillation_stats_match_chunks(big_table):
+    # seeded ranges longer than a chunk of 2^20 terms, so that each crosses
+    # the oracle's chunk edges and many walk runs
+    rng = np.random.default_rng(27)
+    for lo in rng.integers(1, 4 * 10**6, size=20).tolist():
+        hi = lo + int(rng.integers(2**20 + 1, 3 * 2**20))
+        got = oscillation_stats(big_table, lo, hi)
+        assert np.array(got).view(np.uint64).tolist() == (
+            np.array(_chunk_oscillation_stats(big_table, lo, hi)).view(np.uint64).tolist()
+        ), (lo, hi)
+
+
 def test_default_pieces_match_chunks(big_table):
     # real chunk sizes: three chunks of 2^20 terms, 64 pieces each
     cps = np.array([2**14, 2**14 + 1, 2**20, 2**20 + 1, 3 * 10**6])

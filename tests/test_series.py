@@ -271,14 +271,15 @@ def test_scan_peak_does_not_grow_with_chunk(big_table):
 
 @pytest.mark.parametrize(
     "call, reason",
-    [(lambda: verify_equivalence(TABLE, [1, 100]), "x_values must be integers >= 2"),
-     (lambda: verify_equivalence(TABLE, []), "x_values must be integers >= 2"),
+    [(lambda: verify_equivalence(TABLE, [1, 100]), "x_values must be integers >= 3"),
+     (lambda: verify_equivalence(TABLE, [2, 100]), "x_values must be integers >= 3"),
+     (lambda: verify_equivalence(TABLE, []), "x_values must be integers >= 3"),
      (lambda: average_consecutive(erdos_partial(TABLE, 1)), "trace too short to average"),
      (lambda: erdos_partial(TABLE, 100).value_at(99), "index 99 is not a checkpoint"),
      (lambda: erdos_partial(TABLE, 100).value_at(101), "index 101 is not a checkpoint"),
      (lambda: oscillation_stats(TABLE, 5, 5), "need 1 <= n_lo < n_hi"),
      (lambda: oscillation_stats(TABLE, 0, 5), "need 1 <= n_lo < n_hi")],
-    ids=["x below 2", "no x", "one-point trace", "between checkpoints", "past the last checkpoint",
+    ids=["x below 2", "x 2", "no x", "one-point trace", "between checkpoints", "past the last checkpoint",
          "n_lo = n_hi", "n_lo 0"],
 )
 def test_series_readers_reject_configuration(call, reason):

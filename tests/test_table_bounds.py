@@ -1,7 +1,7 @@
 """A table read is its own bound check.
 
 Every reader takes its primes through ``PrimeTable.pi``, ``ranks``,
-``walk``, ``upto`` or ``first``. Given the smallest table that covers the read, it returns what
+``walk`` or ``upto``. Given the smallest table that covers the read, it returns what
 a large table gives; given a table one prime or one integer short, it
 raises BoundsError instead of returning a number from fewer primes.
 """
@@ -34,7 +34,7 @@ _PARITY_END = _X_PARITY + int(_X_PARITY**0.9) + int(math.log(_X_PARITY))
 _READERS = {
     "pi": (lambda t: t.pi(1000), 1000),
     "upto": (lambda t: t.upto(1000), 1000),
-    "first": (lambda t: t.first(168), P(168)),
+    "first": (lambda t: t.ranks(0, 168), P(168)),  # by count
     "in": (lambda t: 1000 in t, 1000),
     "survivor_counts": (lambda t: model.survivor_counts(_cfg(97), 100, t), 97),
     "parity_biases": (lambda t: model.parity_biases([_cfg(97)], 10_000, t), 97),
