@@ -1,8 +1,12 @@
 """Exact prime-tuple counts against their density predictions.
 
-count_tuples walks [1, x] in chunks: each chunk is one boolean primality
-window from the table's ``is_prime_range``, and every tuple ANDs its
-shifted slices of that window into one reused buffer.
+count_tuples counts over odd integers. Every prime but 2 is odd, so a
+tuple whose offsets share one parity holds at n only where n + h0 is odd
+(k = 1 counts pi(x + h0) - pi(h0) instead), and one of mixed parity only
+at the k values n = 2 - h, each checked directly. The rest walk chunks of
+odd indices j, one odd-only primality window W[j] = isprime(2j + 1) per
+chunk from the table's ``is_prime_range``; tuples sharing leading
+relative offsets share the ANDs of one trie.
 log_integral evaluates the density integral int_2^x dy/log^k y by
 adaptive Gauss-Kronrod bisection, and check_tuples packages both sides
 with a normalized error, one report per tuple.
@@ -18,7 +22,7 @@ import numpy as np
 from .primes import PrimeTable
 from .singular import OffsetTuple, SingularValue, singular_series
 
-_COUNT_CHUNK = 1 << 18  # a 256 KB bool buffer that stays in L2
+_COUNT_CHUNK = 1 << 18  # odd indices: 2^19 integers, in 256 KB bool buffers that stay in L2
 
 # log_integral stops once its summed |K15 - G7| is at most max(_ABS_FLOOR, _REL_TOL * |total|).
 _REL_TOL, _ABS_FLOOR = 1e-10, 1e-14
@@ -46,28 +50,76 @@ def count_tuples(table: PrimeTable, tup: OffsetTuple, x: int) -> int:
 
 
 def _count_many(table: PrimeTable, tups: list[OffsetTuple], x: int) -> list[int]:
-    """count_tuples for each tuple, all reading one primality window per chunk."""
+    """count_tuples for each tuple; those of k >= 2 offsets of one parity share each chunk's work.
+
+    The empty tuple counts x, and one offset h0 counts pi(x + h0) - pi(h0).
+    Offsets of mixed parity make some n + h even, so n + h = 2: only the
+    k values n = 2 - h can count, and each is checked directly. In the rest
+    every n + h is odd, since a second offset keeps n + h0 from being 2, so
+    n + h0 = 2j + 1 for j in [(h0 + 1) // 2, (x + h0 + 1) // 2), and the
+    tuple holds at j when W[j + (h - h0) / 2] for every offset, where
+    W[j] = isprime(2j + 1). Their relative offsets (h - h0) / 2 form a
+    trie: per chunk of _COUNT_CHUNK odd indices, depth-first, each edge is
+    one AND of its parent's buffer with a shifted slice of W, and a tuple
+    counts at its last node over its own j-range. Chunks whose j meet no
+    tuple's range are skipped.
+    """
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    totals = [0 if tup.k else x for tup in tups]
     max_off = max((tup.offsets[-1] for tup in tups if tup.k), default=None)
     if max_off is None:
-        return totals
+        return [x] * len(tups)
     table.pi(x + max_off)  # BoundsError before any counting, if the table is short
-    buf = np.empty(min(_COUNT_CHUNK, x), dtype=bool)
-    for a in range(1, x + 1, _COUNT_CHUNK):
-        b = min(a + _COUNT_CHUNK, x + 1)
-        win = table.is_prime_range(a, b + max_off)
-        acc = buf[: b - a]
-        for i, tup in enumerate(tups):
-            if tup.k == 0:
-                continue
-            h0, *rest = tup.offsets
-            np.copyto(acc, win[h0 : h0 + (b - a)])
+    totals = [0] * len(tups)
+    # relative offset -> (children, [(tuple index, first j, end j) of each tuple ending there])
+    trie: dict = {}
+    ranges = []  # (first j, end j, last relative offset) of each tuple in the trie
+    for i, tup in enumerate(tups):
+        if not tup.k:
+            totals[i] = x
+            continue
+        h0, *rest = tup.offsets
+        if not rest:
+            totals[i] = table.pi(x + h0) - table.pi(h0)
+        elif any((h - h0) % 2 for h in rest):
+            cands = (2 - h for h in tup.offsets)
+            totals[i] = sum(all(n + h in table for h in tup.offsets) for n in cands if 1 <= n <= x)
+        else:
+            children = trie
             for h in rest:
-                np.logical_and(acc, win[h : h + (b - a)], out=acc)
-            totals[i] += int(np.count_nonzero(acc))
+                children, ends = children.setdefault((h - h0) // 2, ({}, []))
+            lo, hi = (h0 + 1) // 2, (x + h0 + 1) // 2
+            ends.append((i, lo, hi))
+            ranges.append((lo, hi, (rest[-1] - h0) // 2))
+    if not trie:
+        return totals
+    j0, j1 = min(r[0] for r in ranges), max(r[1] for r in ranges)
+    max_r = max(r[2] for r in ranges)
+    jtop = max(hi + r for _, hi, r in ranges)  # W[j] for j >= jtop is never counted
+    size = min(_COUNT_CHUNK, j1 - j0)
+    bufs = np.empty((max(tup.k for tup in tups) - 1, size), dtype=bool)  # one per trie depth
+    odd = np.zeros(size + max_r, dtype=np.uint8)  # W[a:top], as 0/1 bytes
+    w = odd.view(bool)
+
+    def descend(children, d, acc):
+        for r, (sub, ends) in children.items():
+            out = bufs[d, : acc.size]
+            np.logical_and(acc, w[r : r + acc.size], out=out)
+            for i, lo, hi in ends:
+                if lo < a + acc.size and hi > a:
+                    totals[i] += int(np.count_nonzero(out[max(lo - a, 0) : hi - a]))
+            descend(sub, d + 1, out)
+
+    for a in range(j0, j1, _COUNT_CHUNK):
+        b = min(a + _COUNT_CHUNK, j1)
+        if all(hi <= a or lo >= b for lo, hi, _ in ranges):
+            continue
+        top = min(b + max_r, jtop)
+        # integers 2a ... 2top - 1 as little-endian pairs (2j, 2j + 1): the high byte is W[j]
+        pairs = table.is_prime_range(2 * a, 2 * top).view("<u2")
+        np.right_shift(pairs, 8, out=odd[: top - a], casting="unsafe")
+        descend(trie, 0, w[: b - a])
     return totals
 
 

@@ -95,7 +95,7 @@ def _parse_limit(text: str) -> int:
 
 
 def _parse_offsets(text: str) -> OffsetTuple:
-    return OffsetTuple(int(s) for s in text.split(",") if s.strip() != "")
+    return OffsetTuple(_parse_int(s) for s in text.split(",") if s.strip() != "")
 
 
 def _fmt(v) -> str:

@@ -24,8 +24,9 @@ KINDS = ("reciprocal_weighted", "alternating_gap", "alternating_weighted_gap", "
 # stream id for the base-point sampler, separating it from model substreams
 _PARITY_STREAM = 0x5057
 
-# base points per block of the parity statistic's draw and count
-_PARITY_BLOCK = 1 << 16
+# base points per block of the parity statistic's draw and count, and
+# integers per primality window of its count (a 1 MB bool window)
+_PARITY_BLOCK, _PARITY_SPAN = 1 << 16, 1 << 20
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,11 @@ def empirical_parity_statistic(
 
     Base points are drawn uniformly from [x, x + floor(x^0.9)]; the draw
     for position i depends only on (seed, i), so estimates reproduce
-    exactly for a given seed.
+    exactly for a given seed. The sorted points are counted in groups of
+    at most _PARITY_BLOCK, each of whose primality windows (first point,
+    last point + w] spans at most _PARITY_SPAN integers, or 2w when w is
+    larger than half of that. Each window is packed into 64-bit words with
+    a running popcount, so pi(n + w) - pi(n) is two O(1) rank reads.
     """
     x = int(x)
     if x < 10:
@@ -187,25 +192,42 @@ def empirical_parity_statistic(
         raise ValueError(f"need at least 1000 base points, got {base_points}")
     window = int(lam * math.log(x))
     spread = int(x**0.9)
-    # the primes in [x, x + spread + window]: the counts hi - lo are differences of ranks
-    primes = table.ranks(table.pi(x - 1), table.pi(x + spread + window))
-    # keys in the table's dtype spare numpy an int64 copy of the table per
-    # search; each block's draws are those of uniform_ints at its positions
-    keys = np.empty(base_points, dtype=primes.dtype)
-    blocks = range(0, base_points, _PARITY_BLOCK)
-    for a in blocks:
+    table.pi(x + spread + window)  # BoundsError before any draw, if the table is short
+    # uint32 holds every point, as table limits lie below 2^32; each
+    # block's draws are those of uniform_ints at its positions
+    keys = np.empty(base_points, dtype=np.uint32)
+    for a in range(0, base_points, _PARITY_BLOCK):
         idx = np.arange(a, min(a + _PARITY_BLOCK, base_points))
         keys[a : a + idx.size] = residues_for_prime(seed, _PARITY_STREAM, spread + 1, idx)
-    keys += keys.dtype.type(x)
-    # only the count of odd (hi - lo) matters, and sorted keys let each
-    # binary search start from the last one's bound
+    keys += np.uint32(x)
+    # only the count of odd pi(n + w) - pi(n) matters, so the points may be sorted
     keys.sort()
-    odd = 0
-    for a in blocks:
+    # a group's points span at most reach integers, so its window spans at most reach + w
+    # (the bound is capped at the last possible point, which uint32 holds)
+    reach = max(_PARITY_SPAN - window, window)
+    odd = a = 0
+    while a < base_points:
+        first = int(keys[a])
         n = keys[a : a + _PARITY_BLOCK]
-        lo = np.searchsorted(primes, n, side="right")
-        hi = np.searchsorted(primes, n + keys.dtype.type(window), side="right")
-        odd += int(np.count_nonzero((hi - lo) & 1))
+        n = n[: np.searchsorted(n, np.uint32(min(first + reach, x + spread)), side="right")]
+        # integers first + 1 ... last + w, packed little-endian: bit i of the window is bit
+        # i % 64 of word i // 64, and the spare word keeps rank reads at the end in range
+        win = table.is_prime_range(first + 1, int(n[-1]) + window + 1)
+        win = np.packbits(win, bitorder="little")
+        words = np.zeros(win.size // 8 + 1, dtype="<u8")
+        words.view(np.uint8)[: win.size] = win
+        # ranks mod 256, enough for parity: primes in words [0, q] less those at bits >= r of word q
+        ends = np.cumsum(np.bitwise_count(words), dtype=np.uint8)
+        par = np.zeros(n.size, dtype=np.uint8)
+        s = n - np.uint32(first)
+        for p in (s, s + np.uint32(window)):  # n - first and n + w - first <= spread + w, below 2^32
+            q = p >> 6
+            g = words[q]
+            g >>= p & 63
+            par += ends[q]
+            par += np.bitwise_count(g)
+        odd += int(np.count_nonzero(par & 1))
+        a += n.size
     est = 1.0 - 2.0 * odd / base_points
     return ParityStatReport(
         x=x,

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from erdoslab import census
 from erdoslab.census import _count_many, check_tuple, check_tuples, count_tuples, log_integral
 from erdoslab.errors import BoundsError
-from erdoslab.primes import build_table
+from erdoslab.primes import build_table, load_table
 from erdoslab.singular import OffsetTuple
 
 TABLE = build_table(200_000)
@@ -34,6 +34,32 @@ def _per_tuple_oracle(table, tup, x, chunk):
             acc = acc & win[h : h + (b - a)]
         total += int(np.count_nonzero(acc))
     return total
+
+
+def _windowed_count_many(table, tups, x, chunk):
+    """The shared-window walk that the odd-only trie replaced: every integer, each tuple its own ANDs."""
+    x = int(x)
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    totals = [0 if tup.k else x for tup in tups]
+    max_off = max((tup.offsets[-1] for tup in tups if tup.k), default=None)
+    if max_off is None:
+        return totals
+    table.pi(x + max_off)  # BoundsError before any counting, if the table is short
+    buf = np.empty(min(chunk, x), dtype=bool)
+    for a in range(1, x + 1, chunk):
+        b = min(a + chunk, x + 1)
+        win = table.is_prime_range(a, b + max_off)
+        acc = buf[: b - a]
+        for i, tup in enumerate(tups):
+            if tup.k == 0:
+                continue
+            h0, *rest = tup.offsets
+            np.copyto(acc, win[h0 : h0 + (b - a)])
+            for h in rest:
+                np.logical_and(acc, win[h : h + (b - a)], out=acc)
+            totals[i] += int(np.count_nonzero(acc))
+    return totals
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +207,8 @@ _TUPLE_LISTS = st.lists(
 @example(offs_list=[[1], [], []], m=0, d=1)
 @settings(max_examples=60, deadline=None)
 def test_count_many_matches_per_tuple_oracle(offs_list, m, d):
-    # x sits next to a multiple of the 64-integer chunk, so every chunk edge is crossed
+    # x sits next to a multiple of 64, so the oracle's 64-integer chunks end at
+    # x; _count_many's chunks of 64 odd indices are crossed every 128 integers
     x = max(64 * m + d, 1)
     tups = [OffsetTuple(offs) for offs in offs_list]
     with pytest.MonkeyPatch.context() as mp:
@@ -192,7 +219,8 @@ def test_count_many_matches_per_tuple_oracle(offs_list, m, d):
 
 
 def test_count_many_at_default_chunk():
-    # x past one 2^18 chunk, with a partial last chunk
+    # x past 2^18 integers, the oracle's chunk, with a partial last chunk;
+    # _count_many reads this x in one chunk of 2^18 odd indices
     x = census._COUNT_CHUNK + 12_345
     big = build_table(x + 100)
     tups = [OffsetTuple(o) for o in ([0], [0, 2], [4, 6], [], [0, 2, 6], [0, 2])]
@@ -239,3 +267,65 @@ def test_check_tuples_first_bad_tuple_raises():
 def test_check_tuples_rejects_configuration(x, eps, reason):
     with pytest.raises(ValueError, match=reason):
         check_tuples(TABLE, [OffsetTuple([0, 2])], x, eps)
+
+
+def test_count_many_across_default_chunks():
+    # 2^18 odd indices per chunk: x crosses two chunk edges, with a partial last chunk
+    x = 4 * census._COUNT_CHUNK + 12_345
+    big = build_table(x + 300)
+    tups = [OffsetTuple(o) for o in ([0, 2], [1, 3], [0, 1], [5], [0, 2, 6, 8, 12], [0, 250], [3, 5, 9])]
+    assert _count_many(big, tups, x) == _windowed_count_many(big, tups, x, 1 << 18)
+
+
+# Tuples of one parity (an odd first offset included) up to offset 301, any
+# tuple up to 300 (mostly of mixed parity), and fixed mixed and short ones
+_ODD_AND_MIXED = st.lists(
+    st.one_of(
+        st.tuples(st.lists(st.integers(min_value=0, max_value=150), max_size=4, unique=True),
+                  st.integers(min_value=0, max_value=1)).map(lambda t: [2 * h + t[1] for h in t[0]]),
+        st.lists(st.integers(min_value=0, max_value=300), max_size=3, unique=True),
+        st.sampled_from([[0, 1], [1, 2], [0, 1, 3], [1], [2], [0], [1, 3], [3, 5, 9], []]),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+@given(offs_list=_ODD_AND_MIXED,
+       x=st.one_of(st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=1500)),
+       chunk=st.sampled_from([7, 64]))
+@example(offs_list=[[0, 1], [1, 2], [0, 1, 3], [1], [2]], x=1, chunk=7)
+@example(offs_list=[[0, 1], [1, 2], [0, 1, 3], [1, 3], [2, 4]], x=2, chunk=7)
+@example(offs_list=[[1, 3], [0, 2], [0, 1], [1, 2], [0, 300], [5]], x=3, chunk=64)
+# one trie node, two j-ranges: chunks past the end of the first still run for the second
+@example(offs_list=[[0, 2], [200, 202]], x=1000, chunk=64)
+@settings(max_examples=80, deadline=None)
+def test_count_many_odd_windows_match_both_oracles(offs_list, x, chunk):
+    tups = [OffsetTuple(offs) for offs in offs_list]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census, "_COUNT_CHUNK", chunk)
+        got = _count_many(TABLE, tups, x)
+    assert got == _windowed_count_many(TABLE, tups, x, chunk)
+    assert got == [_per_tuple_oracle(TABLE, t, x, chunk) for t in tups]
+
+
+def test_count_many_reads_no_integer_past_the_table():
+    # x + 300 is the table limit: (1, 3) counts one odd index further than
+    # (0, 300), whose window reaches 150 odd indices past its own
+    x = TABLE.limit - 300
+    tups = [OffsetTuple([1, 3]), OffsetTuple([0, 300])]
+    assert _count_many(TABLE, tups, x) == _windowed_count_many(TABLE, tups, x, 1 << 18)
+
+
+_BATTERY = [[0, 2], [0, 4], [0, 6], [0, 2, 6], [0, 4, 6], [0, 2, 6, 8], [0, 4, 6, 10],
+            [0, 2, 6, 8, 12], [0, 4, 6, 10, 12], [0, 4, 6, 10, 12, 16], [0, 250]]
+
+
+def test_battery_on_both_table_forms(tmp_path):
+    # the sieved table and its cache file read back give the same counts, and pi_2(1e6) = 8169
+    x = 10**6
+    sieved = build_table(x + 300)
+    loaded = load_table(sieved.save(tmp_path / "primes.bin"))
+    tups = [OffsetTuple(o) for o in _BATTERY]
+    got = _count_many(sieved, tups, x)
+    assert got == _count_many(loaded, tups, x) == _windowed_count_many(loaded, tups, x, 1 << 18)
+    assert got[0] == 8169

@@ -176,6 +176,16 @@ def test_tuples_bound_error_before_later_strict_error(workdir, capsys):
     assert not any(workdir.glob("erdoslab-*"))
 
 
+def test_tuple_offsets_read_scientific_integers(workdir):
+    # each --tuple field goes through the integer parser of every other option
+    assert main(["tuples", "--tuple=0,1e1", "--x=1000", "--out=e.csv"]) == 0
+    assert main(["tuples", "--tuple=0,10", "--x=1000", "--out=d.csv"]) == 0
+    assert _read(workdir / "e.csv") == _read(workdir / "d.csv")
+    assert main(["singular", "--tuple=0,2e0", "--out=e.csv"]) == 0
+    assert main(["singular", "--tuple=0,2", "--out=d.csv"]) == 0
+    assert _read(workdir / "e.csv") == _read(workdir / "d.csv")
+
+
 def test_singular_empty_tuple_is_k0(workdir):
     # --tuple= is the empty tuple, like --tuple=,, not a missing option
     assert main(["singular", "--tuple=", "--out=a.csv"]) == 0
@@ -633,6 +643,7 @@ _W_RANGE = "error: invalid: --w must lie in [14, 2293], the window to the cutoff
      (["equiv", "--x=100,1.5"], f"error: invalid: {_NOT_INT}"),
      (["series", "--nmax=100", "--dense=1.5:3"], f"error: invalid: {_NOT_INT}"),
      (["tuples", "--tuple=0,2", "--x=100", "--eps=2"], "error: invalid: epsilon must be in (0,1), got 2.0"),
+     (["tuples", "--tuple=0,1.5", "--x=100"], f"error: invalid: {_NOT_INT}"),
      (["series", "--nmax=1000", "--dense=10:5", "--average"], f"{_NOT_WINDOW} '10:5'"),
      (["series", "--nmax=1000", "--dense=5"], f"{_NOT_WINDOW} '5'"),
      (["series", "--nmax=1000", "--dense=1:2:3"], f"{_NOT_WINDOW} '1:2:3'"),
@@ -644,7 +655,7 @@ _W_RANGE = "error: invalid: --w must lie in [14, 2293], the window to the cutoff
      # the lemma range of the moments is [window_len, cutoff_z] = [14, 2293] at 1e6
      (["model", "moments", "--x=1e6", "--w=5"], f"{_W_RANGE} 5"),
      (["model", "moments", "--x=1e6", "--w=3000"], f"{_W_RANGE} 3000")],
-    ids=["nmax 1.5", "nmax ten", "equiv x", "dense", "eps 2",
+    ids=["nmax 1.5", "nmax ten", "equiv x", "dense", "eps 2", "tuple offset 1.5",
          "dense reversed", "dense one value", "dense three values", "equiv x 0", "equiv x 2",
          "parity x 0", "parity x negative", "paircorr hmin above hmax",
          "moments w below window", "moments w above cutoff"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def _unsorted_parity_oracle(table, x, lam, base_points, seed):
 
 
 @pytest.mark.parametrize("x,lam", [(1000, 0.1), (10_000, 0.05), (10_000, 1.0), (50_000, 2.5),
-                                   (200_000, 0.5), (200_000, 1.0)])
+                                   (200_000, 0.5), (200_000, 1.0), (10_000, 3.0), (200_000, 5.0)])
 def test_parity_statistic_matches_unsorted_oracle(x, lam):
     # sorting the base points cannot move the odd count: equal, not close
     for seed in (0, 1, 7, 42):
@@ -221,6 +222,40 @@ def test_parity_statistic_in_blocks_matches_unsorted_oracle(monkeypatch, block, 
     for x, lam in [(10_000, 1.0), (200_000, 0.5)]:
         rep = empirical_parity_statistic(TABLE, x, lam, points, 7)
         assert (rep.estimate, rep.stderr) == _unsorted_parity_oracle(TABLE, x, lam, points, 7)
+
+
+@pytest.fixture(scope="module")
+def parity_tables(tmp_path_factory):
+    """A sieved table to 1.2e7 and the same table read back from its cache file."""
+    sieved = build_table(12_000_000)
+    return sieved, load_table(sieved.save(tmp_path_factory.mktemp("parity") / "primes.bin"))
+
+
+@pytest.mark.parametrize("span", [64, 1 << 20], ids=["span 64", "span 2^20"])
+@pytest.mark.parametrize("points", [1000, 100_000])
+def test_parity_statistic_windows_match_unsorted_oracle(monkeypatch, parity_tables, span, points):
+    # with 64-integer windows every group is a few points and every window edge
+    # is crossed; at lambda = 5 the window (80) is more than half the span, so
+    # groups reach 80 integers and windows 160
+    monkeypatch.setattr(gaps_mod, "_PARITY_SPAN", span)
+    for lam in (1.0, 5.0):
+        want = _unsorted_parity_oracle(parity_tables[0], 10**7, lam, points, 7)
+        for table in parity_tables:
+            rep = empirical_parity_statistic(table, 10**7, lam, points, 7)
+            assert (rep.estimate, rep.stderr) == want
+
+
+def test_parity_statistic_peak_memory(parity_tables):
+    # the searchsorted count it replaced peaked at 6,467,017 traced bytes in
+    # this test (numpy 2.4.6): the sorted uint32 points, the primes of the range and
+    # int64 search results; the rank count holds no primes and one group's words
+    tracemalloc.start()
+    try:
+        empirical_parity_statistic(parity_tables[1], 10**7, 1.0, 10**6, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6_467_017
 
 
 def test_parity_statistic_seeded_reproducible():
