@@ -22,8 +22,6 @@ import math
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import model as M
 from .primes import PrimeTable
 
@@ -75,9 +73,7 @@ def calibrate_model(table: PrimeTable, samples: int = 100_000, seed: int = 20260
     """
     x = 1e6
     cfgs = [M.ModelConfig.from_scale(x, lam, table, seed=seed) for lam in (1.0, 2.0, 4.0)]
-    # one sift serves the three windows, which share the seed and the cutoff
-    _, spans = M._span_counts(cfgs, max(samples // 10, 1000), table)
-    sizes = np.concatenate([counts[:, -1] for _, counts in spans], axis=1)
+    sizes = [M.survivor_counts(c, max(samples // 10, 1000), table) for c in cfgs]
     ratios = [float(s.var(ddof=1)) * math.log(c.cutoff_z) / c.window_len for c, s in zip(cfgs, sizes)]
     c_var = 1.5 * max(ratios)
 

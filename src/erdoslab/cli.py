@@ -346,7 +346,7 @@ def _run_gaps(args) -> None:
 def _run_parity(args) -> None:
     if args.x < 10:  # before log(x)
         raise ValueError(f"x must be >= 10, got {args.x}")
-    window = int(args.lam * math.log(args.x))
+    window = gaps_mod._parity_window(args.x, args.lam)  # before the table
     table = _get_table(args.limit or (args.x + int(args.x**0.9) + window + 10), args)
     rep = gaps_mod.empirical_parity_statistic(table, args.x, args.lam, args.points, args.seed)
     config = {"x": args.x, "lambda": args.lam, "points": args.points,

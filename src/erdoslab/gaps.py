@@ -172,10 +172,21 @@ class ParityStatReport:
     stderr: float
 
 
+def _parity_window(x: int, lam: float) -> int:
+    """floor(lambda log x), the window length w; a window below 1 raises ValueError."""
+    window = int(lam * math.log(x))
+    if window < 1:
+        raise ValueError(
+            f"lambda log x truncates to {window}; the window must hold at least 1 integer")
+    return window
+
+
 def empirical_parity_statistic(
     table: PrimeTable, x: int, lam: float, base_points: int, seed: int
 ) -> ParityStatReport:
     """Mean of (-1)^(pi(n + floor(lambda log x)) - pi(n)) over seeded random n.
+
+    The window w = floor(lambda log x) must hold at least 1 integer.
 
     Base points are drawn uniformly from [x, x + floor(x^0.9)]; the draw
     for position i depends only on (seed, i), so estimates reproduce
@@ -190,7 +201,7 @@ def empirical_parity_statistic(
         raise ValueError(f"x must be >= 10, got {x}")
     if base_points < 1000:
         raise ValueError(f"need at least 1000 base points, got {base_points}")
-    window = int(lam * math.log(x))
+    window = _parity_window(x, lam)
     spread = int(x**0.9)
     table.pi(x + spread + window)  # BoundsError before any draw, if the table is short
     # uint32 holds every point, as table limits lie below 2^32; each

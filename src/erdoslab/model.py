@@ -19,7 +19,7 @@ too short to gain from threads. Residues are drawn by rejection from
 64-bit words to avoid modulo bias. A residue never depends on the window,
 so one sift at the widest window serves every window that shares a seed
 and a cutoff (parity_biases); survivors are counted from the packed
-masks with a byte popcount table.
+masks with np.bitwise_count.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ _LD = np.longdouble
 # The 64 one-bit words, for decoding packed survivor masks.
 _BIT = _U64(1) << np.arange(64, dtype=_U64)
 
-# Set bits of every byte value, for counting survivors.
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# Most survivor masks exact_parity_bias holds: 2^L for window length L.
+_COMBO_LIMIT = 10**7
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -308,70 +308,49 @@ def membership_probability(tup, w: int, table: PrimeTable) -> float:
     return float(np.exp(total))
 
 
-def _span_counts(configs: list[ModelConfig], samples: int, table: PrimeTable,
-                 w_marks: list[int] | None = None, sample_start: int = 0):
+def _span_counts(configs: list[ModelConfig], samples: int, table: PrimeTable, w: int | None = None):
     """Survivor counts of several windows that share a seed and a cutoff, from one sift.
 
     Offset h survives p iff h % p != a_p, whatever the window length, and
     a_p does not depend on the window. So one sift at the widest window
     serves them all: a narrower window's survivors are the low bits of the
-    widest mask. Returns the sorted marks and an iterator over spans of
-    (lo, counts), where counts[c, i, j] is the survivor count of configs[c]
-    at sample sample_start + lo + j after every p <= marks[i] is sifted.
+    widest mask. Returns an iterator over spans of (lo, counts), where
+    counts[c, j] is the survivor count of configs[c] at sample lo + j after
+    every p <= w (default: the cutoff) is sifted.
     """
     if not configs:
         raise ValueError("need at least one config")
     seed, cutoff = configs[0].seed, configs[0].cutoff_z
     if any(c.seed != seed or c.cutoff_z != cutoff for c in configs):
         raise ValueError("configs must share one seed and one cutoff")
-    marks = sorted(set(int(w) for w in (w_marks or [cutoff])))
-    if marks[-1] > cutoff:
-        raise ValueError(f"w marks exceed cutoff {cutoff}")
-    primes = table.upto(marks[-1])
-    # row i holds the count after the first sifted[i] primes; 0 primes leave L
-    sifted = np.array([table.pi(w) for w in marks])
-    taken = set(sifted.tolist())
     widest = max(configs, key=lambda c: c.window_len)
+    _, primes = _sifting_primes(widest, w, table)
     words = -(-widest.window_len // 64)
-    wholes = []
-    for c in configs:
-        whole = _keep_masks(c.window_len, primes[:0])[0]
-        wholes.append(np.pad(whole, (0, words - whole.size)))
+    wholes = [_keep_masks(c.window_len, primes[:0])[0] for c in configs]
+    # each window's mask, padded to the widest: shape (configs, 1, words)
+    wholes = np.stack([np.pad(m, (0, words - m.size)) for m in wholes])[:, None]
 
     def spans():
-        for lo, k, _, alive in _sift(widest, primes, samples, sample_start):
-            if k == 0:
-                counts = np.empty((len(configs), len(marks), len(alive)), dtype=np.int64)
-            if k in taken:
-                for c, whole in enumerate(wholes):
-                    bits = (alive & whole).view(np.uint8)
-                    counts[c, sifted == k] = _POPCOUNT8[bits].sum(axis=1, dtype=np.int64)
+        for lo, k, _, alive in _sift(widest, primes, samples):
             if k == primes.size:
-                yield lo, counts
+                yield lo, np.bitwise_count(alive & wholes).sum(axis=2, dtype=np.int64)
 
-    return marks, spans()
+    return spans()
 
 
 def survivor_counts(
-    config: ModelConfig,
-    samples: int,
-    table: PrimeTable,
-    w_marks: list[int] | None = None,
-    sample_start: int = 0,
-    workers: int = 1,
+    config: ModelConfig, samples: int, table: PrimeTable, w: int | None = None, workers: int = 1,
 ) -> np.ndarray:
-    """Survivor-count matrix, one row per mark in w_marks, columns = samples.
+    """Survivor count of each sample 0 .. samples - 1 after every p <= w is sifted.
 
-    Each entry [i, j] is the sifted-set size of absolute sample index
-    sample_start + j after removing residue classes for all p <= w_marks[i].
-    Samples are sifted serially in spans of _SPAN; results depend only on
-    (seed, sample index), never on spans. ``workers`` is accepted and
-    ignored.
+    w defaults to the cutoff. Samples are sifted serially in spans of _SPAN; a sample's count depends
+    only on (seed, sample index), never on the spans, so the counts of
+    samples [a, b) are survivor_counts(config, b, table, w)[a:].
+    ``workers`` is accepted and ignored.
     """
-    marks, spans = _span_counts([config], samples, table, w_marks, sample_start)
-    out = np.empty((len(marks), samples), dtype=np.int64)
-    for lo, counts in spans:
-        out[:, lo : lo + counts.shape[2]] = counts[0]
+    out = np.empty(samples, dtype=np.int64)
+    for lo, counts in _span_counts([config], samples, table, w):
+        out[lo : lo + counts.shape[1]] = counts[0]
     return out
 
 
@@ -385,52 +364,38 @@ class MomentReport:
     variance: float
     predicted_mean: float
     predicted_variance_bound: float
-    in_lemma_range: bool
+    in_lemma_range: bool  # always True: moments rejects w outside the range
 
     @property
     def mean_stderr(self) -> float:
         return math.sqrt(self.variance / self.sample_count)
 
 
-def moments(
-    config: ModelConfig,
-    w: int,
-    samples: int,
-    table: PrimeTable,
-    c_var: float | None = None,
-    allow_out_of_range: bool = False,
-) -> MomentReport:
+def moments(config: ModelConfig, w: int, samples: int, table: PrimeTable) -> MomentReport:
     """Monte Carlo mean/variance of the survivor count at level w.
 
-    The variance bound constant defaults to the checked-in calibration
-    fixture. Levels outside [window_len, cutoff] are rejected unless
-    ``allow_out_of_range`` (the report records the flag either way).
+    The variance bound is c_var * window_len / log w, with c_var from the
+    checked-in calibration fixture, so w must be at least 2. Levels
+    outside the lemma range [window_len, cutoff] raise BoundsError.
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
-    in_range = config.window_len <= w <= config.cutoff_z
-    if not in_range and not allow_out_of_range:
-        raise BoundsError(
-            f"w={w} outside lemma range [{config.window_len}, {config.cutoff_z}]; "
-            "pass allow_out_of_range=True to compute anyway"
-        )
-    if c_var is None:
-        from .calibration import load_fixture
+    if w < 2:  # before log w
+        raise ValueError(f"w must be >= 2, got {w}")
+    if not config.window_len <= w <= config.cutoff_z:
+        raise BoundsError(f"w={w} outside lemma range [{config.window_len}, {config.cutoff_z}]")
+    from .calibration import load_fixture
 
-        c_var = float(load_fixture()["model"]["c_var"])
-    sizes = survivor_counts(config, samples, table, [w])[0]
-    mean = float(sizes.mean())
-    var = float(sizes.var(ddof=1)) if samples > 1 else 0.0
-    pred_mean = config.window_len * mertens_product(w, table)
-    bound = c_var * config.window_len / math.log(w) if config.window_len else 0.0
+    c_var = float(load_fixture()["model"]["c_var"])
+    sizes = survivor_counts(config, samples, table, w)
     return MomentReport(
         w=int(w),
         sample_count=samples,
-        mean=mean,
-        variance=var,
-        predicted_mean=pred_mean,
-        predicted_variance_bound=bound,
-        in_lemma_range=in_range,
+        mean=float(sizes.mean()),
+        variance=float(sizes.var(ddof=1)),
+        predicted_mean=config.window_len * mertens_product(w, table),
+        predicted_variance_bound=c_var * config.window_len / math.log(w),
+        in_lemma_range=True,
     )
 
 
@@ -442,10 +407,9 @@ def parity_biases(configs: list[ModelConfig], samples: int, table: PrimeTable) -
     """
     if samples < 10_000:
         raise ValueError(f"need at least 10000 samples, got {samples}")
-    _, spans = _span_counts(configs, samples, table)
     odd = np.zeros(len(configs), dtype=np.int64)
-    for _, counts in spans:
-        odd += np.count_nonzero(counts[:, -1] & 1, axis=1)
+    for _, counts in _span_counts(configs, samples, table):
+        odd += np.count_nonzero(counts & 1, axis=1)
     # same exact rational as binomial_moment_sum, so the r >= max(S)
     # collapse identity holds bit for bit
     return [float(Fraction(samples - 2 * int(o), samples)) for o in odd]
@@ -466,29 +430,24 @@ def parity_bias_stderr(estimate: float, samples: int) -> float:
 
 @dataclass(frozen=True)
 class BonferroniBound:
-    """Truncated binomial expansion sum_{k<=r} (phase-1)^k C(N, k).
+    """Truncated binomial expansion sum_{k<=r} (-2)^k C(N, k) of (-1)^N.
 
-    For phase -1 the value is an integer and ``side`` records whether it
-    bounds (-1)^N from above (r even) or below (r odd); the bound is exact
-    once r >= N.
+    The value is an integer; ``side`` records whether it bounds (-1)^N
+    from above (r even) or below (r odd), and the bound is exact once
+    r >= N.
     """
 
-    value: int | float | complex
-    side: str | None
+    value: int
+    side: str
     exact: bool
 
 
-def bonferroni_bound(N: int, r: int, phase: complex = -1.0) -> BonferroniBound:
+def bonferroni_bound(N: int, r: int) -> BonferroniBound:
     N, r = int(N), int(r)
     if N < 0 or r < 0:
         raise ValueError("N and r must be non-negative")
-    top = min(r, N)
-    if phase == -1:
-        value = sum((-2) ** k * math.comb(N, k) for k in range(top + 1))
-        return BonferroniBound(value=value, side="upper" if r % 2 == 0 else "lower", exact=r >= N)
-    z = complex(phase) - 1.0
-    value = sum(z**k * math.comb(N, k) for k in range(top + 1))
-    return BonferroniBound(value=value, side=None, exact=r >= N)
+    value = sum((-2) ** k * math.comb(N, k) for k in range(min(r, N) + 1))
+    return BonferroniBound(value=value, side="upper" if r % 2 == 0 else "lower", exact=r >= N)
 
 
 def binomial_moment_sum(
@@ -507,8 +466,7 @@ def binomial_moment_sum(
         raise ValueError(f"r must be >= 0, got {r}")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
-    sizes = survivor_counts(config, samples, table)[0]
-    counts = np.bincount(sizes)
+    counts = np.bincount(survivor_counts(config, samples, table))
     total = sum(
         int(c) * bonferroni_bound(s, r).value for s, c in enumerate(counts) if c
     )
@@ -518,26 +476,26 @@ def binomial_moment_sum(
         return math.inf if total > 0 else -math.inf
 
 
-def exact_parity_bias(config: ModelConfig, table: PrimeTable, combo_limit: int = 10**7) -> float:
+def exact_parity_bias(config: ModelConfig, table: PrimeTable) -> float:
     """Mean of (-1)^(survivor count) over all residue tuples, exactly.
 
     Primes p <= L = window_len sift a count of tuples per survivor mask of
     [1, L], exact in float64 (below primorial(L) < 2^53 for L <= 42). A
     larger prime meets the window at most once, so s of its p residues kill
-    one of s survivors. combo_limit bounds the 2^L masks.
+    one of s survivors. The 2^L masks may not exceed _COMBO_LIMIT (1e7),
+    so L is at most 23.
     """
     L = config.window_len
     primes = [int(p) for p in table.upto(config.cutoff_z)]
-    if 2**L > combo_limit:
-        raise ValueError(f"{2**L} survivor masks exceed limit {combo_limit}")
+    if 2**L > _COMBO_LIMIT:
+        raise ValueError(f"{2**L} survivor masks exceed limit {_COMBO_LIMIT}")
     masks, counts, total = np.arange(2**L), np.zeros(2**L), 1
     counts[-1] = 1.0  # before any sifting, every offset survives
     for p in (p for p in primes if p <= L):
         kills = [sum(1 << i for i in range(a, L, p)) for a in range(p)]
         counts = sum(np.bincount(masks & ~k, weights=counts, minlength=2**L) for k in kills)
         total *= p
-    pop = _POPCOUNT8[masks.view(np.uint8)].reshape(2**L, -1).sum(axis=1)
-    n = [int(c) for c in np.bincount(pop, weights=counts, minlength=L + 1)]
+    n = [int(c) for c in np.bincount(np.bitwise_count(masks), weights=counts, minlength=L + 1)]
     for p in (p for p in primes if p > L):
         n = [c * (p - s) + d * (s + 1) for s, (c, d) in enumerate(zip(n, n[1:] + [0]))]
         total *= p

@@ -219,27 +219,26 @@ def pair_singular_table(h_max: int, truncation_prime: int = DEFAULT_TRUNCATION) 
     return vals
 
 
-def pair_correlation_sum(H: int, truncation_prime: int = DEFAULT_TRUNCATION) -> float:
+def pair_correlation_sum(H: int) -> float:
     """2 * sum of pair singular-series values over 0 < h1 < h2 <= H.
 
-    Shift invariance reduces the double sum to sum_d 2(H-d) * pair(d).
+    Shift invariance reduces the double sum to sum_d 2(H-d) * pair(d). The
+    pair values are those of pair_singular_table at DEFAULT_TRUNCATION.
     """
     H = int(H)
     if H < 2:
         raise ValueError(f"H must be >= 2, got {H}")
-    vals = pair_singular_table(H - 1, truncation_prime)
+    vals = pair_singular_table(H - 1)
     d = np.arange(H, dtype=np.float64)
     return float(2.0 * np.sum((H - d[1:]) * vals[1:]))
 
 
-def pair_correlation_curve(
-    h_values, truncation_prime: int = DEFAULT_TRUNCATION
-) -> np.ndarray:
+def pair_correlation_curve(h_values) -> np.ndarray:
     """pair_correlation_sum evaluated at many H via shared prefix sums."""
     hs = np.asarray(h_values, dtype=np.int64)
     if hs.size == 0 or hs.min() < 2:
         raise ValueError("H values must be >= 2")
-    vals = pair_singular_table(int(hs.max()) - 1, truncation_prime)
+    vals = pair_singular_table(int(hs.max()) - 1)
     s1 = np.concatenate([[0.0], np.cumsum(vals[1:])])
     s2 = np.concatenate([[0.0], np.cumsum(np.arange(1, vals.size) * vals[1:])])
     return 2.0 * (hs * s1[hs - 1] - s2[hs - 1])
@@ -250,12 +249,14 @@ def pair_correlation_asymptotic(H: float) -> float:
     return H * H - H * math.log(H) + (1.0 - EULER_GAMMA - math.log(2.0 * math.pi)) * H
 
 
-def gallagher_sum(k: int, H: int, truncation_prime: int = DEFAULT_TRUNCATION) -> float:
+def gallagher_sum(k: int, H: int) -> float:
     """Sum of singular-series values over the k-tuple family in (0, H].
 
     k=1 sums the singleton value 1 over the H offsets; k=2 sums the pair
     value over gaps h <= H (the h=1 term vanishes); k=3 sums over gap
     pairs h < h' <= H. Larger k is unsupported (exact enumeration only).
+    Every value is truncated at DEFAULT_TRUNCATION; for k = 3 the cap
+    H <= 300 keeps that above max(2k^2, span).
     """
     H = int(H)
     if H < 2:
@@ -263,7 +264,7 @@ def gallagher_sum(k: int, H: int, truncation_prime: int = DEFAULT_TRUNCATION) ->
     if k == 1:
         return float(H)
     if k == 2:
-        vals = pair_singular_table(H, truncation_prime)
+        vals = pair_singular_table(H)
         return float(np.sum(vals[1:]))
     if k == 3:
         if H > 300:
@@ -271,7 +272,7 @@ def gallagher_sum(k: int, H: int, truncation_prime: int = DEFAULT_TRUNCATION) ->
         total = _LD(0.0)
         for h1 in range(1, H):
             for h2 in range(h1 + 1, H + 1):
-                sv = singular_series(OffsetTuple((0, h1, h2)), truncation_prime)
+                sv = singular_series(OffsetTuple((0, h1, h2)), DEFAULT_TRUNCATION)
                 total += _LD(sv.value)
         return float(total)
     raise ValueError(f"k={k} unsupported; exact enumeration covers k in 1..3")

@@ -72,7 +72,7 @@ def test_cache_roundtrip_hypothesis(limit, tmp_path_factory):
 
 def test_survivor_marks_at_and_below_first_prime(model_table):
     cfg = ModelConfig.from_scale(1e6, 1.0, model_table, seed=4)
-    sizes = survivor_counts(cfg, 50, model_table, [1, 2, 3, cfg.cutoff_z])
+    sizes = np.stack([survivor_counts(cfg, 50, model_table, w) for w in (1, 2, 3, cfg.cutoff_z)])
     # before any sifting the whole window survives
     assert np.all(sizes[0] == cfg.window_len)
     for j, w in enumerate((2, 3)):

@@ -521,7 +521,7 @@ def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
     lines = [line.split() for line in block.splitlines() if line.startswith("erdoslab ")]
-    assert len(lines) == 9
+    assert len(lines) == 10
     parser = build_parser()
     for line in lines:
         assert parser.parse_args(line[1:]).cmd == line[1]
@@ -654,11 +654,17 @@ _W_RANGE = "error: invalid: --w must lie in [14, 2293], the window to the cutoff
      (["paircorr", "--hmin=100", "--hmax=50"], "error: invalid: --hmin must be <= --hmax, got 100 > 50"),
      # the lemma range of the moments is [window_len, cutoff_z] = [14, 2293] at 1e6
      (["model", "moments", "--x=1e6", "--w=5"], f"{_W_RANGE} 5"),
-     (["model", "moments", "--x=1e6", "--w=3000"], f"{_W_RANGE} 3000")],
+     (["model", "moments", "--x=1e6", "--w=3000"], f"{_W_RANGE} 3000"),
+     # window 1 and cutoff 3 at x = 10, lambda 0.5: w = 1 is in range, but not above 1
+     (["model", "moments", "--x=10", "--lambda=0.5", "--w=1", "--samples=1000"],
+      "error: invalid: w must be >= 2, got 1"),
+     # lambda log x = 0.69 leaves an empty window
+     (["parity", "--x=1e6", "--lambda=0.05", "--points=1000"],
+      "error: invalid: lambda log x truncates to 0; the window must hold at least 1 integer")],
     ids=["nmax 1.5", "nmax ten", "equiv x", "dense", "eps 2", "tuple offset 1.5",
          "dense reversed", "dense one value", "dense three values", "equiv x 0", "equiv x 2",
          "parity x 0", "parity x negative", "paircorr hmin above hmax",
-         "moments w below window", "moments w above cutoff"],
+         "moments w below window", "moments w above cutoff", "moments w 1", "parity window 0"],
 )
 def test_invalid_option_message_exits_2(workdir, capsys, argv, err):
     try:

@@ -182,8 +182,11 @@ def test_small_gap_range_error():
 
 
 def test_parity_statistic_window_zero():
-    rep = empirical_parity_statistic(TABLE, 1000, 0.1, 1000, seed=1)
-    assert rep.window == 0 and rep.estimate == 1.0
+    # lambda log x below 1 leaves no integer to count; a negative lambda
+    # used to reach the uint32 points and overflow
+    for x, lam, window in ((1000, 0.1, 0), (10**6, 0.05, 0), (10**6, -1.0, -13)):
+        with pytest.raises(ValueError, match=f"lambda log x truncates to {window};"):
+            empirical_parity_statistic(TABLE, x, lam, 1000, seed=1)
 
 
 def test_parity_statistic_window_one_direct():
@@ -205,7 +208,7 @@ def _unsorted_parity_oracle(table, x, lam, base_points, seed):
     return est, math.sqrt(max(1.0 - est * est, 0.0) / base_points)
 
 
-@pytest.mark.parametrize("x,lam", [(1000, 0.1), (10_000, 0.05), (10_000, 1.0), (50_000, 2.5),
+@pytest.mark.parametrize("x,lam", [(1000, 0.15), (10_000, 0.25), (10_000, 1.0), (50_000, 2.5),
                                    (200_000, 0.5), (200_000, 1.0), (10_000, 3.0), (200_000, 5.0)])
 def test_parity_statistic_matches_unsorted_oracle(x, lam):
     # sorting the base points cannot move the odd count: equal, not close

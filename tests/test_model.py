@@ -186,7 +186,7 @@ def test_survivor_frequency_matches_probability():
 def test_joint_survivor_frequency_k2_k3():
     n = 100_000
     cfg = ModelConfig.from_scale(1e6, 1.0, TABLE, seed=5)
-    counts = survivor_counts(cfg, n, TABLE, [7])[0]
+    counts = survivor_counts(cfg, n, TABLE, 7)
     # frequency check via explicit membership of a small tuple
     a2 = residues_for_prime(5, 0, 2, np.arange(n))
     a3 = residues_for_prime(5, 1, 3, np.arange(n))
@@ -207,8 +207,7 @@ def test_one_step_transition_law():
     # probability size / p_{n+1} when p_{n+1} exceeds the window span
     cfg = ModelConfig.from_scale(1e6, 1.0, TABLE, seed=31)
     p_lo, p_hi = 53, 59
-    sizes = survivor_counts(cfg, 40_000, TABLE, [p_lo, p_hi])
-    before, after = sizes[0], sizes[1]
+    before, after = (survivor_counts(cfg, 40_000, TABLE, w) for w in (p_lo, p_hi))
     drops = before - after
     assert set(np.unique(drops).tolist()) <= {0, 1}
     for s in range(1, 6):
@@ -227,31 +226,35 @@ def _digest(counts):
 
 
 def test_worker_independence():
-    # digests of the counts of the code that cut one span per worker;
-    # 2 * _SPAN + 3 samples make three fixed spans, so the pool has work
+    # digests of the counts of the code that cut one span per worker, one
+    # row per level; 2 * _SPAN + 3 samples make three fixed spans, so the
+    # pool has work
     cfg = ModelConfig.from_scale(1e6, 2.0, TABLE, seed=77)
-    marks = [1, 2, 100, cfg.cutoff_z]
+    levels = [1, 2, 100, cfg.cutoff_z]
     for workers in (1, 2, 3):
-        counts = survivor_counts(cfg, 2 * _SPAN + 3, TABLE, marks, workers=workers)
+        counts = np.stack([survivor_counts(cfg, 2 * _SPAN + 3, TABLE, w, workers=workers)
+                           for w in levels])
         assert counts.shape == (4, 2 * _SPAN + 3)
         assert np.all(counts[0] == cfg.window_len)
         assert _digest(counts) == "a569992cce6a9903be9fa9e00acf2f9b630f2f9681cab35e96c7e671d4edaca5"
-    # spans start at sample_start, off the multiples of _SPAN
-    counts = survivor_counts(cfg, 20_000, TABLE, marks, sample_start=12_345, workers=2)
+    # samples 12_345 ... 32_344, off the multiples of _SPAN
+    counts = np.stack([survivor_counts(cfg, 32_345, TABLE, w, workers=2)[12_345:] for w in levels])
     assert _digest(counts) == "da4da44b351d4d9708468fe29859e08aafdf84ee60407baa152aa3b5f26c2c40"
 
 
 def test_sample_start_offsets_compose():
+    # a count depends only on the sample index: a shorter run is a prefix,
+    # and draw_sample sifts sample i in a span of its own that starts at i
     cfg = ModelConfig.from_scale(1e6, 1.0, TABLE, seed=3)
-    whole = survivor_counts(cfg, 1000, TABLE)[0]
-    head = survivor_counts(cfg, 400, TABLE)[0]
-    tail = survivor_counts(cfg, 600, TABLE, sample_start=400)[0]
-    assert np.array_equal(whole, np.concatenate([head, tail]))
+    whole = survivor_counts(cfg, 1000, TABLE)
+    assert np.array_equal(survivor_counts(cfg, 400, TABLE), whole[:400])
+    for i in (400, 401, 777, 999):
+        assert draw_sample(cfg, table=TABLE, sample_index=i).size == whole[i]
 
 
 def test_moments_window_zero():
     cfg = ModelConfig(x=1e6, lam=0.0, window_len=0, cutoff_z=13, seed=0)
-    rep = moments(cfg, 13, 1000, TABLE, c_var=1.0)
+    rep = moments(cfg, 13, 1000, TABLE)
     assert rep.mean == 0.0 and rep.variance == 0.0
     assert rep.predicted_mean == 0.0 and rep.predicted_variance_bound == 0.0
     assert parity_bias(cfg, 10_000, TABLE) == 1.0
@@ -260,7 +263,7 @@ def test_moments_window_zero():
 def test_moments_mean_within_3se():
     for lam in (1.0, 2.0):
         cfg = ModelConfig.from_scale(1e6, lam, TABLE, seed=42)
-        rep = moments(cfg, cfg.cutoff_z, 4000, TABLE, c_var=1.0)
+        rep = moments(cfg, cfg.cutoff_z, 4000, TABLE)
         assert abs(rep.mean - rep.predicted_mean) <= 3 * rep.mean_stderr
         assert rep.in_lemma_range
 
@@ -268,11 +271,18 @@ def test_moments_mean_within_3se():
 def test_moments_validation():
     cfg = ModelConfig.from_scale(1e6, 1.0, TABLE, seed=0)
     with pytest.raises(ValueError):
-        moments(cfg, cfg.cutoff_z, 999, TABLE, c_var=1.0)
+        moments(cfg, cfg.cutoff_z, 999, TABLE)
     with pytest.raises(BoundsError):
-        moments(cfg, 5, 1000, TABLE, c_var=1.0)  # below window_len
-    rep = moments(cfg, 5, 1000, TABLE, c_var=1.0, allow_out_of_range=True)
-    assert not rep.in_lemma_range
+        moments(cfg, 5, 1000, TABLE)  # below window_len
+    with pytest.raises(BoundsError):
+        moments(cfg, cfg.cutoff_z + 1, 1000, TABLE)
+    # x = 10 at lambda 0.5: window 1 and cutoff 3, so w = 1 lies in the range,
+    # but the variance bound divides by log w
+    small = ModelConfig.from_scale(10, 0.5, TABLE)
+    assert (small.window_len, small.cutoff_z) == (1, 3)
+    with pytest.raises(ValueError, match="w must be >= 2, got 1"):
+        moments(small, 1, 1000, TABLE)
+    assert moments(small, 2, 1000, TABLE).in_lemma_range
 
 
 def test_parity_bias_validation():
@@ -305,20 +315,6 @@ def test_bonferroni_sandwich_property(N, r):
         assert bb.value == target
 
 
-@given(
-    N=st.integers(min_value=0, max_value=12),
-    theta=st.integers(min_value=1, max_value=7),
-)
-@settings(max_examples=40)
-def test_bonferroni_general_phase_exact_when_r_large(N, theta):
-    # binomial theorem: the full expansion reassembles z^N (the summands
-    # reach 2^N * C(N, N/2), so exactness is only visible at moderate N)
-    z = complex(math.cos(theta), math.sin(theta))
-    bb = bonferroni_bound(N, N, z)
-    assert bb.value == pytest.approx(z**N, abs=1e-7)
-    assert bb.side is None
-
-
 def test_exact_enumeration_matches_monte_carlo():
     cfg = ModelConfig.from_scale(60, 1.0, TABLE, seed=7)
     assert cfg.window_len == 4 and cfg.cutoff_z == 7
@@ -331,7 +327,7 @@ def test_exact_enumeration_matches_monte_carlo():
 
 
 def test_exact_enumeration_guard():
-    # L = round(2 log 1e6) = 28: 2^28 survivor masks exceed the default limit
+    # L = round(2 log 1e6) = 28: 2^28 survivor masks exceed the limit of 1e7
     cfg = ModelConfig.from_scale(1e6, 2.0, TABLE, seed=0)
     assert cfg.window_len == 28
     with pytest.raises(ValueError, match="survivor masks exceed limit"):
@@ -401,7 +397,7 @@ def test_binomial_moment_collapse_and_sandwich():
     upper = binomial_moment_sum(cfg, 6, 10_000, TABLE)
     assert lower <= pb <= upper
     # per-sample sandwich
-    sizes = survivor_counts(cfg, 2000, TABLE)[0]
+    sizes = survivor_counts(cfg, 2000, TABLE)
     for s in np.unique(sizes):
         s = int(s)
         assert bonferroni_bound(s, 5).value <= (-1) ** s <= bonferroni_bound(s, 6).value
@@ -512,7 +508,8 @@ def test_packed_kernel_matches_bool_oracle(monkeypatch, L):
     for start in (0, 777):
         want, alive = _oracle_counts(cfg, 250, marks, sample_start=start)
         for workers in (1, 2, 3):
-            got = survivor_counts(cfg, 250, TABLE, marks, sample_start=start, workers=workers)
+            got = np.stack([survivor_counts(cfg, start + 250, TABLE, w, workers=workers)[start:]
+                            for w in marks])
             assert np.array_equal(got, want), (start, workers)
     want_sets = [np.flatnonzero(row) + 1 for row in _oracle_counts(cfg, 250, [cfg.cutoff_z])[1]]
     got_sets = sifted_sets(cfg, 250, table=TABLE)
@@ -545,7 +542,8 @@ def test_sifted_sets_are_draw_samples(w):
 
 def test_packed_kernel_empty_window():
     cfg = ModelConfig(x=1e6, lam=0.0, window_len=0, cutoff_z=13, seed=0)
-    assert np.array_equal(survivor_counts(cfg, 5, TABLE, [1, 13]), np.zeros((2, 5), dtype=np.int64))
+    for w in (None, 1, 13):
+        assert np.array_equal(survivor_counts(cfg, 5, TABLE, w), np.zeros(5, dtype=np.int64))
     assert [s.tolist() for s in sifted_sets(cfg, 3, table=TABLE)] == [[], [], []]
     assert draw_sample(cfg, table=TABLE).survivors.tolist() == []
 
@@ -660,14 +658,13 @@ def test_span_counts_match_survivor_counts(monkeypatch):
     monkeypatch.setattr(model_mod, "_SPAN", 64)
     cfgs = _shared_configs(9, [14, 130, 0, 69, 14])
     z = cfgs[0].cutoff_z
-    for marks, start in (([z], 0), ([1, 2, 100, 14, z], 777), ([z, 50, 3], 12_345)):
-        got_marks, spans = model_mod._span_counts(cfgs, 250, TABLE, marks, start)
-        assert got_marks == sorted(set(marks))
-        got = np.concatenate([counts for _, counts in spans], axis=2)
-        assert got.shape == (len(cfgs), len(got_marks), 250)
+    for w, start in ((None, 0), (1, 0), (2, 777), (100, 777), (14, 0), (3, 12_345), (z, 12_345)):
+        spans = model_mod._span_counts(cfgs, start + 250, TABLE, w)
+        got = np.concatenate([counts for _, counts in spans], axis=1)[:, start:]
+        assert got.shape == (len(cfgs), 250)
         for c, row in zip(cfgs, got):
-            assert np.array_equal(row, survivor_counts(c, 250, TABLE, marks, sample_start=start))
-            assert np.array_equal(row, _oracle_counts(c, 250, got_marks, sample_start=start)[0])
+            assert np.array_equal(row, survivor_counts(c, start + 250, TABLE, w)[start:])
+            assert np.array_equal(row, _oracle_counts(c, 250, [w or z], sample_start=start)[0][0])
 
 
 def test_shared_sift_validation():
@@ -682,8 +679,8 @@ def test_shared_sift_validation():
     # the sample count is checked before any sifting, whatever the configs
     with pytest.raises(ValueError, match="10000 samples"):
         parity_biases([cfg, other_seed], 9_999, TABLE)
-    with pytest.raises(ValueError, match="exceed cutoff"):
-        model_mod._span_counts([cfg], 10, TABLE, [cfg.cutoff_z + 1])
+    with pytest.raises(ValueError, match="exceeds the configured cutoff"):
+        model_mod._span_counts([cfg], 10, TABLE, cfg.cutoff_z + 1)
 
 
 def test_calibrate_model_reproduces_fixture():

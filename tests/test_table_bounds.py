@@ -40,7 +40,7 @@ _READERS = {
     "parity_biases": (lambda t: model.parity_biases([_cfg(97)], 10_000, t), 97),
     "sifted_sets": (lambda t: model.sifted_sets(_cfg(97), 10, table=t), 97),
     "draw_sample": (lambda t: model.draw_sample(_cfg(97), table=t), 97),
-    "moments": (lambda t: model.moments(_cfg(97), 97, 1000, t, c_var=1.0), 97),
+    "moments": (lambda t: model.moments(_cfg(97), 97, 1000, t), 97),
     "exact_parity_bias": (lambda t: model.exact_parity_bias(_cfg(13), t), 13),
     "membership_probability": (
         lambda t: model.membership_probability(OffsetTuple([0, 2]), 97, t), 97),
