@@ -171,7 +171,8 @@ def _run_series(args) -> None:
         if len(d) != 2 or d[0] > d[1]:
             raise ValueError(f"--dense expects LO:HI with LO <= HI, got {w!r}")
     erdos = args.kind == "erdos"
-    table = _get_table(args.limit or (_nth_prime_upper(args.nmax) if erdos else args.nmax), args)
+    # parity's table reaches m_max, but at least 2, so that parity_partial reports an m_max below 2
+    table = _get_table(args.limit or (_nth_prime_upper(args.nmax) if erdos else max(args.nmax, 2)), args)
     partial = series_mod.erdos_partial if erdos else series_mod.parity_partial
     trace = partial(table, args.nmax, phase, dense_windows=dense, ratio=args.ratio)
     if args.average:
@@ -344,8 +345,6 @@ def _run_gaps(args) -> None:
 
 
 def _run_parity(args) -> None:
-    if args.x < 10:  # before log(x)
-        raise ValueError(f"x must be >= 10, got {args.x}")
     window = gaps_mod._parity_window(args.x, args.lam)  # before the table
     table = _get_table(args.limit or (args.x + int(args.x**0.9) + window + 10), args)
     rep = gaps_mod.empirical_parity_statistic(table, args.x, args.lam, args.points, args.seed)

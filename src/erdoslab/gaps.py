@@ -173,7 +173,9 @@ class ParityStatReport:
 
 
 def _parity_window(x: int, lam: float) -> int:
-    """floor(lambda log x), the window length w; a window below 1 raises ValueError."""
+    """floor(lambda log x), the window length w; x below 10 or a window below 1 raises ValueError."""
+    if x < 10:  # before log(x)
+        raise ValueError(f"x must be >= 10, got {x}")
     window = int(lam * math.log(x))
     if window < 1:
         raise ValueError(
@@ -197,11 +199,9 @@ def empirical_parity_statistic(
     a running popcount, so pi(n + w) - pi(n) is two O(1) rank reads.
     """
     x = int(x)
-    if x < 10:
-        raise ValueError(f"x must be >= 10, got {x}")
+    window = _parity_window(x, lam)
     if base_points < 1000:
         raise ValueError(f"need at least 1000 base points, got {base_points}")
-    window = _parity_window(x, lam)
     spread = int(x**0.9)
     table.pi(x + spread + window)  # BoundsError before any draw, if the table is short
     # uint32 holds every point, as table limits lie below 2^32; each

@@ -6,10 +6,11 @@ selects the cutoff from the Mertens product, computes exact membership
 probabilities (one point's is the Mertens product), draws reproducible
 Monte Carlo samples, and estimates the moment and parity statistics of
 the survivor count, with truncated binomial (Bonferroni) expansions of
-the parity as exact companions. Every reader takes the primes up to its
-cutoff through ``PrimeTable.upto``, so a table that stops short of the
-cutoff raises BoundsError instead of sifting fewer primes; sieve_cutoff
-alone walks the table, until its product crosses the threshold.
+the parity as exact companions, summed in full by exact_parity_bias.
+Every reader takes the primes up to its cutoff through
+``PrimeTable.upto``, so a table that stops short of the cutoff raises
+BoundsError instead of sifting fewer primes; sieve_cutoff alone walks
+the table, until its product crosses the threshold.
 
 Randomness is a SplitMix64 counter stream per prime: the word consumed by
 (seed, prime rank, sample index, attempt) is a pure function of those
@@ -53,9 +54,6 @@ _LD = np.longdouble
 
 # The 64 one-bit words, for decoding packed survivor masks.
 _BIT = _U64(1) << np.arange(64, dtype=_U64)
-
-# Most survivor masks exact_parity_bias holds: 2^L for window length L.
-_COMBO_LIMIT = 10**7
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -479,24 +477,27 @@ def binomial_moment_sum(
 def exact_parity_bias(config: ModelConfig, table: PrimeTable) -> float:
     """Mean of (-1)^(survivor count) over all residue tuples, exactly.
 
-    Primes p <= L = window_len sift a count of tuples per survivor mask of
-    [1, L], exact in float64 (below primorial(L) < 2^53 for L <= 42). A
-    larger prime meets the window at most once, so s of its p residues kill
-    one of s survivors. The 2^L masks may not exceed _COMBO_LIMIT (1e7),
-    so L is at most 23.
+    Gallagher's expansion E(-1)^S = sum_k (-2)^k E C(S, k). The primes
+    p <= L = window_len sift the reachable survivor masks of [1, L] with
+    the keep tables of the Monte Carlo kernel, carrying a float64 count of
+    residue tuples per mask: exact while their total, the product of those
+    primes, is below 2^53 (L <= 42) and a mask is one word (L <= 64), and
+    refused with ValueError beyond. A larger prime p meets the window at
+    most once, so it multiplies the k-th binomial moment by (1 - k/p). The
+    result is one exact integer ratio, correctly rounded.
     """
     L = config.window_len
     primes = [int(p) for p in table.upto(config.cutoff_z)]
-    if 2**L > _COMBO_LIMIT:
-        raise ValueError(f"{2**L} survivor masks exceed limit {_COMBO_LIMIT}")
-    masks, counts, total = np.arange(2**L), np.zeros(2**L), 1
-    counts[-1] = 1.0  # before any sifting, every offset survives
-    for p in (p for p in primes if p <= L):
-        kills = [sum(1 << i for i in range(a, L, p)) for a in range(p)]
-        counts = sum(np.bincount(masks & ~k, weights=counts, minlength=2**L) for k in kills)
-        total *= p
-    n = [int(c) for c in np.bincount(np.bitwise_count(masks), weights=counts, minlength=L + 1)]
-    for p in (p for p in primes if p > L):
-        n = [c * (p - s) + d * (s + 1) for s, (c, d) in enumerate(zip(n, n[1:] + [0]))]
-        total *= p
-    return (sum(n[::2]) - sum(n[1::2])) / total
+    small, big = [p for p in primes if p <= L], [p for p in primes if p > L]
+    total = math.prod(small)
+    if L > 64 or total >= 2**53:
+        raise ValueError(f"exact counts need a window of at most 64 offsets and fewer than "
+                         f"2^53 residue tuples of the primes <= {L}, got {L} and {total}")
+    masks, counts = np.full(1, 2**L - 1, dtype=_U64), np.ones(1)
+    for p, keep in zip(small, _keep_masks(L, small)[1]):
+        masks, inv = np.unique(np.concatenate([masks & row[0] for row in keep]), return_inverse=True)
+        counts = np.bincount(inv, weights=np.tile(counts, p))
+    n = np.bincount(np.bitwise_count(masks), weights=counts)  # tuples per survivor count
+    binom = [sum(int(c) * math.comb(s, k) for s, c in enumerate(n)) for k in range(n.size)]
+    num = sum((-2) ** k * c * math.prod(p - k for p in big) for k, c in enumerate(binom) if c)
+    return num / (total * math.prod(big))

@@ -651,6 +651,8 @@ _W_RANGE = "error: invalid: --w must lie in [14, 2293], the window to the cutoff
      (["equiv", "--x=2,3,10"], _X_VALUES),
      (["parity", "--x=0"], "error: invalid: x must be >= 10, got 0"),
      (["parity", "--x=-5"], "error: invalid: x must be >= 10, got -5"),
+     # parity's own bound, not that of the table it would build
+     (["series", "--kind=parity", "--nmax=1"], "error: invalid: m_max must be >= 2, got 1"),
      (["paircorr", "--hmin=100", "--hmax=50"], "error: invalid: --hmin must be <= --hmax, got 100 > 50"),
      # the lemma range of the moments is [window_len, cutoff_z] = [14, 2293] at 1e6
      (["model", "moments", "--x=1e6", "--w=5"], f"{_W_RANGE} 5"),
@@ -663,7 +665,7 @@ _W_RANGE = "error: invalid: --w must lie in [14, 2293], the window to the cutoff
       "error: invalid: lambda log x truncates to 0; the window must hold at least 1 integer")],
     ids=["nmax 1.5", "nmax ten", "equiv x", "dense", "eps 2", "tuple offset 1.5",
          "dense reversed", "dense one value", "dense three values", "equiv x 0", "equiv x 2",
-         "parity x 0", "parity x negative", "paircorr hmin above hmax",
+         "parity x 0", "parity x negative", "parity series nmax 1", "paircorr hmin above hmax",
          "moments w below window", "moments w above cutoff", "moments w 1", "parity window 0"],
 )
 def test_invalid_option_message_exits_2(workdir, capsys, argv, err):

@@ -327,11 +327,63 @@ def test_exact_enumeration_matches_monte_carlo():
 
 
 def test_exact_enumeration_guard():
-    # L = round(2 log 1e6) = 28: 2^28 survivor masks exceed the limit of 1e7
+    # L = 43 with every prime <= 43 sifting: 43# = 1.3e16 residue tuples
+    # reach 2^53, past what the float64 mask counts hold exactly
+    cfg = ModelConfig(x=1e6, lam=1.0, window_len=43, cutoff_z=43)
+    with pytest.raises(ValueError, match="fewer than 2\\^53 residue tuples"):
+        exact_parity_bias(cfg, TABLE)
+    # a window wider than one mask word
+    with pytest.raises(ValueError, match="at most 64 offsets"):
+        exact_parity_bias(ModelConfig(x=1e6, lam=1.0, window_len=65, cutoff_z=2), TABLE)
+
+
+def test_exact_parity_bias_past_old_mask_wall():
+    # L = round(2 log 1e6) = 28: 2^28 masks, of which only the reachable ones are held
     cfg = ModelConfig.from_scale(1e6, 2.0, TABLE, seed=0)
     assert cfg.window_len == 28
-    with pytest.raises(ValueError, match="survivor masks exceed limit"):
-        exact_parity_bias(cfg, TABLE)
+    exact = exact_parity_bias(cfg, TABLE)
+    mc = parity_bias(cfg, 100_000, TABLE)
+    assert abs(mc - exact) <= 3 * parity_bias_stderr(mc, 100_000)
+
+
+def _dense_chain_parity_bias(config: ModelConfig, table, combo_limit: int = 10**7) -> float:
+    """Mean of (-1)^(survivor count) over all residue tuples, exactly.
+
+    Primes p <= L = window_len sift a count of tuples per survivor mask of
+    [1, L], exact in float64 (below primorial(L) < 2^53 for L <= 42). A
+    larger prime meets the window at most once, so s of its p residues kill
+    one of s survivors. The 2^L masks may not exceed combo_limit (1e7),
+    so L is at most 23.
+    """
+    L = config.window_len
+    primes = [int(p) for p in table.upto(config.cutoff_z)]
+    if 2**L > combo_limit:
+        raise ValueError(f"{2**L} survivor masks exceed limit {combo_limit}")
+    masks, counts, total = np.arange(2**L), np.zeros(2**L), 1
+    counts[-1] = 1.0  # before any sifting, every offset survives
+    for p in (p for p in primes if p <= L):
+        kills = [sum(1 << i for i in range(a, L, p)) for a in range(p)]
+        counts = sum(np.bincount(masks & ~k, weights=counts, minlength=2**L) for k in kills)
+        total *= p
+    n = [int(c) for c in np.bincount(np.bitwise_count(masks), weights=counts, minlength=L + 1)]
+    for p in (p for p in primes if p > L):
+        n = [c * (p - s) + d * (s + 1) for s, (c, d) in enumerate(zip(n, n[1:] + [0]))]
+        total *= p
+    return (sum(n[::2]) - sum(n[1::2])) / total
+
+
+@pytest.mark.parametrize("x", [1e6, 1e7, 1e8])
+def test_exact_parity_bias_matches_dense_chain(mid_table, x):
+    # the moment product against the per-prime survivor chain, bit for bit
+    cfg = ModelConfig.from_scale(x, 1.0, mid_table)
+    assert exact_parity_bias(cfg, mid_table) == _dense_chain_parity_bias(cfg, mid_table)
+
+
+def test_exact_parity_bias_pin_1e9(mid_table):
+    # L = 21, z = 112771: the value the dense chain gave
+    cfg = ModelConfig.from_scale(1e9, 1.0, mid_table)
+    assert (cfg.window_len, cfg.cutoff_z) == (21, 112771)
+    assert exact_parity_bias(cfg, mid_table) == 0.06901914256263753
 
 
 def _enumerated_parity_bias(config: ModelConfig, table, combo_limit: int = 10**7) -> float:
@@ -362,8 +414,9 @@ def _enumerated_parity_bias(config: ModelConfig, table, combo_limit: int = 10**7
 
 @pytest.mark.parametrize("z", [1, 2, 3, 5, 7, 11, 13])
 def test_exact_parity_bias_matches_enumeration(z):
-    # the survivor chain against every residue tuple, bit for bit
-    for L in range(13):
+    # the moment product against every residue tuple, bit for bit; L >= 23
+    # passes the dense chain's wall of 2^23 masks
+    for L in [*range(13), 23, 24, 28, 33, 42]:
         cfg = ModelConfig(x=1e6, lam=1.0, window_len=L, cutoff_z=z)
         assert exact_parity_bias(cfg, TABLE) == _enumerated_parity_bias(cfg, TABLE), L
 
