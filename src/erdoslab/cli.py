@@ -170,9 +170,9 @@ def _run_series(args) -> None:
     for w, d in zip(args.dense, dense):
         if len(d) != 2 or d[0] > d[1]:
             raise ValueError(f"--dense expects LO:HI with LO <= HI, got {w!r}")
+    series_mod._check_bound(args.kind, args.nmax)  # before a table is built and cached
     erdos = args.kind == "erdos"
-    # parity's table reaches m_max, but at least 2, so that parity_partial reports an m_max below 2
-    table = _get_table(args.limit or (_nth_prime_upper(args.nmax) if erdos else max(args.nmax, 2)), args)
+    table = _get_table(args.limit or (_nth_prime_upper(args.nmax) if erdos else args.nmax), args)
     partial = series_mod.erdos_partial if erdos else series_mod.parity_partial
     trace = partial(table, args.nmax, phase, dense_windows=dense, ratio=args.ratio)
     if args.average:

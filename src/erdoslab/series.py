@@ -49,6 +49,19 @@ _SIGNS = np.array([1.0, -1.0])
 # verify_equivalence's domain, which the equiv command checks before log(x)
 _X_VALUES = "x_values must be integers >= 3, so that M = floor(x log x) >= 2"
 
+# the least summation bound of each series, which the series command checks
+# before it builds a table
+_LEAST_BOUND = {"erdos": ("n_max", 1), "parity": ("m_max", 2)}
+
+
+def _check_bound(kind: str, bound: int) -> int:
+    """bound as an int; ValueError if it is below the least bound of the series kind."""
+    name, least = _LEAST_BOUND[kind]
+    bound = int(bound)
+    if bound < least:
+        raise ValueError(f"{name} must be >= {least}, got {bound}")
+    return bound
+
 
 def _as_phase(phase: complex) -> complex:
     z = complex(phase)
@@ -251,9 +264,7 @@ def erdos_partial(
         grid, ``dense_windows`` add unit-step runs either way.
     """
     phase = _as_phase(phase)
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _check_bound("erdos", n_max)
 
     cps = checkpoint_indices(1, n_max, ratio, dense_windows, checkpoints)
     pieces = ((n, n, t) for n, t in _erdos_terms(table, 1, n_max))
@@ -347,9 +358,7 @@ def parity_partial(
     a rounding error of a few ulps, as each term did.
     """
     phase = _as_phase(phase)
-    m_max = int(m_max)
-    if m_max < 2:
-        raise ValueError(f"m_max must be >= 2, got {m_max}")
+    m_max = _check_bound("parity", m_max)
 
     cps = checkpoint_indices(2, m_max, ratio, dense_windows, checkpoints)
     return _scan(cps, _parity_blocks(table, m_max, cps), phase)

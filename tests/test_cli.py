@@ -678,6 +678,19 @@ def test_invalid_option_message_exits_2(workdir, capsys, argv, err):
     assert not any(workdir.glob("erdoslab-*"))
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [(["series", "--kind=erdos", "--nmax=0"], "n_max must be >= 1, got 0"),
+     (["series", "--kind=parity", "--nmax=1"], "m_max must be >= 2, got 1")],
+    ids=["erdos nmax 0", "parity nmax 1"],
+)
+def test_series_bound_rejected_before_the_cache(workdir, capsys, argv, err):
+    # the bound is checked before a table is built, so no cache file is written
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: invalid: {err}\n"
+    assert not any(workdir.iterdir())
+
+
 def test_short_table_exits_3(workdir, capsys):
     # 168 primes up to 1000: the series stops, where a slice would return 168 terms
     assert main(["series", "--limit=1000", "--nmax=100000"]) == 3

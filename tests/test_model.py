@@ -494,6 +494,61 @@ def test_golden_draws():
     assert uniform_ints(9, 4, 20, 3 << 61).tolist() == GOLDEN_BOUND_3_2_61
 
 
+@pytest.mark.parametrize("bad", [-1, 2**61, 2**62 + 5], ids=["-1", "2^61", "2^62 + 5"])
+def test_draw_positions_that_alias_are_rejected(bad):
+    # positions wrap mod 2^64: index -1 would read the words of 2^61 - 1, and 2^61 + j those of j
+    cfg = ModelConfig.from_scale(1e6, 1.0, TABLE, seed=1)
+    with pytest.raises(ValueError, match=r"sample indices must be in \[0, 2\^61\)"):
+        residues_for_prime(1, 0, 1009, [bad])
+    with pytest.raises(ValueError, match=r"sample indices must be in \[0, 2\^61\)"):
+        residues_for_prime(1, 0, 1009, np.array([5, bad, 7]))
+    with pytest.raises(ValueError, match=r"sample indices must be in \[0, 2\^61\)"):
+        draw_sample(cfg, table=TABLE, sample_index=bad)
+    # the last index in range draws, by both spellings
+    last = 2**61 - 1
+    a = residues_for_prime(1, 0, 1009, [last])
+    assert a.tolist() == _rejection_oracle(1, 0, 1009, [last]).tolist()
+    assert draw_sample(cfg, table=TABLE, sample_index=last).residues[2] == int(
+        residues_for_prime(cfg.seed, 0, 2, [last])[0])
+
+
+@pytest.mark.parametrize("start", [0, 777, 12_345])
+def test_sift_residues_are_the_public_draws(monkeypatch, start):
+    # spans of 128 cut 300 samples into three, each forming its draw bases once
+    monkeypatch.setattr(model_mod, "_SPAN", 128)
+    cfg = ModelConfig.from_scale(1e6, 5.0, TABLE, seed=23)
+    primes = TABLE.upto(cfg.cutoff_z)
+    seen = 0
+    for lo, k, a, _ in model_mod._sift(cfg, primes, 300, start):
+        if k:
+            idx = np.arange(start + lo, start + min(lo + 128, 300))
+            assert np.array_equal(a, residues_for_prime(cfg.seed, k - 1, int(primes[k - 1]), idx))
+            seen += 1
+    assert seen == 3 * primes.size
+
+
+def test_residue_reducer_with_precomputed_bases():
+    # offset, strided indices; a quarter of the first words are rejected at 3 * 2^61
+    bound = 3 << 61
+    idx = np.arange(10**6, 10**6 + 9000)[::3]
+    assert not idx.flags.c_contiguous
+    idx64, bases = model_mod._draw_bases(idx)
+    before = bases.copy()
+    got = model_mod._residues(9, 4, bound, idx64, bases)
+    assert np.array_equal(bases, before)  # reused by every prime of a span
+    assert np.array_equal(got, residues_for_prime(9, 4, bound, idx))
+    assert np.array_equal(got, _rejection_oracle(9, 4, bound, idx))
+
+
+def test_parity_biases_benchmark_setting():
+    # x = 1e6 at lambda 1 and 5 (L = 14 and 69, two words per mask), 100 000
+    # samples over 7 spans: the values the benchmark's bias check expects
+    cfgs = [ModelConfig.from_scale(1e6, lam, TABLE, seed=42) for lam in (1.0, 5.0)]
+    assert [c.window_len for c in cfgs] == [14, 69]
+    assert -(-100_000 // _SPAN) == 7
+    assert parity_biases(cfgs, 100_000, TABLE) == [0.0378, 0.0014]
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     stream=st.integers(min_value=0, max_value=1000),
