@@ -77,8 +77,7 @@ def calibrate_model(table: PrimeTable, samples: int = 100_000, seed: int = 20260
     ratios = [float(s.var(ddof=1)) * math.log(c.cutoff_z) / c.window_len for c, s in zip(cfgs, sizes)]
     c_var = 1.5 * max(ratios)
 
-    cfg1 = M.ModelConfig.from_scale(x, 1.0, table, seed=seed)
-    est = M.parity_bias(cfg1, samples, table)
+    est = M.parity_bias(cfgs[0], samples, table)  # lambda = 1
     return {
         "x": x,
         "seed": seed,

@@ -22,11 +22,14 @@ option exits 2.
 Exit codes: 0 success, 2 invalid configuration, 3 "range" errors (a table
 too short, a derived table limit of 2^32 or more) or "resource" errors (a
 MemoryError or any OSError, such as an unwritable --out or cache directory).
+A run that exits 2 or 3 removes the cache file, and the directories, that
+its table read created.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -128,8 +131,16 @@ def _emit(out: str, fmt: str, cmd: str, config: dict, columns: list[str], rows: 
 
 
 def _get_table(limit: int, args) -> PrimeTable:
+    """The table to limit, sieved under --no-cache, else from the cache.
+
+    A cache miss records in ``args.cache_made`` the file and the directories
+    it creates, which main removes when the run fails.
+    """
     if args.no_cache:
         return build_table(limit)
+    path = cache_path(limit, args.cache_dir)
+    if not path.exists():
+        args.cache_made += [path, *(d for d in path.parents if not d.exists())]
     return load_or_build(limit, args.cache_dir)
 
 
@@ -520,16 +531,21 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if hasattr(args, "format") and args.out is None:
         args.out = f"erdoslab-{args.cmd}.{args.format}"
+    args.cache_made, code = [], 0
     try:
         args.run(args)
     except (BoundsError, MemoryError, OSError) as exc:
         label = "range" if isinstance(exc, BoundsError) else "resource"
         print(f"error: {label}: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except (ValueError, argparse.ArgumentTypeError) as exc:  # the latter from _parse_int
         print(f"error: invalid: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        code = 2
+    if code:  # a failed run leaves no cache behind: each path goes before its parent
+        for path in sorted(args.cache_made, key=lambda p: len(p.parts), reverse=True):
+            with contextlib.suppress(OSError):
+                path.rmdir() if path.is_dir() else path.unlink(missing_ok=True)
+    return code
 
 
 if __name__ == "__main__":

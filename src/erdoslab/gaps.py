@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import residues_for_prime
+from .model import parity_bias_stderr, residues_for_prime
 from .primes import PrimeTable
 from .series import PartialSumTrace, _scan, checkpoint_indices
 from .singular import gallagher_sum
@@ -246,5 +246,5 @@ def empirical_parity_statistic(
         window=window,
         base_points=base_points,
         estimate=est,
-        stderr=math.sqrt(max(1.0 - est * est, 0.0) / base_points),
+        stderr=parity_bias_stderr(est, base_points),
     )

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -82,14 +81,6 @@ def _stream_key(seed: int, stream: int, block: int = 0) -> np.uint64:
     return key[0]
 
 
-def _stream_words(seed: int, stream: int, positions: np.ndarray, block: int = 0) -> np.ndarray:
-    """Words at the given uint64 positions of one (sub)stream, computed in ``positions``."""
-    positions += _U64(1)
-    positions *= _GOLDEN
-    positions += _stream_key(seed, stream, block)
-    return _mix64(positions)
-
-
 def uniform_ints(seed: int, stream: int, count: int, bound: int) -> np.ndarray:
     """count uniform draws from [0, bound), bias-free via rejection."""
     return residues_for_prime(seed, stream, bound, np.arange(count))
@@ -101,10 +92,10 @@ def residues_for_prime(seed: int, prime_rank: int, p: int, sample_indices: np.nd
     ``prime_rank`` is the 0-based rank of p among all primes, which keeps
     the substream identity stable however the cutoff is chosen. Any bound
     p in [1, 2^63) is accepted, and any sample index in [0, 2^61). Attempt
-    a of sample i reads word i * _DRAW_BLOCK + a % _DRAW_BLOCK of block
-    a // _DRAW_BLOCK, where block 0 is the stream itself and block b > 0 a
-    substream no other draw reads. Only the samples whose word was
-    rejected read the next.
+    a of sample i reads the mixed word of (i * _DRAW_BLOCK + a % _DRAW_BLOCK
+    + 1) * _GOLDEN plus the key of block a // _DRAW_BLOCK, where block 0 is
+    the stream itself and block b > 0 a substream no other draw reads. Only
+    the samples whose word was rejected read the next.
     """
     if p < 1 or p >= 1 << 63:
         raise ValueError(f"bound must be in [1, 2^63), got {p}")
@@ -114,9 +105,10 @@ def residues_for_prime(seed: int, prime_rank: int, p: int, sample_indices: np.nd
 def _draw_bases(sample_indices) -> tuple[np.ndarray, np.ndarray]:
     """The indices as int64 and their draw bases (i * _DRAW_BLOCK + 1) * _GOLDEN, uint64.
 
-    Attempt 0 of index i reads the mixed word of its base plus the stream
-    key. An index outside [0, 2^61) raises ValueError: its positions would
-    wrap onto those of another index.
+    Attempt a of index i reads the mixed word of its base plus (a %
+    _DRAW_BLOCK) * _GOLDEN plus the key of block a // _DRAW_BLOCK. An index
+    outside [0, 2^61) raises ValueError: its positions would wrap onto those
+    of another index.
     """
     idx = np.asarray(sample_indices, dtype=np.int64)
     bases = idx.astype(_U64)
@@ -145,8 +137,10 @@ def _residues(seed: int, prime_rank: int, p: int, idx: np.ndarray, bases: np.nda
     attempt = 1
     while pending.size:
         block, slot = divmod(attempt, _DRAW_BLOCK)
-        pos = idx[pending].astype(_U64) * _U64(_DRAW_BLOCK) + _U64(slot)
-        words = _stream_words(seed, prime_rank, pos, block)
+        # slot * _GOLDEN as a Python int: a uint64 scalar product would warn as it wraps
+        words = bases[pending] + _U64(slot * int(_GOLDEN) % 2**64)
+        words += _stream_key(seed, prime_rank, block)
+        _mix64(words)
         ok = words < limit
         out[pending[ok]] = (words[ok] % _U64(p)).view(np.int64)
         pending = pending[~ok]
@@ -240,7 +234,7 @@ def _keep_masks(window_len: int, primes: np.ndarray) -> tuple[np.ndarray, list[n
     """
     h = np.arange(1, window_len + 1)
     word = (h - 1) // 64
-    bit = _U64(1) << ((h - 1) % 64).astype(_U64)
+    bit = _BIT[(h - 1) % 64]
     whole = np.zeros(-(-window_len // 64), dtype=_U64)
     np.bitwise_or.at(whole, word, bit)
 
@@ -437,9 +431,9 @@ def parity_biases(configs: list[ModelConfig], samples: int, table: PrimeTable) -
     odd = np.zeros(len(configs), dtype=np.int64)
     for _, counts in _span_counts(configs, samples, table):
         odd += np.count_nonzero(counts & 1, axis=1)
-    # same exact rational as binomial_moment_sum, so the r >= max(S)
-    # collapse identity holds bit for bit
-    return [float(Fraction(samples - 2 * int(o), samples)) for o in odd]
+    # the int quotient is correctly rounded, as is binomial_moment_sum's, so
+    # the r >= max(S) collapse identity holds bit for bit
+    return [(samples - 2 * int(o)) / samples for o in odd]
 
 
 def parity_bias(
@@ -498,7 +492,7 @@ def binomial_moment_sum(
         int(c) * bonferroni_bound(s, r).value for s, c in enumerate(counts) if c
     )
     try:
-        return float(Fraction(total, samples))
+        return total / samples
     except OverflowError:
         return math.inf if total > 0 else -math.inf
 

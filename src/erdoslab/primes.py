@@ -8,17 +8,17 @@ Readers elsewhere take their primes through these, so a short table
 raises BoundsError and never truncates. The table of ``build_table`` (a
 segmented odd-only sieve of Eratosthenes) holds the primes in one uint32
 array; that of ``load_table`` holds the checked cache file open and
-decodes primes only when asked, each read from the skip block at or
-before its first rank, raising OSError for a block whose bytes changed
-after the check. Only ``_decode`` and ``_half_gaps`` know the form, and
-``save`` streams the half-gaps in runs. A key searched in an array is
-cast to its dtype: numpy would otherwise convert the whole array to
-int64 for each search. The binary cache (``PRIMECACHE2``) stores the
-half-gaps (p_{i+1} - p_i)/2 from p = 3 on as uint8: every prime gap
-below 3.04e11 is at most 500 (Oliveira e Silva, Herzog and Pardi, Math.
-Comp. 2014). A file that fails a check, such as an old ``PRIMECACHE1``
-bitset, is rebuilt on first use; every check runs before any prime is
-decoded.
+decodes primes only when asked, each read from the start of the block of
+4096 that holds its first rank (at most 4095 primes early), raising
+OSError for a block whose bytes changed after the check. Only
+``_decode`` and ``_half_gaps`` know the form, and ``save`` streams the
+half-gaps in runs of 2^14. A key searched in an array is cast to its
+dtype: numpy would otherwise convert the whole array to int64 for each
+search. The binary cache (``PRIMECACHE2``) stores the half-gaps
+(p_{i+1} - p_i)/2 from p = 3 on as uint8: every prime gap below 3.04e11
+is at most 500 (Oliveira e Silva, Herzog and Pardi, Math. Comp. 2014). A
+file that fails a check, such as an old ``PRIMECACHE1`` bitset, is
+rebuilt on first use; every check runs before any prime is decoded.
 """
 
 from __future__ import annotations
@@ -41,19 +41,15 @@ MAGIC = b"PRIMECACHE2"
 _HEADER = struct.Struct("<IQQ")
 _HEAD = len(MAGIC) + _HEADER.size  # where the half-gaps start
 
-# Odd numbers per sieve segment, and half-gaps per run of save, whose
+SEGMENT_ODDS = 1 << 20  # odd numbers per sieve segment
+
+# Half-gaps per block: block b leads from rank 1 + b*_BLOCK, whose prime the
+# skip index holds, and a loaded table checks it by CRC and decodes from its
+# start. Bytes per read of load_table's checking pass. Ranks per run of walk,
+# whose runs start at ranks 1 + m*_RUN, where blocks start, and of save, whose
 # sub-MiB temporaries reuse heap pages (4-8 MiB ones fault in afresh).
-SEGMENT_ODDS, _GAP_CHUNK = 1 << 20, 1 << 16
-
-# Ranks per block of the skip index: a read of a loaded table decodes from
-# the block start at or before its first rank, at most _SKIP - 1 primes early.
-_SKIP = 1 << 10
-
-# Half-gaps per checked block of a loaded table, a multiple of _SKIP so that
-# pi reads one block; bytes per read of load_table's checking pass; and ranks
-# per run of walk, whose runs start at ranks 1 + m*_RUN, where blocks start.
-_CRC_BLOCK, _LOAD_READ = 1 << 12, 1 << 20
-_RUN = 4 * _CRC_BLOCK
+_BLOCK, _LOAD_READ = 1 << 12, 1 << 20
+_RUN = 4 * _BLOCK
 
 # Every table limit lies below this: its primes are uint32.
 LIMIT_CAP = 1 << 32
@@ -71,18 +67,18 @@ class PrimeTable:
 
     ``PrimeTable(limit, primes)`` holds the primes themselves, as the sieve
     makes them. ``load_table`` holds the cache file it checked, open, plus
-    the running CRC-32 of the file at the end of each _CRC_BLOCK half-gaps.
-    It reads the half-gaps a reader needs in whole blocks, checks each
-    against its CRC and decodes them: a block that changed after the check,
-    or was cut short, raises OSError. The descriptor is that of the file
-    which passed the checks, so a cache replaced or removed later reads the
-    same. Both forms keep a skip index, the prime at every _SKIP-th rank
-    from p_2 = 3 on, and a loaded table decodes each read from the skip
-    block at or before its first rank. Only ``_decode`` (primes) and
-    ``_half_gaps`` (cache bytes) know the form; ``pi``, ``ranks``,
-    ``walk``, ``is_prime_range`` and ``save`` are written once on top of
-    them. ``ranks`` and ``upto`` of a loaded table decode every prime they
-    return (up to the whole array) afresh on each call, so readers that
+    the running CRC-32 of the file at the end of each block of 4096
+    half-gaps. It reads the half-gaps a reader needs in whole blocks, checks
+    each against its CRC and decodes them: a block that changed after the
+    check, or was cut short, raises OSError. The descriptor is that of the
+    file which passed the checks, so a cache replaced or removed later reads
+    the same. Both forms keep a skip index, the prime at each block's first
+    rank 1 + b*_BLOCK, and a loaded table decodes each read from the start
+    of its first rank's block, at most 4095 primes early. Only ``_decode``
+    (primes) and ``_half_gaps`` (cache bytes) know the form; ``pi``,
+    ``ranks``, ``walk``, ``is_prime_range`` and ``save`` are written once on
+    top of them. ``ranks`` and ``upto`` of a loaded table decode every prime
+    they return (up to the whole array) afresh on each call, so readers that
     scan take runs from ``walk``. ``primes`` of a loaded table decodes the
     whole array on first use and keeps it.
 
@@ -100,12 +96,12 @@ class PrimeTable:
         self.limit = int(limit)
         self.count = int(primes.size)
         self._primes = primes  # None while a loaded table is undecoded
-        self._skip = np.ascontiguousarray(primes[1::_SKIP])  # the index a loaded table has
+        self._skip = np.ascontiguousarray(primes[1::_BLOCK])  # the index a loaded table has
         self._fd = self._crcs = None
 
     @classmethod
     def _from_file(cls, limit: int, count: int, fd: int, skip: np.ndarray, crcs: np.ndarray) -> PrimeTable:
-        """A loaded table: ``skip[b]`` is p_(2 + b*_SKIP), ``crcs[k + 1]`` the CRC-32 to the end of block k."""
+        """A loaded table: ``skip[b]`` is p_(2 + b*_BLOCK), ``crcs[k + 1]`` the CRC-32 to the end of block k."""
         table = cls.__new__(cls)
         table.limit, table.count, table._primes = int(limit), int(count), None
         table._fd, table._skip, table._crcs = fd, skip, crcs
@@ -129,7 +125,7 @@ class PrimeTable:
         if x < 2:
             return 0
         i = self._block_start(x)
-        block = self._decode(i, min(i + _SKIP, self.count))
+        block = self._decode(i, min(i + _BLOCK, self.count))
         return i + int(np.searchsorted(block, block.dtype.type(x), side="right"))
 
     def ranks(self, i: int, j: int) -> np.ndarray:
@@ -142,11 +138,11 @@ class PrimeTable:
     def walk(self, i: int, j: int):
         """Yield runs ``(s, e, primes)`` whose ranks [s, e) cover [i, j), in order.
 
-        Runs after the first start at ranks 1 + m*_RUN, where a skip block
-        and a CRC block begin, so a loaded table reads each block once and
-        decodes no prime it does not return but those before rank i in its
-        skip block. ``primes`` holds ranks [s, min(e + 1, j)), so each run
-        but the last holds the next one's first. Checked as ``ranks`` is.
+        Runs after the first start at ranks 1 + m*_RUN, where a block
+        begins, so a loaded table reads each block once and decodes no prime
+        it does not return but the at most 4095 before rank i in its block.
+        ``primes`` holds ranks [s, min(e + 1, j)), so each run but the last
+        holds the next one's first. Checked as ``ranks`` is.
         """
         i, j = self._span(i, j)
         while i < j:
@@ -164,22 +160,22 @@ class PrimeTable:
         return i, j
 
     def _block_start(self, x: int) -> int:
-        """First rank of the skip block holding x >= 2, whose first prime is <= x; 0 below block 0 (x < 3)."""
+        """First rank of the block holding x >= 2, whose first prime is <= x; 0 below block 0 (x < 3)."""
         b = int(np.searchsorted(self._skip, self._skip.dtype.type(x), side="right"))
-        return 1 + (b - 1) * _SKIP if b else 0
+        return 1 + (b - 1) * _BLOCK if b else 0
 
     def _decode(self, i: int, j: int) -> np.ndarray:
-        """The primes of ranks [i, j): a view of the array, or decoded from the skip block at or before rank i."""
+        """The primes of ranks [i, j): a view of the array, or decoded from the start of rank i's block."""
         if self._primes is not None:
             return self._primes[i:j]
         if i >= j:
             return np.empty(0, dtype=np.uint32)
-        s = max(1 + (i - 1) // _SKIP * _SKIP, 0)  # rank 0, the prime 2, comes before block 0
+        s = max(1 + (i - 1) // _BLOCK * _BLOCK, 0)  # rank 0, the prime 2, comes before block 0
         out = run = np.empty(j - s, dtype=np.uint32)
         if s == 0:  # 2 to 3 is the one step no half-gap holds
             out[0], run, s = 2, out[1:], 1
         if run.size:
-            run[0] = self._skip[(s - 1) // _SKIP]
+            run[0] = self._skip[(s - 1) // _BLOCK]
             np.left_shift(self._half_gaps(s - 1, j - 2), 1, out=run[1:], dtype=np.uint32)
             np.cumsum(run, out=run)
         return out[out.size - (j - i) :]
@@ -195,16 +191,14 @@ class PrimeTable:
             return h.astype(np.uint8)
         if a >= b:
             return np.empty(0, dtype=np.uint8)
-        k0, k1 = a // _CRC_BLOCK, -(-b // _CRC_BLOCK)
-        start = k0 * _CRC_BLOCK
-        want = min(k1 * _CRC_BLOCK, self.count - 2) - start  # the last block may be short
-        raw = os.pread(self._fd, want, _HEAD + start)
+        k0, k1 = a // _BLOCK, -(-b // _BLOCK)
+        # a is a block start, as in every read of _decode and save; the last block may be short
+        raw = os.pread(self._fd, min(k1 * _BLOCK, self.count - 2) - a, _HEAD + a)
         view, crcs = memoryview(raw), self._crcs[k0 : k1 + 1].tolist()
         for k in range(k1 - k0):  # a block cut short, or not read at all, fails its CRC too
-            block = view[k * _CRC_BLOCK : (k + 1) * _CRC_BLOCK]
-            if zlib.crc32(block, crcs[k]) != crcs[k + 1]:
+            if zlib.crc32(view[k * _BLOCK : (k + 1) * _BLOCK], crcs[k]) != crcs[k + 1]:
                 raise OSError(f"prime cache changed after it was checked, in half-gap block {k0 + k}")
-        return np.frombuffer(raw, dtype=np.uint8, count=b - a, offset=a - start)
+        return np.frombuffer(raw, dtype=np.uint8, count=b - a)
 
     # -- reads on top of them --------------------------------------------
 
@@ -224,7 +218,7 @@ class PrimeTable:
         return i > 0 and self.nth_prime(i) == int(v)
 
     def is_prime_range(self, lo: int, hi: int) -> np.ndarray:
-        """Boolean primality for every integer in [lo, hi), from one decode of the skip blocks it spans."""
+        """Boolean primality for every integer in [lo, hi), from one decode of the blocks it spans."""
         lo, hi = int(lo), int(hi)
         if lo < 0 or hi > self.limit + 1:
             raise BoundsError(f"window [{lo},{hi}) outside [0, {self.limit + 1})")
@@ -232,7 +226,7 @@ class PrimeTable:
         if hi <= max(lo, 2):  # no prime in the window
             return out
         # the blocks holding lo and hi - 1 (hi may be 2^32, which no uint32 key holds)
-        i, j = self._block_start(max(lo, 2)), self._block_start(hi - 1) + _SKIP
+        i, j = self._block_start(max(lo, 2)), self._block_start(hi - 1) + _BLOCK
         primes = self._decode(i, min(j, self.count))
         key = primes.dtype.type
         inside = primes[np.searchsorted(primes, key(lo)) : np.searchsorted(primes, key(hi - 1), side="right")]
@@ -244,8 +238,8 @@ class PrimeTable:
     def save(self, path: str | Path) -> Path:
         """Write the cache file: MAGIC, <IQQ crc/limit/count, uint8 half-gaps.
 
-        The half-gaps stream in runs to a temporary file in the same directory,
-        which then replaces ``path`` in one step, so readers never see a
+        The half-gaps stream in runs of 2^14 to a temporary file beside
+        ``path``, which then replaces it in one step, so readers never see a
         partial file. Raises ValueError when a half-gap falls outside [1, 255].
         """
         body, n = struct.pack("<QQ", self.limit, self.count), max(self.count - 2, 0)
@@ -256,8 +250,8 @@ class PrimeTable:
             with open(tmp, "wb") as fh:
                 fh.write(MAGIC + bytes(4) + body)  # the CRC, once the half-gaps are written
                 crc = zlib.crc32(body)
-                for a in range(0, n, _GAP_CHUNK):
-                    half = self._half_gaps(a, min(a + _GAP_CHUNK, n))
+                for a in range(0, n, _RUN):
+                    half = self._half_gaps(a, min(a + _RUN, n))
                     fh.write(half)
                     crc = zlib.crc32(half, crc)
                 fh.seek(len(MAGIC))
@@ -341,13 +335,13 @@ def load_table(path: str | Path) -> PrimeTable:
         sums, tail, size, zero = [], 0, 0, False
         while True:
             half = buf[: fh.readinto(buf)]
-            for k in range(0, half.size, _CRC_BLOCK):
-                crcs.append(zlib.crc32(half[k : k + _CRC_BLOCK], crcs[-1]))
+            for k in range(0, half.size, _BLOCK):
+                crcs.append(zlib.crc32(half[k : k + _BLOCK], crcs[-1]))
             zero = zero or not half.all()
-            # sums by block of _SKIP, in uint64 row by row; only the last read has a tail
-            n = half.size // _SKIP
-            sums.append(half[: n * _SKIP].reshape(n, _SKIP).sum(axis=1, dtype=np.uint64))
-            tail = int(half[n * _SKIP :].sum(dtype=np.uint64))
+            # sums by block, in uint64 row by row; only the last read has a tail
+            n = half.size // _BLOCK
+            sums.append(half[: n * _BLOCK].reshape(n, _BLOCK).sum(axis=1, dtype=np.uint64))
+            tail = int(half[n * _BLOCK :].sum(dtype=np.uint64))
             size += half.size
             if half.size < _LOAD_READ:
                 break

@@ -39,6 +39,7 @@ def test_series_csv(workdir):
     assert lines[-1].split(",")[0] == "1000"
     # one row per checkpoint of the default grid
     assert len(lines) == 2 + checkpoint_indices(1, 1000).size
+    assert any((workdir / "cache").glob("primes-*.bin"))  # a valid run keeps its cache
 
 
 def test_series_json_mirror(workdir):
@@ -681,11 +682,28 @@ def test_invalid_option_message_exits_2(workdir, capsys, argv, err):
 @pytest.mark.parametrize(
     "argv, err",
     [(["series", "--kind=erdos", "--nmax=0"], "n_max must be >= 1, got 0"),
-     (["series", "--kind=parity", "--nmax=1"], "m_max must be >= 2, got 1")],
-    ids=["erdos nmax 0", "parity nmax 1"],
+     (["series", "--kind=parity", "--nmax=1"], "m_max must be >= 2, got 1"),
+     (["tuples", "--x=2", "--tuple=0,2"], "x must be >= 3, got 2"),
+     (["tuples", "--x=100", "--tuple=0,2", "--eps=1.5"], "epsilon must be in (0,1), got 1.5"),
+     (["gaps", "smallgap", "--X=2"], "X must be >= 3, got 2"),
+     (["gaps", "series", "--kind=reciprocal_weighted", "--nmax=5"],
+      "n_max must be >= 10 for kind reciprocal_weighted"),
+     (["parity", "--x=1000", "--points=10"], "need at least 1000 base points, got 10"),
+     (["model", "moments", "--x=1e4", "--samples=10"], "need at least 1000 samples, got 10"),
+     (["model", "sample", "--x=1e4", "--w=0"], "--w must be >= 1, got 0"),
+     (["model", "bias", "--x=1e4", "--samples=100"], "need at least 10000 samples, got 100"),
+     (["bias", "--x=1e4", "--samples=100"], "need at least 10000 samples, got 100"),
+     (["bias", "--x=1e6", "--lambdas=0.01"],
+      "lambda log x rounds to 0; construct ModelConfig directly for empty windows"),
+     (["calibrate", "--suite=model", "--samples=5000"], "need at least 10000 samples, got 5000"),
+     (["equiv", "--x=1e5", "--phase=1"], "phase 1 has no finite comparison constant; both sides diverge")],
+    ids=["erdos nmax 0", "parity nmax 1", "tuples x 2", "tuples eps 1.5", "smallgap X 2",
+         "reciprocal nmax 5", "parity points 10", "moments samples 10", "sample w 0",
+         "model bias samples 100", "bias samples 100", "bias lambda 0.01", "calibrate samples 5000",
+         "equiv phase 1"],
 )
 def test_series_bound_rejected_before_the_cache(workdir, capsys, argv, err):
-    # the bound is checked before a table is built, so no cache file is written
+    # a rejected run leaves no cache file, nor the cache directory its table read made
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: invalid: {err}\n"
     assert not any(workdir.iterdir())
@@ -695,4 +713,4 @@ def test_short_table_exits_3(workdir, capsys):
     # 168 primes up to 1000: the series stops, where a slice would return 168 terms
     assert main(["series", "--limit=1000", "--nmax=100000"]) == 3
     assert capsys.readouterr().err == "error: range: need p_100000 but table holds only 168 primes\n"
-    assert not any(workdir.glob("erdoslab-*"))
+    assert not any(workdir.iterdir())  # no artifact, and no cache file or directory

@@ -140,7 +140,7 @@ def test_block_and_small_gap_readers_decode_one_walk_run_at_a_time(tmp_path, mon
     i0, i1 = np.searchsorted(dense.primes, [300_000, 600_000])
     want = np.count_nonzero(gaps[i0:i1] <= math.log(300_000))
     assert small_gap_count(table, 300_000, 1.0).count == want
-    assert max(spans) <= primes_mod._RUN + primes_mod._SKIP
+    assert max(spans) <= primes_mod._RUN + primes_mod._BLOCK
 
 def test_small_gap_count_brute():
     X = 100

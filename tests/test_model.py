@@ -572,8 +572,8 @@ def test_uniform_ints_drawn_in_blocks_is_one_draw(bound):
               for a in range(0, count, block)]
     assert np.array_equal(np.concatenate(blocks), whole)
     if bound == 3 << 61:  # a quarter of the first words are rejected at this bound
-        pos = np.arange(count, dtype=np.uint64) * np.uint64(model_mod._DRAW_BLOCK)
-        first = model_mod._stream_words(42, 0x5057, pos)
+        _, bases = model_mod._draw_bases(np.arange(count))
+        first = model_mod._mix64(bases + model_mod._stream_key(42, 0x5057))
         assert 0.2 < np.mean(first >= np.uint64((1 << 64) - (1 << 62))) < 0.3
 
 

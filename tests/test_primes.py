@@ -17,10 +17,9 @@ from erdoslab.gaps import empirical_parity_statistic
 from erdoslab.series import oscillation_stats, verify_equivalence
 from erdoslab.singular import OffsetTuple, _log_head
 from erdoslab.primes import (
-    _CRC_BLOCK,
+    _BLOCK,
     _HEAD,
     _RUN,
-    _SKIP,
     MAGIC,
     PrimeTable,
     build_table,
@@ -385,9 +384,9 @@ def oracle(tmp_path_factory):
 
 
 def _edge_ranks(n):
-    # rank r + 2 follows half-gap r, so ranks _CRC_BLOCK + 1 and + 2 straddle the first block end
-    crc = range(_CRC_BLOCK - 1, _CRC_BLOCK + 4)
-    return sorted({0, 1, 2, 3, _SKIP - 1, _SKIP, _SKIP + 1, *crc, 2**14 - 1, 2**14, 2**14 + 1, n - 1})
+    # rank r + 2 follows half-gap r, so ranks _BLOCK + 1 and + 2 straddle the first block end
+    crc = range(_BLOCK - 1, _BLOCK + 4)
+    return sorted({0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, *crc, 2**14 - 1, 2**14, 2**14 + 1, n - 1})
 
 
 def _check_rank_reads(t, primes, a, b):
@@ -419,7 +418,7 @@ def test_loaded_table_reads_at_the_edges(oracle, tmp_path):
     t = load_table(path)
     n = primes.size
     for r in _edge_ranks(n):
-        for d in (0, 1, 2, _SKIP, 2**14 + 1):
+        for d in (0, 1, 2, _BLOCK, 2**14 + 1):
             _check_rank_reads(t, primes, r, min(r + d, n))
         assert t.nth_prime(r + 1) == primes[r]
         if r + 1 < n:
@@ -431,7 +430,7 @@ def test_loaded_table_reads_at_the_edges(oracle, tmp_path):
     for v in (-3, 0, 1, 2, 3, 4, 5, _ORACLE_LIMIT):
         _check_value_reads(t, primes, v)
     end = _ORACLE_LIMIT + 1
-    spans = (int(primes[_SKIP]) - 1, int(primes[4 * _SKIP]) + 1)  # skip blocks 0 to 4
+    spans = (int(primes[_BLOCK]) - 1, int(primes[4 * _BLOCK]) + 1)  # blocks 0 to 4
     for lo, hi in [(0, end), (0, 6), (2, 3), (end - 97, end), (end, end), spans]:
         assert np.array_equal(t.is_prime_range(lo, hi), _dense_is_prime(_ORACLE_LIMIT)[lo:hi])
     with pytest.raises(BoundsError, match=f"need p_{n + 1} but table holds only {n} primes"):
@@ -467,7 +466,7 @@ def test_loaded_table_reads_match_dense(oracle, x, width, i, length):
 
 def _check_all_reads(t, primes):
     for r in _edge_ranks(primes.size):
-        _check_rank_reads(t, primes, r, min(r + _CRC_BLOCK + 1, primes.size))
+        _check_rank_reads(t, primes, r, min(r + _BLOCK + 1, primes.size))
         for v in (int(primes[r]) - 1, int(primes[r]), int(primes[r]) + 1):
             _check_value_reads(t, primes, v)
     assert np.array_equal(t.ranks(0, primes.size), primes)
@@ -505,10 +504,10 @@ def test_a_block_changed_after_the_load_raises_oserror(oracle, tmp_path, block):
     path.write_bytes(src.read_bytes())
     t = load_table(path)
     half = primes.size - 2
-    assert (half - 1) // _CRC_BLOCK == 8  # block 8 is the last, and short
-    _rewrite_byte(path, _HEAD + min(block * _CRC_BLOCK + 17, half - 1))
-    first = 2 + block * _CRC_BLOCK  # the ranks whose half-gaps block holds
-    last = min(first + _CRC_BLOCK, primes.size)
+    assert (half - 1) // _BLOCK == 8  # block 8 is the last, and short
+    _rewrite_byte(path, _HEAD + min(block * _BLOCK + 17, half - 1))
+    first = 2 + block * _BLOCK  # the ranks whose half-gaps block holds
+    last = min(first + _BLOCK, primes.size)
     # the blocks before still read, and every reader of the changed one raises
     assert np.array_equal(t.ranks(0, first), primes[:first])
     for read in (
@@ -523,7 +522,7 @@ def test_a_block_changed_after_the_load_raises_oserror(oracle, tmp_path, block):
 
 
 def test_a_loaded_walk_reads_each_half_gap_once(oracle, monkeypatch):
-    # runs start where a CRC block starts, so no block is read twice: a walk
+    # runs start where a block starts, so no block is read twice: a walk
     # of every rank reads the count - 2 half-gaps once, and one from an
     # unaligned rank at most the blocks at its two ends besides
     primes, path = oracle
@@ -539,7 +538,7 @@ def test_a_loaded_walk_reads_each_half_gap_once(oracle, monkeypatch):
         return sum(read)
 
     assert bytes_read(0, primes.size) == primes.size - 2
-    assert bytes_read(9, 20_000) <= 20_000 - 9 + 2 * _CRC_BLOCK
+    assert bytes_read(9, 20_000) <= 20_000 - 9 + 2 * _BLOCK
 
 
 def test_a_file_cut_short_after_the_load_raises_oserror(oracle, tmp_path):
@@ -547,10 +546,10 @@ def test_a_file_cut_short_after_the_load_raises_oserror(oracle, tmp_path):
     path = tmp_path / "t.bin"
     path.write_bytes(src.read_bytes())
     t = load_table(path)
-    os.truncate(path, _HEAD + 5 * _CRC_BLOCK + 100)
-    assert np.array_equal(t.ranks(0, 2 + 5 * _CRC_BLOCK), primes[: 2 + 5 * _CRC_BLOCK])
+    os.truncate(path, _HEAD + 5 * _BLOCK + 100)
+    assert np.array_equal(t.ranks(0, 2 + 5 * _BLOCK), primes[: 2 + 5 * _BLOCK])
     with pytest.raises(OSError, match="changed after it was checked"):
-        t.ranks(2 + 5 * _CRC_BLOCK, 3 + 5 * _CRC_BLOCK)
+        t.ranks(2 + 5 * _BLOCK, 3 + 5 * _BLOCK)
     with pytest.raises(OSError, match="changed after it was checked"):
         t.pi(_ORACLE_LIMIT)
 
@@ -630,7 +629,7 @@ def test_save_of_a_file_changed_after_the_load_writes_nothing(oracle, tmp_path):
     path = tmp_path / "t.bin"
     path.write_bytes(src.read_bytes())
     t = load_table(path)
-    _rewrite_byte(path, _HEAD + 3 * _CRC_BLOCK + 17)
+    _rewrite_byte(path, _HEAD + 3 * _BLOCK + 17)
     with pytest.raises(OSError, match="changed after it was checked"):
         t.save(tmp_path / "again.bin")
     assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]  # neither the target nor its .tmp
@@ -663,9 +662,9 @@ def sieved():
 def test_sieved_table_reads_at_the_edges(sieved):
     t, primes = sieved
     n = primes.size
-    # every skip block starts at rank 1 + b * _SKIP: pi searches the index, then one block
-    for r in sorted({*_edge_ranks(n), *range(0, n, _SKIP), *range(1, n, _SKIP), *range(2, n, _SKIP)}):
-        for d in (0, 1, 2, _SKIP):
+    # every block starts at rank 1 + b * _BLOCK: pi searches the index, then one block
+    for r in sorted({*_edge_ranks(n), *range(0, n, _BLOCK), *range(1, n, _BLOCK), *range(2, n, _BLOCK)}):
+        for d in (0, 1, 2, _BLOCK):
             _check_rank_reads(t, primes, r, min(r + d, n))
         for v in (int(primes[r]) - 1, int(primes[r]), int(primes[r]) + 1):
             _check_value_reads(t, primes, v)
@@ -673,7 +672,7 @@ def test_sieved_table_reads_at_the_edges(sieved):
                 _check_window(t, v, v + w)
     for v in (-3, 0, 1, 2, 3, 4, 5, _ORACLE_LIMIT):
         _check_value_reads(t, primes, v)
-    _check_window(t, int(primes[_SKIP]) - 1, int(primes[4 * _SKIP]) + 1)  # skip blocks 0 to 4
+    _check_window(t, int(primes[_BLOCK]) - 1, int(primes[4 * _BLOCK]) + 1)  # blocks 0 to 4
     for i, j in ((-2, 4), (5, 3)):  # as ranks does, in either form
         with pytest.raises(ValueError, match="is not ordered"):
             next(t.walk(i, j))
