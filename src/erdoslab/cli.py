@@ -7,6 +7,11 @@ re-running with the same config and seed produces byte-identical files.
 The sifted-set model runs serially; the --workers option of model and
 bias is accepted and ignored.
 
+Importing this module loads only primes and errors of erdoslab. Each
+runner imports the modules it runs, and gaps series imports gaps, which
+spells the series kinds, when it parses --kind; so sieve and --version
+compile and load nothing else.
+
 model and gaps take their action first (gaps blocks --limit=1e6). A
 subcommand or action takes only the options it reads, by full name only,
 and singular takes --tuple or --hmax, not both. --format and --out
@@ -36,22 +41,22 @@ import math
 import sys
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, calibration
-from . import census as census_mod
-from . import gaps as gaps_mod
-from . import model as model_mod
-from . import series as series_mod
-from . import singular as singular_mod
+from . import __version__
 from .errors import BoundsError
 from .primes import LIMIT_CAP, PrimeTable, build_table, cache_path, load_or_build
-from .singular import OffsetTuple
+
+if TYPE_CHECKING:
+    from .singular import OffsetTuple
 
 
 def _parse_phase(text: str) -> complex:
-    return series_mod._as_phase(complex(text.strip().replace("i", "j")))
+    from .series import _as_phase
+
+    return _as_phase(complex(text.strip().replace("i", "j")))
 
 
 def _parse_positive(text: str) -> float:
@@ -97,7 +102,18 @@ def _parse_limit(text: str) -> int:
     return v
 
 
+def _parse_kind(text: str) -> str:
+    """A gap-series kind; gaps, which spells them, is imported only when gaps series parses one."""
+    from .gaps import KINDS
+
+    if text not in KINDS:
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, KINDS))})")
+    return text
+
+
 def _parse_offsets(text: str) -> OffsetTuple:
+    from .singular import OffsetTuple
+
     return OffsetTuple(_parse_int(s) for s in text.split(",") if s.strip() != "")
 
 
@@ -176,6 +192,8 @@ def _run_sieve(args) -> None:
 
 
 def _run_series(args) -> None:
+    from . import series as series_mod
+
     phase = _parse_phase(args.phase)
     dense = tuple(tuple(_parse_int(s) for s in w.split(":")) for w in args.dense)
     for w, d in zip(args.dense, dense):
@@ -199,6 +217,8 @@ def _run_series(args) -> None:
 
 
 def _run_equiv(args) -> None:
+    from . import series as series_mod
+
     phase = _parse_phase(args.phase)
     xs = [_parse_int(s) for s in args.x.split(",")]
     if min(xs) < 3:  # before log(x) below
@@ -217,6 +237,8 @@ def _run_equiv(args) -> None:
 
 
 def _run_singular(args) -> None:
+    from . import singular as singular_mod
+
     if args.tuple is not None:
         tup = _parse_offsets(args.tuple)
         sv = singular_mod.singular_series(tup, args.truncation)
@@ -236,6 +258,8 @@ def _run_singular(args) -> None:
 
 
 def _run_paircorr(args) -> None:
+    from . import singular as singular_mod
+
     if args.step < 1:
         raise ValueError(f"--step must be >= 1, got {args.step}")
     if args.hmin > args.hmax:
@@ -258,6 +282,8 @@ def _run_paircorr(args) -> None:
 
 
 def _run_tuples(args) -> None:
+    from . import census as census_mod
+
     tups = [_parse_offsets(t) for t in args.tuple]
     if not all(t.offsets for t in tups):
         raise ValueError("--tuple needs at least one offset")
@@ -275,6 +301,8 @@ def _run_tuples(args) -> None:
 
 
 def _run_model(args) -> None:
+    from . import model as model_mod
+
     table = _model_table(args.x, args)
     cfg = model_mod.ModelConfig.from_scale(args.x, args.lam, table, seed=args.seed)
     base = {"x": args.x, "lambda": args.lam, "window_len": cfg.window_len,
@@ -310,6 +338,8 @@ def _run_model(args) -> None:
 
 
 def _run_bias(args) -> None:
+    from . import model as model_mod
+
     table = _model_table(args.x, args)
     cfgs = [model_mod.ModelConfig.from_scale(args.x, lam, table, seed=args.seed)
             for lam in args.lambdas]
@@ -322,6 +352,8 @@ def _run_bias(args) -> None:
 
 
 def _run_gaps(args) -> None:
+    from . import gaps as gaps_mod
+
     if args.action == "series":
         if args.c is not None and args.kind != "reciprocal_weighted":
             raise ValueError(f"gaps series --kind={args.kind} does not read --c")
@@ -356,6 +388,8 @@ def _run_gaps(args) -> None:
 
 
 def _run_parity(args) -> None:
+    from . import gaps as gaps_mod
+
     window = gaps_mod._parity_window(args.x, args.lam)  # before the table
     table = _get_table(args.limit or (args.x + int(args.x**0.9) + window + 10), args)
     rep = gaps_mod.empirical_parity_statistic(table, args.x, args.lam, args.points, args.seed)
@@ -369,6 +403,8 @@ def _run_parity(args) -> None:
 
 
 def _run_calibrate(args) -> None:
+    from . import calibration
+
     if args.suite == "series" and (args.samples is not None or args.seed is not None):
         raise ValueError("calibrate --suite=series reads neither --samples nor --seed")
     samples = 100_000 if args.samples is None else args.samples
@@ -492,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_gaps)
     actions = p.add_subparsers(dest="action", required=True, parser_class=_Parser)
     series = actions.add_parser("series", help="partial sums of a gap series")
-    series.add_argument("--kind", choices=gaps_mod.KINDS, default="alternating_gap")
+    series.add_argument("--kind", type=_parse_kind, default="alternating_gap", metavar="KIND",
+                        help="one of erdoslab.gaps.KINDS (default alternating_gap)")
     series.add_argument("--c", type=_parse_positive, default=None,
                         help="reciprocal_weighted only (default 3)")
     series.add_argument("--theta", type=_parse_positive, default=None,

@@ -99,11 +99,11 @@ def residues_for_prime(seed: int, prime_rank: int, p: int, sample_indices: np.nd
     """
     if p < 1 or p >= 1 << 63:
         raise ValueError(f"bound must be in [1, 2^63), got {p}")
-    return _residues(seed, prime_rank, p, *_draw_bases(sample_indices))
+    return _residues(seed, prime_rank, p, _draw_bases(sample_indices))
 
 
-def _draw_bases(sample_indices) -> tuple[np.ndarray, np.ndarray]:
-    """The indices as int64 and their draw bases (i * _DRAW_BLOCK + 1) * _GOLDEN, uint64.
+def _draw_bases(sample_indices) -> np.ndarray:
+    """The draw bases (i * _DRAW_BLOCK + 1) * _GOLDEN of the indices i, uint64.
 
     Attempt a of index i reads the mixed word of its base plus (a %
     _DRAW_BLOCK) * _GOLDEN plus the key of block a // _DRAW_BLOCK. An index
@@ -117,17 +117,17 @@ def _draw_bases(sample_indices) -> tuple[np.ndarray, np.ndarray]:
     bases *= _U64(_DRAW_BLOCK)
     bases += _U64(1)
     bases *= _GOLDEN
-    return idx, bases
+    return bases
 
 
-def _residues(seed: int, prime_rank: int, p: int, idx: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """residues_for_prime at the indices idx, whose draw bases (see _draw_bases) are given."""
+def _residues(seed: int, prime_rank: int, p: int, bases: np.ndarray) -> np.ndarray:
+    """residues_for_prime at the indices whose draw bases (see _draw_bases) are given."""
     rem = (1 << 64) % p
     limit = _U64((1 << 64) - rem) if rem else None  # words from limit on are rejected
     words = _mix64(bases + _stream_key(seed, prime_rank))
     # a rejected word is rare: one max() usually spares the nonzero() scan
     rejected = rem and words.size and words.max() >= limit
-    pending = (words >= limit).nonzero()[0] if rejected else idx[:0]
+    pending = (words >= limit).nonzero()[0] if rejected else np.empty(0, dtype=np.intp)
     # words % p, as numpy divides by a scalar several times faster than it takes a
     # remainder; the product goes in place, so one temporary is live beside bases
     quotient = words // _U64(p)
@@ -263,11 +263,11 @@ def _sift(config: ModelConfig, primes: np.ndarray, samples: int, sample_start: i
     """
     whole, keep = _keep_masks(config.window_len, primes)
     for lo in range(0, samples, _SPAN):
-        idx, bases = _draw_bases(np.arange(sample_start + lo, sample_start + min(lo + _SPAN, samples)))
-        alive = np.tile(whole, (idx.size, 1))
+        bases = _draw_bases(np.arange(sample_start + lo, sample_start + min(lo + _SPAN, samples)))
+        alive = np.tile(whole, (bases.size, 1))
         yield lo, 0, None, alive
         for k, (p, table) in enumerate(zip(primes, keep), 1):
-            a = _residues(config.seed, k - 1, int(p), idx, bases)
+            a = _residues(config.seed, k - 1, int(p), bases)
             np.bitwise_and(alive, table.take(a, axis=0, mode="clip"), out=alive)
             yield lo, k, a, alive
 

@@ -5,16 +5,18 @@ below 2^32, with O(log) rank queries (``pi``, ``nth_prime``), the
 bounded reads ``ranks`` and ``upto``, and ``walk``, a sequential read in
 runs cut where the cache's checked blocks start, which every scan takes.
 Readers elsewhere take their primes through these, so a short table
-raises BoundsError and never truncates. The table of ``build_table`` (a
-segmented odd-only sieve of Eratosthenes) holds the primes in one uint32
-array; that of ``load_table`` holds the checked cache file open and
-decodes primes only when asked, each read from the start of the block of
-4096 that holds its first rank (at most 4095 primes early), raising
-OSError for a block whose bytes changed after the check. Only
-``_decode`` and ``_half_gaps`` know the form, and ``save`` streams the
-half-gaps in runs of 2^14. A key searched in an array is cast to its
-dtype: numpy would otherwise convert the whole array to int64 for each
-search. The binary cache (``PRIMECACHE2``) stores the half-gaps
+raises BoundsError and never truncates. The table of ``build_table`` holds
+the primes in one uint32 array, filled from ``_segments``, a segmented
+odd-only sieve of Eratosthenes: each segment of 2^20 odds is copied from a
+wheel of the multiples of 3..17, and the primes 19..isqrt(limit) mark it
+from offsets carried across segments. The table of ``load_table`` holds
+the checked cache file open and decodes primes only when asked, each read
+from the start of the block of 4096 that holds its first rank (at most
+4095 primes early), raising OSError for a block whose bytes changed after
+the check. Only ``_decode`` and ``_half_gaps`` know the form, and ``save``
+streams the half-gaps in slices of 2^16. A key searched in an array is
+cast to its dtype: numpy would otherwise convert the whole array to int64
+for each search. The binary cache (``PRIMECACHE2``) stores the half-gaps
 (p_{i+1} - p_i)/2 from p = 3 on as uint8: every prime gap below 3.04e11
 is at most 500 (Oliveira e Silva, Herzog and Pardi, Math. Comp. 2014). A
 file that fails a check, such as an old ``PRIMECACHE1`` bitset, is
@@ -43,13 +45,21 @@ _HEAD = len(MAGIC) + _HEADER.size  # where the half-gaps start
 
 SEGMENT_ODDS = 1 << 20  # odd numbers per sieve segment
 
+# The sieve's wheel: the odd multiples of these primes repeat every
+# 3*5*7*11*13*17 = 255 255 odd indices. With 19 the period grows to
+# 4 849 845, and the pattern plus a segment (5.9 MB) would lift a 5e7
+# build's peak past 1.5 times its 12 MB table.
+_WHEEL = (3, 5, 7, 11, 13, 17)
+_WHEEL_PERIOD = math.prod(_WHEEL)
+
 # Half-gaps per block: block b leads from rank 1 + b*_BLOCK, whose prime the
 # skip index holds, and a loaded table checks it by CRC and decodes from its
 # start. Bytes per read of load_table's checking pass. Ranks per run of walk,
-# whose runs start at ranks 1 + m*_RUN, where blocks start, and of save, whose
-# sub-MiB temporaries reuse heap pages (4-8 MiB ones fault in afresh).
+# whose runs start at ranks 1 + m*_RUN, where blocks start. Half-gaps per
+# slice of save, whole blocks, whose sub-MiB temporaries reuse heap pages
+# (4-8 MiB ones fault in afresh).
 _BLOCK, _LOAD_READ = 1 << 12, 1 << 20
-_RUN = 4 * _BLOCK
+_RUN, _SAVE_RUN = 4 * _BLOCK, 16 * _BLOCK
 
 # Every table limit lies below this: its primes are uint32.
 LIMIT_CAP = 1 << 32
@@ -238,7 +248,7 @@ class PrimeTable:
     def save(self, path: str | Path) -> Path:
         """Write the cache file: MAGIC, <IQQ crc/limit/count, uint8 half-gaps.
 
-        The half-gaps stream in runs of 2^14 to a temporary file beside
+        The half-gaps stream in slices of 2^16 to a temporary file beside
         ``path``, which then replaces it in one step, so readers never see a
         partial file. Raises ValueError when a half-gap falls outside [1, 255].
         """
@@ -250,8 +260,8 @@ class PrimeTable:
             with open(tmp, "wb") as fh:
                 fh.write(MAGIC + bytes(4) + body)  # the CRC, once the half-gaps are written
                 crc = zlib.crc32(body)
-                for a in range(0, n, _RUN):
-                    half = self._half_gaps(a, min(a + _RUN, n))
+                for a in range(0, n, _SAVE_RUN):
+                    half = self._half_gaps(a, min(a + _SAVE_RUN, n))
                     fh.write(half)
                     crc = zlib.crc32(half, crc)
                 fh.seek(len(MAGIC))
@@ -262,8 +272,51 @@ class PrimeTable:
         return path
 
 
+def _segments(limit: int):
+    """Yield ``(i0, flags)`` for the odds 3..limit, 2^20 at a time: odd index i0 + j is prime iff flags[j].
+
+    Odd index i stands for 2i + 3. Each segment is copied from a wheel
+    pattern, the odd multiples of 3..17 over one period of 255 255 odd
+    indices (never longer than the odds it fills), from index i0 mod the
+    period on; the first segment unmarks 3..17 themselves. Each prime
+    19..isqrt(limit) then marks from its next multiple's offset, carried
+    across segments in one int64 array and advanced by one vector step per
+    segment. ``flags`` is one buffer, which the next segment overwrites.
+    """
+    n_odds = (limit - 1) // 2  # odds in [3, limit]
+    wheel = np.zeros(min(n_odds, _WHEEL_PERIOD), dtype=bool)
+    for p in _WHEEL:
+        wheel[(p - 3) // 2 :: p] = True  # consecutive odd multiples of p sit p odd indices apart
+    base = small_sieve(math.isqrt(limit))
+    base = base[base > _WHEEL[-1]].astype(np.int64)
+    first = (base * base - 3) // 2  # odd index of p^2, where p starts marking: increasing
+    offset = first.copy()  # odd index of p's next multiple, less the segment's i0
+    buf = np.empty(min(n_odds, SEGMENT_ODDS), dtype=bool)
+    for i0 in range(0, n_odds, SEGMENT_ODDS):
+        n = min(SEGMENT_ODDS, n_odds - i0)
+        seg = buf[:n]  # True <=> composite
+        r = i0 % _WHEEL_PERIOD
+        head = min(wheel.size - r, n)
+        seg[:head] = wheel[r : r + head]
+        for j in range(head, n, wheel.size):
+            seg[j : j + wheel.size] = wheel[: n - j]
+        if i0 == 0:
+            seg[[(p - 3) // 2 for p in _WHEEL if (p - 3) // 2 < n]] = False
+        m = int(np.searchsorted(first, i0 + n))  # the primes whose squares lie below the segment's end
+        for p, j in zip(base[:m].tolist(), offset[:m].tolist()):
+            seg[j::p] = True
+        # a marking prime's next multiple, past the segment, lies within p of its end
+        offset -= n
+        np.remainder(offset[:m], base[:m], out=offset[:m])
+        yield i0, np.logical_not(seg, out=seg)
+
+
 def build_table(limit: int) -> PrimeTable:
     """Sieve all primes <= limit with O(segment) working memory.
+
+    The primes of each segment of ``_segments`` (a wheel of 3..17, then
+    every prime 19..isqrt(limit) from offsets carried across segments) go
+    straight into one array.
 
     Parameters
     ----------
@@ -277,39 +330,19 @@ def build_table(limit: int) -> PrimeTable:
     if limit >= LIMIT_CAP:
         raise BoundsError(f"table limit {limit} >= 2^32: the table holds uint32 primes")
 
-    n_odds = (limit - 1) // 2  # odds in [3, limit]
-    base = small_sieve(math.isqrt(limit))
-    base_odd = base[base > 2]
-
-    # each segment's primes go straight into one array, shrunk in place at the
-    # end: pi(x) < 1.25506 x / log x (Rosser and Schoenfeld 1962), + 2 for rounding
+    # one array, shrunk in place at the end: pi(x) < 1.25506 x / log x
+    # (Rosser and Schoenfeld 1962), + 2 for rounding
     primes = np.empty(int(1.25506 * limit / math.log(limit)) + 2, dtype=np.uint32)
     primes[0] = 2
     k = 1
-    for i0 in range(0, n_odds, SEGMENT_ODDS):
-        i1 = min(i0 + SEGMENT_ODDS, n_odds)
-        seg = np.zeros(i1 - i0, dtype=bool)  # True <=> composite
-        seg_lo = 2 * i0 + 3
-        seg_hi = 2 * (i1 - 1) + 3
-        for p in base_odd:
-            p = int(p)
-            if p * p > seg_hi:
-                break
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start > seg_hi:
-                continue
-            # consecutive odd multiples of p sit p odd-indices apart
-            seg[(start - 3) // 2 - i0 :: p] = True
-        # in place, so no temporary outgrows the segment's own indices
-        idx = np.flatnonzero(np.logical_not(seg, out=seg))
-        idx += i0
-        idx *= 2
-        idx += 3
-        primes[k : k + idx.size] = idx
+    for i0, flags in _segments(limit):
+        idx = np.flatnonzero(flags)
+        out = primes[k : k + idx.size]
+        # 2(i0 + j) + 3 <= limit < 2^32, formed in uint32
+        np.multiply(idx, 2, out=out, casting="unsafe")
+        out += 2 * i0 + 3
         k += idx.size
-        del idx  # before the next segment's indices exist
+        del idx, out  # before the next segment's indices exist
     # in place, without numpy's reference check: no view of primes is alive
     # here, but a tracer (sys.settrace) holds frame references that fail it
     primes.resize(k, refcheck=False)

@@ -435,6 +435,26 @@ def test_console_entry_point(workdir):
     assert out.stdout.splitlines() == [f"erdoslab {erdoslab.__version__}"]
 
 
+def test_cli_import_loads_only_primes_and_errors():
+    # each runner imports the modules it runs; the package resolves its public
+    # names on first access, and every one of them still resolves
+    src = str(Path(erdoslab.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import erdoslab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'erdoslab'))\n"
+        "import erdoslab\n"
+        "print(all(getattr(erdoslab, name) is not None for name in erdoslab.__all__))\n"
+        "from erdoslab import *\n"
+        "print(sorted(n for n in erdoslab.__all__ if n not in globals()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "['erdoslab', 'erdoslab.cli', 'erdoslab.errors', 'erdoslab.primes']", "True", "[]"]
+
+
 def test_sieve_requires_limit(workdir):
     assert main(["sieve"]) == 2
 
@@ -522,10 +542,19 @@ def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
     lines = [line.split() for line in block.splitlines() if line.startswith("erdoslab ")]
-    assert len(lines) == 10
+    assert len(lines) == 15
     parser = build_parser()
+    commands = set()
     for line in lines:
-        assert parser.parse_args(line[1:]).cmd == line[1]
+        args = parser.parse_args(line[1:])
+        assert args.cmd == line[1]
+        commands.add(" ".join(filter(None, [args.cmd, getattr(args, "action", None)])))
+    # every subcommand and action once, so CI's README loop runs each runner
+    # in a fresh interpreter, which has imported only what that runner imports
+    assert commands == {
+        "sieve", "series", "equiv", "singular", "paircorr", "tuples", "model sample",
+        "model moments", "model bias", "bias", "gaps series", "gaps smallgap", "gaps blocks",
+        "parity", "calibrate"}
 
 
 @pytest.mark.parametrize(
@@ -650,6 +679,10 @@ _W_RANGE = "error: invalid: --w must lie in [14, 2293], the window to the cutoff
      (["series", "--nmax=1000", "--dense=1:2:3"], f"{_NOT_WINDOW} '1:2:3'"),
      (["equiv", "--x=0"], _X_VALUES),
      (["equiv", "--x=2,3,10"], _X_VALUES),
+     # gaps spells the kinds; argparse still reports an unknown one
+     (["gaps", "series", "--kind=bogus"],
+      "erdoslab gaps series: error: argument --kind: invalid choice: 'bogus' (choose from "
+      "'reciprocal_weighted', 'alternating_gap', 'alternating_weighted_gap', 'theta_family')"),
      (["parity", "--x=0"], "error: invalid: x must be >= 10, got 0"),
      (["parity", "--x=-5"], "error: invalid: x must be >= 10, got -5"),
      # parity's own bound, not that of the table it would build
@@ -666,7 +699,7 @@ _W_RANGE = "error: invalid: --w must lie in [14, 2293], the window to the cutoff
       "error: invalid: lambda log x truncates to 0; the window must hold at least 1 integer")],
     ids=["nmax 1.5", "nmax ten", "equiv x", "dense", "eps 2", "tuple offset 1.5",
          "dense reversed", "dense one value", "dense three values", "equiv x 0", "equiv x 2",
-         "parity x 0", "parity x negative", "parity series nmax 1", "paircorr hmin above hmax",
+         "gap series kind", "parity x 0", "parity x negative", "parity series nmax 1", "paircorr hmin above hmax",
          "moments w below window", "moments w above cutoff", "moments w 1", "parity window 0"],
 )
 def test_invalid_option_message_exits_2(workdir, capsys, argv, err):

@@ -532,9 +532,9 @@ def test_residue_reducer_with_precomputed_bases():
     bound = 3 << 61
     idx = np.arange(10**6, 10**6 + 9000)[::3]
     assert not idx.flags.c_contiguous
-    idx64, bases = model_mod._draw_bases(idx)
+    bases = model_mod._draw_bases(idx)
     before = bases.copy()
-    got = model_mod._residues(9, 4, bound, idx64, bases)
+    got = model_mod._residues(9, 4, bound, bases)
     assert np.array_equal(bases, before)  # reused by every prime of a span
     assert np.array_equal(got, residues_for_prime(9, 4, bound, idx))
     assert np.array_equal(got, _rejection_oracle(9, 4, bound, idx))
@@ -572,7 +572,7 @@ def test_uniform_ints_drawn_in_blocks_is_one_draw(bound):
               for a in range(0, count, block)]
     assert np.array_equal(np.concatenate(blocks), whole)
     if bound == 3 << 61:  # a quarter of the first words are rejected at this bound
-        _, bases = model_mod._draw_bases(np.arange(count))
+        bases = model_mod._draw_bases(np.arange(count))
         first = model_mod._mix64(bases + model_mod._stream_key(42, 0x5057))
         assert 0.2 < np.mean(first >= np.uint64((1 << 64) - (1 << 62))) < 0.3
 

@@ -50,7 +50,17 @@ def test_against_trial_division(trial_division_primes):
     assert table.nth_prime(31) - table.nth_prime(30) == 127 - 113
 
 
-@pytest.mark.parametrize("limit", [2, 3, 4, 5, 16, 17, 100, 1000, 65_536, 65_537, 100_000])
+@pytest.mark.parametrize(
+    "limit",
+    [2, 3, 4, 5, 16, 17, 100, 1000, 65_536, 65_537, 100_000,
+     # the first primes past the wheel of 3..17, and their squares
+     19, 23, 289, 361,
+     # a segment of 2^20 odds ends at 2^21 + 1: one, two and three segments,
+     # the offsets carried across each edge
+     2**21 + 1, 2**21 + 3, 2**21 + 5, 2**22 + 1, 3 * 2**21 + 7,
+     # the wheel's period of 255 255 odd indices ends at 510 511
+     510_509, 510_511, 510_513],
+)
 def test_segmented_equals_dense(limit):
     assert np.array_equal(build_table(limit).primes, dense_sieve(limit))
     assert np.array_equal(small_sieve(limit), dense_sieve(limit))
@@ -612,7 +622,7 @@ def _save_peak(table, path):
 
 
 def test_save_of_a_sieved_table_streams(big_table, tmp_path):
-    # the 10.1 MB of half-gaps go to the file one run of 2^16 at a time
+    # the 10.1 MB of half-gaps go to the file one slice of 2^16 at a time
     assert _save_peak(big_table, tmp_path / "big.bin") < 2 << 20
 
 
