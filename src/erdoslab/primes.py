@@ -5,22 +5,23 @@ below 2^32, with O(log) rank queries (``pi``, ``nth_prime``), the
 bounded reads ``ranks`` and ``upto``, and ``walk``, a sequential read in
 runs cut where the cache's checked blocks start, which every scan takes.
 Readers elsewhere take their primes through these, so a short table
-raises BoundsError and never truncates. The table of ``build_table`` holds
-the primes in one uint32 array, filled from ``_segments``, a segmented
-odd-only sieve of Eratosthenes: each segment of 2^20 odds is copied from a
-wheel of the multiples of 3..17, and the primes 19..isqrt(limit) mark it
-from offsets carried across segments. The table of ``load_table`` holds
-the checked cache file open and decodes primes only when asked, each read
-from the start of the block of 4096 that holds its first rank (at most
-4095 primes early), raising OSError for a block whose bytes changed after
-the check. Only ``_decode`` and ``_half_gaps`` know the form, and ``save``
-streams the half-gaps in slices of 2^16. A key searched in an array is
-cast to its dtype: numpy would otherwise convert the whole array to int64
-for each search. The binary cache (``PRIMECACHE2``) stores the half-gaps
-(p_{i+1} - p_i)/2 from p = 3 on as uint8: every prime gap below 3.04e11
-is at most 500 (Oliveira e Silva, Herzog and Pardi, Math. Comp. 2014). A
-file that fails a check, such as an old ``PRIMECACHE1`` bitset, is
-rebuilt on first use; every check runs before any prime is decoded.
+raises BoundsError and never truncates. Every table holds its primes as
+the bytes of its cache file (``PRIMECACHE2``), the half-gaps
+(p_{i+1} - p_i)/2 from p = 3 on as uint8: every prime gap below 2^32 is
+at most 320 (the maximal gaps tabulated by Oliveira e Silva, Herzog and
+Pardi, Math. Comp. 2014). ``build_table`` forms them in memory from
+``_segments``, a segmented odd-only sieve of Eratosthenes: each segment
+of 2^20 odds is copied from a wheel of the multiples of 3..17, and the
+primes 19..isqrt(limit) mark it from offsets carried across segments.
+``load_table`` keeps the checked file open instead and reads its bytes
+only when asked, raising OSError for a block whose bytes changed after
+the check. One pass, ``_index``, gives either table its skip index and
+block CRCs, and every read decodes from the start of the block of 4096
+that holds its first rank (at most 4095 primes early). A key searched in
+an array is cast to its dtype: numpy would otherwise convert the whole
+array to int64 for each search. A file that fails a check, such as an
+old ``PRIMECACHE1`` bitset, is rebuilt on first use; every check runs
+before any prime is decoded.
 """
 
 from __future__ import annotations
@@ -48,13 +49,13 @@ SEGMENT_ODDS = 1 << 20  # odd numbers per sieve segment
 # The sieve's wheel: the odd multiples of these primes repeat every
 # 3*5*7*11*13*17 = 255 255 odd indices. With 19 the period grows to
 # 4 849 845, and the pattern plus a segment (5.9 MB) would lift a 5e7
-# build's peak past 1.5 times its 12 MB table.
+# build's peak past 1.5 times its 12 MB of primes.
 _WHEEL = (3, 5, 7, 11, 13, 17)
 _WHEEL_PERIOD = math.prod(_WHEEL)
 
 # Half-gaps per block: block b leads from rank 1 + b*_BLOCK, whose prime the
-# skip index holds, and a loaded table checks it by CRC and decodes from its
-# start. Bytes per read of load_table's checking pass. Ranks per run of walk,
+# skip index holds, and a read checks it by CRC and decodes from its start.
+# Half-gaps per step of _index's pass, whole blocks. Ranks per run of walk,
 # whose runs start at ranks 1 + m*_RUN, where blocks start. Half-gaps per
 # slice of save, whole blocks, whose sub-MiB temporaries reuse heap pages
 # (4-8 MiB ones fault in afresh).
@@ -73,24 +74,23 @@ def small_sieve(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """Immutable table of all primes <= ``limit``, held in one of two forms.
+    """Immutable table of all primes <= ``limit``, held as the half-gaps of its cache file.
 
-    ``PrimeTable(limit, primes)`` holds the primes themselves, as the sieve
-    makes them. ``load_table`` holds the cache file it checked, open, plus
-    the running CRC-32 of the file at the end of each block of 4096
-    half-gaps. It reads the half-gaps a reader needs in whole blocks, checks
-    each against its CRC and decodes them: a block that changed after the
-    check, or was cut short, raises OSError. The descriptor is that of the
-    file which passed the checks, so a cache replaced or removed later reads
-    the same. Both forms keep a skip index, the prime at each block's first
-    rank 1 + b*_BLOCK, and a loaded table decodes each read from the start
-    of its first rank's block, at most 4095 primes early. Only ``_decode``
-    (primes) and ``_half_gaps`` (cache bytes) know the form; ``pi``,
-    ``ranks``, ``walk``, ``is_prime_range`` and ``save`` are written once on
-    top of them. ``ranks`` and ``upto`` of a loaded table decode every prime
-    they return (up to the whole array) afresh on each call, so readers that
-    scan take runs from ``walk``. ``primes`` of a loaded table decodes the
-    whole array on first use and keeps it.
+    ``build_table`` holds the half-gaps in memory, read-only. ``load_table``
+    holds the cache file it checked, open, and reads the half-gaps a reader
+    needs in whole blocks, each checked against its CRC: a block that
+    changed after the check, or was cut short, raises OSError. The
+    descriptor is that of the file which passed the checks, so a cache
+    replaced or removed later reads the same. Either way the table keeps
+    what ``_index`` gives: the running CRC-32 of the file at the end of each
+    block of 4096 half-gaps, and a skip index, the prime at each block's
+    first rank 1 + b*_BLOCK. Only ``_half_gaps`` knows where the bytes come
+    from; ``_decode`` decodes each read from the start of its first rank's
+    block, at most 4095 primes early, and ``pi``, ``ranks``, ``walk``,
+    ``is_prime_range`` and ``save`` are written once on top of them.
+    ``ranks`` and ``upto`` decode every prime they return (up to the whole
+    array) afresh on each call, so readers that scan take runs from
+    ``walk``. ``primes`` decodes the whole array on first use and keeps it.
 
     Attributes
     ----------
@@ -102,30 +102,21 @@ class PrimeTable:
         Strictly increasing uint32 array of every prime <= limit.
     """
 
-    def __init__(self, limit: int, primes: np.ndarray):
-        self.limit = int(limit)
-        self.count = int(primes.size)
-        self._primes = primes  # None while a loaded table is undecoded
-        self._skip = np.ascontiguousarray(primes[1::_BLOCK])  # the index a loaded table has
-        self._fd = self._crcs = None
-
-    @classmethod
-    def _from_file(cls, limit: int, count: int, fd: int, skip: np.ndarray, crcs: np.ndarray) -> PrimeTable:
-        """A loaded table: ``skip[b]`` is p_(2 + b*_BLOCK), ``crcs[k + 1]`` the CRC-32 to the end of block k."""
-        table = cls.__new__(cls)
-        table.limit, table.count, table._primes = int(limit), int(count), None
-        table._fd, table._skip, table._crcs = fd, skip, crcs
-        weakref.finalize(table, os.close, fd)
-        return table
+    def __init__(self, limit: int, count: int, crcs: np.ndarray, starts: np.ndarray, source: np.ndarray | int):
+        """``crcs`` and ``starts`` as ``_index`` gives them; ``source`` the half-gaps, or a descriptor the table closes."""
+        self.limit, self.count, self._primes = int(limit), int(count), None
+        self._crcs, self._skip, self._source = crcs, starts[:-1].astype(np.uint32), source
+        if isinstance(source, int):
+            weakref.finalize(self, os.close, source)
 
     @property
     def primes(self) -> np.ndarray:
-        """Every prime of the table; a loaded table decodes them on first use and keeps them."""
+        """Every prime of the table, decoded on first use and kept."""
         if self._primes is None:
             self._primes = self.ranks(0, self.count)
         return self._primes
 
-    # -- rank reads; of them only _decode and _half_gaps know the form --
+    # -- rank reads, on top of _decode and _half_gaps --------------------
 
     def pi(self, x: int) -> int:
         """Number of primes <= x: a binary search of the skip index, then of one block."""
@@ -139,18 +130,15 @@ class PrimeTable:
         return i + int(np.searchsorted(block, block.dtype.type(x), side="right"))
 
     def ranks(self, i: int, j: int) -> np.ndarray:
-        """p_(i+1) ... p_j, the primes of 0-based ranks [i, j); BoundsError past the table.
-
-        A view of the primes, or of a loaded table a freshly decoded array.
-        """
+        """p_(i+1) ... p_j, the primes of 0-based ranks [i, j), freshly decoded; BoundsError past the table."""
         return self._decode(*self._span(i, j))
 
     def walk(self, i: int, j: int):
         """Yield runs ``(s, e, primes)`` whose ranks [s, e) cover [i, j), in order.
 
         Runs after the first start at ranks 1 + m*_RUN, where a block
-        begins, so a loaded table reads each block once and decodes no prime
-        it does not return but the at most 4095 before rank i in its block.
+        begins, so a walk reads each block once and decodes no prime it
+        does not return but the at most 4095 before rank i in its block.
         ``primes`` holds ranks [s, min(e + 1, j)), so each run but the last
         holds the next one's first. Checked as ``ranks`` is.
         """
@@ -175,9 +163,7 @@ class PrimeTable:
         return 1 + (b - 1) * _BLOCK if b else 0
 
     def _decode(self, i: int, j: int) -> np.ndarray:
-        """The primes of ranks [i, j): a view of the array, or decoded from the start of rank i's block."""
-        if self._primes is not None:
-            return self._primes[i:j]
+        """The primes of ranks [i, j), decoded from the start of rank i's block."""
         if i >= j:
             return np.empty(0, dtype=np.uint32)
         s = max(1 + (i - 1) // _BLOCK * _BLOCK, 0)  # rank 0, the prime 2, comes before block 0
@@ -191,19 +177,14 @@ class PrimeTable:
         return out[out.size - (j - i) :]
 
     def _half_gaps(self, a: int, b: int) -> np.ndarray:
-        """Half-gaps [a, b): from the array, ValueError outside [1, 255], or from whole blocks, each CRC-checked."""
-        if self._primes is not None:
-            # a falling pair wraps to a huge uint32, or is negative in int64
-            h = np.diff(self._primes[a + 1 : b + 2])
-            h >>= 1
-            if h.min() < 1 or h.max() > 255:
-                raise ValueError(f"half-gap outside [1, 255] after prime {int(self._primes[a + 1])}")
-            return h.astype(np.uint8)
+        """Half-gaps [a, b): a slice of those held in memory, or whole blocks of the file, each CRC-checked."""
+        if isinstance(self._source, np.ndarray):
+            return self._source[a:b]
         if a >= b:
             return np.empty(0, dtype=np.uint8)
         k0, k1 = a // _BLOCK, -(-b // _BLOCK)
         # a is a block start, as in every read of _decode and save; the last block may be short
-        raw = os.pread(self._fd, min(k1 * _BLOCK, self.count - 2) - a, _HEAD + a)
+        raw = os.pread(self._source, min(k1 * _BLOCK, self.count - 2) - a, _HEAD + a)
         view, crcs = memoryview(raw), self._crcs[k0 : k1 + 1].tolist()
         for k in range(k1 - k0):  # a block cut short, or not read at all, fails its CRC too
             if zlib.crc32(view[k * _BLOCK : (k + 1) * _BLOCK], crcs[k]) != crcs[k + 1]:
@@ -248,28 +229,48 @@ class PrimeTable:
     def save(self, path: str | Path) -> Path:
         """Write the cache file: MAGIC, <IQQ crc/limit/count, uint8 half-gaps.
 
-        The half-gaps stream in slices of 2^16 to a temporary file beside
+        The header takes the CRC from the table's last block CRC, and the
+        half-gaps stream in slices of 2^16 to a temporary file beside
         ``path``, which then replaces it in one step, so readers never see a
-        partial file. Raises ValueError when a half-gap falls outside [1, 255].
+        partial file.
         """
-        body, n = struct.pack("<QQ", self.limit, self.count), max(self.count - 2, 0)
+        n = max(self.count - 2, 0)
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as fh:
-                fh.write(MAGIC + bytes(4) + body)  # the CRC, once the half-gaps are written
-                crc = zlib.crc32(body)
+                fh.write(MAGIC + _HEADER.pack(int(self._crcs[-1]), self.limit, self.count))
                 for a in range(0, n, _SAVE_RUN):
-                    half = self._half_gaps(a, min(a + _SAVE_RUN, n))
-                    fh.write(half)
-                    crc = zlib.crc32(half, crc)
-                fh.seek(len(MAGIC))
-                fh.write(struct.pack("<I", crc))
+                    fh.write(self._half_gaps(a, min(a + _SAVE_RUN, n)))
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
         return path
+
+
+def _index(body: bytes, reads) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """The one pass over a table's half-gaps, which load_table checks and every table keeps.
+
+    ``reads`` yields the half-gaps as uint8 arrays of whole blocks, save the
+    last. Returns ``(crcs, starts, size, zero)``: the running CRC-32 of
+    ``body`` and the half-gaps at the start and at each block's end
+    (uint32, ``crcs[-1]`` that of all); as uint64, the prime at each block's
+    first rank, then the prime the last half-gap leads to (3 plus twice the
+    half-gaps before each); the number of half-gaps; and whether one is 0.
+    """
+    crcs, sums, tail, size, zero = [zlib.crc32(body)], [np.zeros(1, dtype=np.uint64)], 0, 0, False
+    for half in reads:
+        for k in range(0, half.size, _BLOCK):
+            crcs.append(zlib.crc32(half[k : k + _BLOCK], crcs[-1]))
+        zero = zero or not half.all()
+        # sums by block, in uint64 row by row; only the last read has a tail
+        n = half.size // _BLOCK
+        sums.append(half[: n * _BLOCK].reshape(n, _BLOCK).sum(axis=1, dtype=np.uint64))
+        tail = int(half[n * _BLOCK :].sum(dtype=np.uint64))
+        size += half.size
+    sums.append(np.array([tail], dtype=np.uint64))
+    return np.array(crcs, dtype=np.uint32), 3 + 2 * np.cumsum(np.concatenate(sums)), size, zero
 
 
 def _segments(limit: int):
@@ -312,11 +313,13 @@ def _segments(limit: int):
 
 
 def build_table(limit: int) -> PrimeTable:
-    """Sieve all primes <= limit with O(segment) working memory.
+    """Sieve all primes <= limit into the half-gaps of their cache file, with O(segment) working memory.
 
     The primes of each segment of ``_segments`` (a wheel of 3..17, then
     every prime 19..isqrt(limit) from offsets carried across segments) go
-    straight into one array.
+    straight into one uint8 array of half-gaps, the differences of their
+    odd indices, each segment's first taken from the last prime before it;
+    ValueError for a half-gap above 255. No array of the primes is formed.
 
     Parameters
     ----------
@@ -331,31 +334,46 @@ def build_table(limit: int) -> PrimeTable:
         raise BoundsError(f"table limit {limit} >= 2^32: the table holds uint32 primes")
 
     # one array, shrunk in place at the end: pi(x) < 1.25506 x / log x
-    # (Rosser and Schoenfeld 1962), + 2 for rounding
-    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 2, dtype=np.uint32)
-    primes[0] = 2
-    k = 1
+    # (Rosser and Schoenfeld 1962), + 2 for rounding. Its first byte is 3
+    # less itself, 0, and goes; the half-gaps of the odd primes follow.
+    gaps = np.empty(int(1.25506 * limit / math.log(limit)) + 2, dtype=np.uint8)
+    k, last = 0, 0  # bytes written; the odd index of the last prime, 3's at first
     for i0, flags in _segments(limit):
         idx = np.flatnonzero(flags)
-        out = primes[k : k + idx.size]
-        # 2(i0 + j) + 3 <= limit < 2^32, formed in uint32
-        np.multiply(idx, 2, out=out, casting="unsafe")
-        out += 2 * i0 + 3
-        k += idx.size
-        del idx, out  # before the next segment's indices exist
-    # in place, without numpy's reference check: no view of primes is alive
+        ids = np.empty(idx.size + 1, dtype=np.uint32)
+        ids[0] = last
+        np.add(idx, i0, out=ids[1:], casting="unsafe")  # 2i + 3 <= limit < 2^32
+        half = np.diff(ids)
+        if half.max(initial=0) > 255:
+            raise ValueError(f"half-gap above 255 after prime {2 * int(ids[np.argmax(half > 255)]) + 3}")
+        gaps[k : k + half.size] = half
+        k, last = k + half.size, int(ids[-1])
+        del idx, ids, half  # before the next segment's indices exist
+    # in place, without numpy's reference check: no view of gaps is alive
     # here, but a tracer (sys.settrace) holds frame references that fail it
-    primes.resize(k, refcheck=False)
-    return PrimeTable(limit, primes)
+    gaps.resize(k, refcheck=False)
+    gaps = gaps[1:]
+    gaps.flags.writeable = False
+    steps = (gaps[a : a + _LOAD_READ] for a in range(0, gaps.size, _LOAD_READ))
+    crcs, starts, _, _ = _index(struct.pack("<QQ", limit, k + 1), steps)
+    return PrimeTable(limit, k + 1, crcs, starts, gaps)
+
+
+def _reads(fh):
+    """The rest of a file in _LOAD_READ-byte reads, each into one buffer, the last short."""
+    buf = np.empty(_LOAD_READ, dtype=np.uint8)
+    while (half := buf[: fh.readinto(buf)]).size == _LOAD_READ:
+        yield half
+    yield half
 
 
 def load_table(path: str | Path) -> PrimeTable:
     """Load a PrimeTable from its cache file; ValueError if any check fails.
 
-    One pass of _LOAD_READ-byte reads runs every check before any prime is
-    decoded, and records the skip index and the running CRC-32 at the end
-    of each block. The table keeps a descriptor of the file and reads its
-    half-gaps only when a reader asks for them.
+    One pass of _LOAD_READ-byte reads, ``_index``, runs every check before
+    any prime is decoded, and gives the skip index and the running CRC-32 at
+    the end of each block. The table keeps a descriptor of the file and
+    reads its half-gaps only when a reader asks for them.
     """
     path = Path(path)
     with open(path, "rb", buffering=0) as fh:
@@ -363,21 +381,7 @@ def load_table(path: str | Path) -> PrimeTable:
         if raw[: len(MAGIC)] != MAGIC or len(raw) < _HEAD:
             raise ValueError(f"{path} is not a prime cache file (bad magic or truncated header)")
         crc, limit, count = _HEADER.unpack_from(raw, len(MAGIC))
-        crcs = [zlib.crc32(raw[len(MAGIC) + 4 :])]
-        buf = np.empty(_LOAD_READ, dtype=np.uint8)  # every read lands here
-        sums, tail, size, zero = [], 0, 0, False
-        while True:
-            half = buf[: fh.readinto(buf)]
-            for k in range(0, half.size, _BLOCK):
-                crcs.append(zlib.crc32(half[k : k + _BLOCK], crcs[-1]))
-            zero = zero or not half.all()
-            # sums by block, in uint64 row by row; only the last read has a tail
-            n = half.size // _BLOCK
-            sums.append(half[: n * _BLOCK].reshape(n, _BLOCK).sum(axis=1, dtype=np.uint64))
-            tail = int(half[n * _BLOCK :].sum(dtype=np.uint64))
-            size += half.size
-            if half.size < _LOAD_READ:
-                break
+        crcs, starts, size, zero = _index(raw[len(MAGIC) + 4 :], _reads(fh))
         if crcs[-1] != crc:
             raise ValueError(f"{path}: checksum mismatch")
         if limit >= LIMIT_CAP:
@@ -386,18 +390,13 @@ def load_table(path: str | Path) -> PrimeTable:
             raise ValueError(f"{path}: {size} half-gaps inconsistent with prime count {count}")
         if zero:
             raise ValueError(f"{path}: zero half-gap")
-        ends = np.cumsum(np.concatenate(sums))
-        total = (int(ends[-1]) if ends.size else 0) + tail
         # checked before any prime is decoded: a last prime past the limit would wrap in uint32
-        last = 3 + 2 * total if count > 1 else 2
+        last = int(starts[-1]) if count > 1 else 2
         if last > limit:
             raise ValueError(f"{path}: last prime {last} exceeds limit {limit}")
-        skip = np.empty(ends.size + 1, dtype=np.uint32)
-        skip[0] = 3
-        skip[1:] = 3 + 2 * ends
         # the file that passed the checks, whatever later replaces or removes its path
         fd = os.dup(fh.fileno())
-    return PrimeTable._from_file(limit, count, fd, skip, np.array(crcs, dtype=np.uint32))
+    return PrimeTable(limit, count, crcs, starts, fd)
 
 
 def cache_path(limit: int, cache_dir: str | Path | None = None) -> Path:

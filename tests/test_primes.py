@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import os
+import struct
 import sys
 import tracemalloc
 import zlib
@@ -21,7 +22,6 @@ from erdoslab.primes import (
     _HEAD,
     _RUN,
     MAGIC,
-    PrimeTable,
     build_table,
     cache_path,
     load_or_build,
@@ -284,13 +284,15 @@ def test_scans_of_a_loaded_table_decode_no_whole_array(big_table, tmp_path):
 
 
 def test_build_peak_memory():
-    # one array sized by the pi(x) bound and shrunk in place, no second copy
+    # one array of half-gaps sized by the pi(x) bound and shrunk in place, no
+    # array of the primes: the table holds about the count - 2 bytes of its file
     tracemalloc.start()
     try:
         table = build_table(50_000_000)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert table.count - 2 <= current < 1.01 * (table.count - 2)
     assert table.primes.size == 3_001_134
     assert current < 1.01 * table.primes.nbytes
     assert peak < 1.5 * table.primes.nbytes
@@ -310,10 +312,20 @@ def test_limit_of_2_to_32_is_refused_before_allocating():
     assert peak < 1 << 20
 
 
-def test_queries_at_the_top_of_uint32():
+def _hand_written(path, limit, half):
+    """A PRIMECACHE2 file of the primes 2, 3 and those the uint8 half-gaps ``half`` lead to."""
+    body = struct.pack("<QQ", limit, len(half) + 2) + np.asarray(half, dtype=np.uint8).tobytes()
+    path.write_bytes(MAGIC + zlib.crc32(body).to_bytes(4, "little") + body)
+    return path
+
+
+def test_queries_at_the_top_of_uint32(tmp_path):
     top = 4_294_967_291  # the largest prime below 2^32
-    t = PrimeTable(2**32 - 1, np.array([2, 3, top], dtype=np.uint32))
-    assert t.pi(2**32 - 1) == 3 and t.pi(top - 1) == 2
+    half = np.full(8_421_505, 255, dtype=np.uint8)
+    half[-1] = 124  # 3 + 2 * (8 421 504 * 255 + 124) = top
+    t = load_table(_hand_written(tmp_path / "top.bin", 2**32 - 1, half))
+    assert t.nth_prime(t.count) == top
+    assert t.pi(2**32 - 1) == t.count and t.pi(top - 1) == t.count - 1
     assert top in t and 2**32 - 1 not in t
     # hi = 2^32 is one past the limit, a key no uint32 holds
     assert np.flatnonzero(t.is_prime_range(2**32 - 10, 2**32)).tolist() == [top - (2**32 - 10)]
@@ -357,19 +369,24 @@ def test_cache_rejects_garbage(tmp_path):
         load_table(p)
 
 
-@pytest.mark.parametrize(
-    "primes", [[2, 3, 3], [2, 3, 515], [2, 3, 7, 5]], ids=["zero half-gap", "half-gap 256", "falling"]
-)
-def test_save_rejects_unrepresentable_half_gaps(tmp_path, primes):
-    table = PrimeTable(1000, np.array(primes, dtype=np.int64))
-    with pytest.raises(ValueError):
-        table.save(tmp_path / "t.bin")
+def test_build_rejects_a_half_gap_above_255(tmp_path, monkeypatch):
+    # a sieve's odd indices only rise, so its one unrepresentable half-gap is
+    # one above 255: the flags of 3 and of 515, 256 odd indices on
+    flags = np.zeros(499, dtype=bool)
+    flags[[0, 256]] = True
+    monkeypatch.setattr("erdoslab.primes._segments", lambda limit: iter([(0, flags)]))
+    with pytest.raises(ValueError, match="above 255 after prime 3"):
+        build_table(1000)
+    with pytest.raises(ValueError, match="above 255"):
+        load_or_build(1000, tmp_path)
     assert not any(tmp_path.iterdir())
 
 
 def test_save_keeps_half_gap_255(tmp_path):
-    table = PrimeTable(1000, np.array([2, 3, 513], dtype=np.int64))
-    assert np.array_equal(load_table(table.save(tmp_path / "t.bin")).primes, table.primes)
+    path = _hand_written(tmp_path / "t.bin", 1000, [255])
+    table = load_table(path)
+    assert table.primes.tolist() == [2, 3, 513]
+    assert table.save(tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 def test_cache_dir_env(tmp_path, monkeypatch):
@@ -604,12 +621,15 @@ _CACHE_SHA256 = {
 
 @pytest.mark.parametrize("limit", _CACHE_SHA256)
 def test_cache_bytes_are_pinned(request, tmp_path, limit):
-    # a sieved table encodes its array, and its loaded re-save copies the checked blocks
+    # a sieved table writes its half-gaps, and its loaded re-save copies the checked blocks
     table = request.getfixturevalue("big_table") if limit == BIG_LIMIT else build_table(limit)
     path = table.save(tmp_path / "t.bin")
-    again = load_table(path).save(tmp_path / "again.bin")
+    loaded = load_table(path)
+    again = loaded.save(tmp_path / "again.bin")
     for p in (path, again):
         assert hashlib.sha256(p.read_bytes()).hexdigest() == _CACHE_SHA256[limit], p.name
+    # one pass over the half-gaps indexes the sieved table and checks its file
+    assert np.array_equal(table._skip, loaded._skip) and np.array_equal(table._crcs, loaded._crcs)
 
 
 def _save_peak(table, path):
@@ -686,7 +706,7 @@ def test_sieved_table_reads_at_the_edges(sieved):
     for i, j in ((-2, 4), (5, 3)):  # as ranks does, in either form
         with pytest.raises(ValueError, match="is not ordered"):
             next(t.walk(i, j))
-    for limit in (2, 3, 4, 5):  # a table of one prime has an empty skip index
+    for limit in (2, 3, 4, 5):  # tables of one and of two primes hold no half-gap
         small, dense = build_table(limit), dense_sieve(limit)
         for v in range(-1, limit + 1):
             assert small.pi(v) == np.count_nonzero(dense <= v), (limit, v)
