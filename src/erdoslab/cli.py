@@ -117,27 +117,18 @@ def _parse_offsets(text: str) -> OffsetTuple:
     return OffsetTuple(_parse_int(s) for s in text.split(",") if s.strip() != "")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
-    return str(v)
-
-
 def _emit(out: str, fmt: str, cmd: str, config: dict, columns: list[str], rows: list[tuple]) -> None:
+    """Write rows as CSV, each value's str(), or as their JSON mirror; numpy scalars become Python ones."""
+    rows = [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
     cfg = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
     header = f"erdoslab={__version__} cmd={cmd} config={cfg}"
     if fmt == "csv":
         lines = [f"# {header}", ",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += [",".join(map(str, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        doc = {
-            "header": {"erdoslab": __version__, "cmd": cmd, "config": config},
-            "columns": columns,
-            "rows": [[(float(v) if isinstance(v, (float, np.floating)) else (int(v) if isinstance(v, (int, np.integer)) else str(v))) for v in row] for row in rows],
-        }
+        doc = {"header": {"erdoslab": __version__, "cmd": cmd, "config": config},
+               "columns": columns, "rows": rows}
         text = json.dumps(doc, indent=1, sort_keys=True, default=str) + "\n"
     if out == "-":
         sys.stdout.write(text)
@@ -308,12 +299,7 @@ def _run_model(args) -> None:
     base = {"x": args.x, "lambda": args.lam, "window_len": cfg.window_len,
             "cutoff_z": cfg.cutoff_z, "seed": args.seed}
     if args.action == "bias":
-        est = model_mod.parity_bias(cfg, args.samples, table)
-        se = model_mod.parity_bias_stderr(est, args.samples)
-        config = {**base, "action": "bias", "samples": args.samples}
-        rows = [(args.lam, est, se, math.exp(-2.0 * args.lam))]
-        _emit(args.out, args.format, "model", config,
-              ["lambda", "estimate", "stderr", "exp_minus_2lambda"], rows)
+        _emit_bias(args, "model", {**base, "action": "bias", "samples": args.samples}, [cfg], table)
         return
     w = cfg.cutoff_z if args.w is None else args.w
     if w < 1:
@@ -331,10 +317,20 @@ def _run_model(args) -> None:
         rep = model_mod.moments(cfg, w, args.samples, table)
         config = {**base, "action": "moments", "w": w, "samples": args.samples}
         rows = [(rep.w, rep.sample_count, rep.mean, rep.variance,
-                 rep.predicted_mean, rep.predicted_variance_bound, rep.in_lemma_range)]
+                 rep.predicted_mean, rep.predicted_variance_bound, True)]
         _emit(args.out, args.format, "model", config,
               ["w", "samples", "mean", "variance", "predicted_mean",
                "predicted_variance_bound", "in_lemma_range"], rows)
+
+
+def _emit_bias(args, cmd: str, config: dict, cfgs, table: PrimeTable) -> None:
+    """One row of parity bias, its stderr and exp(-2 lambda) per config, from one sift."""
+    from . import model as model_mod
+
+    ests = model_mod.parity_biases(cfgs, args.samples, table)
+    rows = [(c.lam, est, model_mod.parity_bias_stderr(est, args.samples), math.exp(-2.0 * c.lam))
+            for c, est in zip(cfgs, ests)]
+    _emit(args.out, args.format, cmd, config, ["lambda", "estimate", "stderr", "exp_minus_2lambda"], rows)
 
 
 def _run_bias(args) -> None:
@@ -343,12 +339,8 @@ def _run_bias(args) -> None:
     table = _model_table(args.x, args)
     cfgs = [model_mod.ModelConfig.from_scale(args.x, lam, table, seed=args.seed)
             for lam in args.lambdas]
-    ests = model_mod.parity_biases(cfgs, args.samples, table)
-    rows = [(lam, est, model_mod.parity_bias_stderr(est, args.samples), math.exp(-2.0 * lam))
-            for lam, est in zip(args.lambdas, ests)]
     config = {"x": args.x, "lambdas": args.lambdas, "samples": args.samples, "seed": args.seed}
-    _emit(args.out, args.format, "bias", config,
-          ["lambda", "estimate", "stderr", "exp_minus_2lambda"], rows)
+    _emit_bias(args, "bias", config, cfgs, table)
 
 
 def _run_gaps(args) -> None:
@@ -444,6 +436,17 @@ def _add_table(p: argparse.ArgumentParser, *, no_cache: bool = True, limit: bool
         p.add_argument("--limit", type=_parse_limit, default=None, help="explicit prime-table limit")
 
 
+def _add_model(p: argparse.ArgumentParser, samples: int) -> None:
+    """The options of model sample, moments and bias and of bias, which derive their table from --x."""
+    _add_output(p)
+    _add_table(p, limit=False)
+    p.add_argument("--x", type=_parse_positive, required=True)
+    p.add_argument("--samples", type=_parse_int, default=samples)
+    p.add_argument("--seed", type=_parse_int, default=0)
+    p.add_argument("--workers", type=_parse_int, default=1,
+                   help="accepted and ignored: the model sifts serially")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="erdoslab", description=__doc__)
     ap.add_argument("--version", action="version", version=f"erdoslab {__version__}")
@@ -502,26 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
     for action, text in (("sample", "survivor sets"), ("moments", "survivor-count moments"),
                          ("bias", "parity bias")):
         p = actions.add_parser(action, help=text)
-        _add_output(p)
-        _add_table(p, limit=False)
-        p.add_argument("--x", type=_parse_positive, required=True)
+        _add_model(p, 10_000)
         p.add_argument("--lambda", dest="lam", type=_parse_positive, default=1.0)
         if action != "bias":
             p.add_argument("--w", type=_parse_int, default=None)
-        p.add_argument("--samples", type=_parse_int, default=10_000)
-        p.add_argument("--seed", type=_parse_int, default=0)
-        p.add_argument("--workers", type=_parse_int, default=1,
-                       help="accepted and ignored: the model sifts serially")
 
     p = sub.add_parser("bias", help="model parity-bias curve over lambda")
-    _add_output(p)
-    _add_table(p, limit=False)
-    p.add_argument("--x", type=_parse_positive, required=True)
+    _add_model(p, 100_000)
     p.add_argument("--lambdas", type=_parse_positives, default="1,2,4")
-    p.add_argument("--samples", type=_parse_int, default=100_000)
-    p.add_argument("--seed", type=_parse_int, default=0)
-    p.add_argument("--workers", type=_parse_int, default=1,
-                   help="accepted and ignored: the model sifts serially")
     p.set_defaults(run=_run_bias)
 
     p = sub.add_parser("gaps", help="gap series, small-gap counts, dyadic blocks")

@@ -21,7 +21,11 @@ from .singular import gallagher_sum
 
 KINDS = ("reciprocal_weighted", "alternating_gap", "alternating_weighted_gap", "theta_family")
 
-# stream id for the base-point sampler, separating it from model substreams
+# stream id of the base-point sampler. It is also the model's stream of prime
+# rank 0x5057 = 20567, the prime 231 571, which the model sifts once its cutoff
+# passes it (z = 112 771 at x = 1e9, 411 259 at 1e10): from there, parity point
+# i and model sample i of one seed read the same word. The id stays, as parity
+# artifacts and the fixture's gaps section depend on it.
 _PARITY_STREAM = 0x5057
 
 # base points per block of the parity statistic's draw and count, and

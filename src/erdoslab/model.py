@@ -209,14 +209,10 @@ class ModelConfig:
 
 @dataclass
 class SiftedSample:
-    """One realization: the drawn residues and the surviving offsets."""
+    """One realization: the residue drawn for each sifting prime and the surviving offsets."""
 
     residues: dict[int, int]
     survivors: np.ndarray
-    w: int
-    window_len: int
-    sample_index: int
-    seed: int
 
     @property
     def size(self) -> int:
@@ -298,19 +294,12 @@ def draw_sample(
     config: ModelConfig, w: int | None = None, *, table: PrimeTable, sample_index: int = 0,
 ) -> SiftedSample:
     """Materialize one sample: residues for every p <= w and the sifted set."""
-    w, primes = _sifting_primes(config, w, table)
+    _, primes = _sifting_primes(config, w, table)
     residues: dict[int, int] = {}
     for _, k, a, alive in _sift(config, primes, 1, sample_index):
         if k:
             residues[int(primes[k - 1])] = int(a[0])
-    return SiftedSample(
-        residues=residues,
-        survivors=_offsets(alive)[0],
-        w=w,
-        window_len=config.window_len,
-        sample_index=sample_index,
-        seed=config.seed,
-    )
+    return SiftedSample(residues=residues, survivors=_offsets(alive)[0])
 
 
 def membership_probability(tup, w: int, table: PrimeTable) -> float:
@@ -377,7 +366,7 @@ def survivor_counts(
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Sample moments of the survivor count against their predictions."""
+    """Sample moments of the survivor count at a level w of the lemma range, against their predictions."""
 
     w: int
     sample_count: int
@@ -385,7 +374,6 @@ class MomentReport:
     variance: float
     predicted_mean: float
     predicted_variance_bound: float
-    in_lemma_range: bool  # always True: moments rejects w outside the range
 
     @property
     def mean_stderr(self) -> float:
@@ -416,7 +404,6 @@ def moments(config: ModelConfig, w: int, samples: int, table: PrimeTable) -> Mom
         variance=float(sizes.var(ddof=1)),
         predicted_mean=config.window_len * mertens_product(w, table),
         predicted_variance_bound=c_var * config.window_len / math.log(w),
-        in_lemma_range=True,
     )
 
 

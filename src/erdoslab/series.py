@@ -88,7 +88,6 @@ class PartialSumTrace:
     values: np.ndarray
     compensations: np.ndarray
     phase: complex
-    abs_term_total: float = 0.0
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -103,11 +102,8 @@ class PartialSumTrace:
     def final_value(self) -> complex:
         return complex(self.values[-1])
 
-    def is_real(self) -> bool:
-        return self.phase.imag == 0.0
-
     def _rows(self):
-        real = self.is_real()
+        real = self.phase.imag == 0.0
         for i, v, c in zip(self.indices, self.values, self.compensations):
             comp = c.real if real else abs(c)
             yield int(i), v.real, v.imag, comp
@@ -165,22 +161,18 @@ def _scan(checkpoints: np.ndarray, pieces, phase: complex) -> PartialSumTrace:
     added to the running total, one clongdouble, when the next chunk
     opens, and a checkpoint reads total + prefix, so no value or
     compensation depends on _SUB or on how a producer cuts its pieces.
-    ``abs_term_total`` only bounds the rounding error, so it is a float64
-    sum of piece sums of ``mags``.
     """
     real = _is_sign(phase)
     c = _REAL_CHUNK if real else RENORM_STEPS
     values = np.zeros(checkpoints.size, dtype=np.complex128)
     comps = np.zeros(checkpoints.size, dtype=np.complex128)
     total = np.clongdouble(0.0)
-    abs_total = 0.0
     done = 0  # checkpoints read so far
     buf = np.zeros(_SUB + 1, dtype=_LD if real else np.clongdouble)
     q = 0  # the open chunk, whose prefix is in buf[0]
     if not real:
         pw, carry = _phase_powers(phase, 1.0 + 0.0j, c)  # phase^(q*c + 1 ... (q+1)*c)
     for ends, k, mags in pieces:
-        abs_total += float(mags.sum())
         q0, q1 = (int(k[0]) - 1) // c, (int(k[-1]) - 1) // c
         edges = np.searchsorted(k, 1 + c * np.arange(q0 + 1, q1 + 1))
         cuts = sorted({*range(0, k.size, _SUB), *edges.tolist(), k.size})
@@ -216,13 +208,7 @@ def _scan(checkpoints: np.ndarray, pieces, phase: complex) -> PartialSumTrace:
             buf[0] = pre[n]
     if done != checkpoints.size:
         raise AssertionError("scan ended before all checkpoints were reached")
-    return PartialSumTrace(
-        indices=checkpoints,
-        values=values,
-        compensations=comps,
-        phase=phase,
-        abs_term_total=abs_total,
-    )
+    return PartialSumTrace(indices=checkpoints, values=values, compensations=comps, phase=phase)
 
 
 def _phase_powers(phase: complex, carry: complex, count: int) -> tuple[np.ndarray, complex]:
@@ -378,13 +364,7 @@ def average_consecutive(trace: PartialSumTrace) -> PartialSumTrace:
     idx = trace.indices[:-1][adj]
     vals = (trace.values[:-1][adj] + trace.values[1:][adj]) / 2.0
     comp = (trace.compensations[:-1][adj] + trace.compensations[1:][adj]) / 2.0
-    return PartialSumTrace(
-        indices=idx,
-        values=vals,
-        compensations=comp,
-        phase=trace.phase,
-        abs_term_total=trace.abs_term_total,
-    )
+    return PartialSumTrace(indices=idx, values=vals, compensations=comp, phase=trace.phase)
 
 
 @dataclass
@@ -400,13 +380,13 @@ class EquivalenceReport:
     lhs: np.ndarray
     rhs: np.ndarray
     differences: np.ndarray = field(init=False)
-    phase: complex = -1.0
 
     def __post_init__(self):
         self.differences = self.lhs - self.rhs
 
-    def max_pairwise_spread(self, top_half: bool = True) -> float:
-        d = self.differences[self.x_values.size // 2 :] if top_half else self.differences
+    def max_pairwise_spread(self) -> float:
+        """max |d_i - d_j| over the differences at the larger half x_values[n // 2:] of the n x values."""
+        d = self.differences[self.x_values.size // 2 :]
         return float(max(abs(a - b) for a in d for b in d))
 
     def consecutive_spreads(self) -> np.ndarray:
@@ -429,7 +409,7 @@ def verify_equivalence(
     factor = phase / (phase - 1.0)
     lhs = np.array([lhs_trace.value_at(int(x)) for x in xs])
     rhs = factor * np.array([rhs_trace.value_at(int(m)) for m in ms])
-    return EquivalenceReport(x_values=xs, lhs=lhs, rhs=rhs, phase=phase)
+    return EquivalenceReport(x_values=xs, lhs=lhs, rhs=rhs)
 
 
 def oscillation_stats(table: PrimeTable, n_lo: int, n_hi: int) -> tuple[float, float]:

@@ -50,11 +50,6 @@ class OffsetTuple:
     def span(self) -> int:
         return self.offsets[-1] - self.offsets[0] if self.offsets else 0
 
-    def shifted(self, c: int) -> "OffsetTuple":
-        if self.offsets and self.offsets[0] + c < 0:
-            raise ValueError(f"shift {c} makes offsets negative")
-        return OffsetTuple(h + c for h in self.offsets)
-
     def __iter__(self):
         return iter(self.offsets)
 

@@ -29,10 +29,8 @@ def _chunk_scan(checkpoints, chunks, phase):
     values = np.zeros(checkpoints.size, dtype=np.complex128)
     comps = np.zeros(checkpoints.size, dtype=np.complex128)
     total = np.clongdouble(0.0)
-    abs_total = 0.0
     done = 0
     for ends, terms in chunks:
-        abs_total += float(np.abs(terms).sum())
         ld = np.clongdouble if np.iscomplexobj(terms) else np.longdouble
         pre = np.cumsum(terms, dtype=ld)
         hi = int(np.searchsorted(checkpoints, ends[-1], side="right"))
@@ -44,7 +42,7 @@ def _chunk_scan(checkpoints, chunks, phase):
         total += pre[-1]
         done = hi
     assert done == checkpoints.size
-    return PartialSumTrace(checkpoints, values, comps, phase, abs_total)
+    return PartialSumTrace(checkpoints, values, comps, phase)
 
 
 @pytest.fixture(scope="session")

@@ -85,7 +85,6 @@ def test_equivalence_top_half_spread(big_table):
     rep = verify_equivalence(big_table, [10**4, 10**5, 10**6], -1.0)
     d = rep.differences
     top = abs(d[2] - d[1])
-    assert rep.max_pairwise_spread(top_half=True) == pytest.approx(top)
+    assert rep.max_pairwise_spread() == pytest.approx(top)
     full = max(abs(d[i] - d[j]) for i in range(3) for j in range(3))
-    assert rep.max_pairwise_spread(top_half=False) == pytest.approx(full)
-    assert rep.max_pairwise_spread(top_half=True) <= rep.max_pairwise_spread(top_half=False)
+    assert rep.max_pairwise_spread() <= full

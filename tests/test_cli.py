@@ -55,6 +55,46 @@ def test_series_json_mirror(workdir):
     assert float(csv_rows[-1][1]) == doc["rows"][-1][1]
 
 
+# every subcommand and action but calibrate, which writes no artifact, at small scale
+_MIRRORED = [
+    "sieve --limit=1000",
+    "series --kind=parity --nmax=500 --phase=i --average --dense=100:120",
+    "equiv --x=1000,10000",
+    "singular --tuple=0,2 --truncation=1000",
+    "singular --tuple=0,1",
+    "singular --hmax=10",
+    "paircorr --hmin=2 --hmax=50",
+    "tuples --tuple=0,2 --tuple=0,2,6 --x=10000",
+    "model sample --x=1e4 --samples=3 --seed=42",
+    "model moments --x=1e4 --samples=1000 --seed=42",
+    "model bias --x=1e4 --samples=10000 --seed=42",
+    "bias --x=1e4 --lambdas=1,2 --samples=10000 --seed=42",
+    "gaps series --nmax=100",
+    "gaps smallgap --X=10000 --lambdas=0.25,1",
+    "gaps blocks --limit=10000",
+    "parity --x=1e5 --points=1000 --seed=1",
+]
+
+
+@pytest.mark.parametrize("cmd", _MIRRORED)
+def test_json_mirrors_csv(workdir, cmd):
+    assert main([*cmd.split(), "--out=a.csv"]) == 0
+    assert main([*cmd.split(), "--format=json", "--out=a.json"]) == 0
+    head, columns, *rows = _read(workdir / "a.csv")
+    doc = json.loads((workdir / "a.json").read_text())
+    version, name, config = head.removeprefix("# ").split(" ", 2)
+    assert doc["header"] == {"erdoslab": version.removeprefix("erdoslab="),
+                             "cmd": name.removeprefix("cmd="),
+                             "config": json.loads(config.removeprefix("config="))}
+    assert doc["columns"] == columns.split(",")
+    assert len(doc["rows"]) == len(rows) > 0
+    for row, fields in zip(doc["rows"], rows):
+        assert [str(v) for v in row] == fields.split(",")
+        for v, field in zip(row, fields.split(",")):
+            # a boolean is a JSON boolean, not the number 1 or 0
+            assert isinstance(v, bool) == (field in ("True", "False")), (field, v)
+
+
 def test_parity_series_subcommand(workdir):
     assert main(["series", "--kind=parity", "--nmax=5000", "--average"]) == 0
     assert (workdir / "erdoslab-series.csv").exists()

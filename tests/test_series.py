@@ -50,7 +50,9 @@ def test_erdos_matches_exact_rationals():
 def test_compensation_bounded():
     tr = erdos_partial(TABLE, 10_000, -1.0)
     eps = np.finfo(float).eps
-    assert np.all(np.abs(tr.compensations) <= eps * max(tr.abs_term_total, 1.0))
+    n = np.arange(1, 10_001)
+    abs_total = float(np.sum(n / TABLE.ranks(0, 10_000)))  # sum_{n<=10^4} n/p_n
+    assert np.all(np.abs(tr.compensations) <= eps * max(abs_total, 1.0))
 
 
 def test_term_recovery():
@@ -191,12 +193,14 @@ def test_calibrate_series_reproduces_fixture(big_table):
 
 def test_equivalence_repeated_x(big_table):
     rep = verify_equivalence(big_table, [10**5, 10**5], -1.0)
-    assert rep.max_pairwise_spread(top_half=False) == 0.0
+    d = rep.differences
+    assert max(abs(a - b) for a in d for b in d) == 0.0
 
 
 def test_equivalence_phase_minus_one(big_table):
     rep = verify_equivalence(big_table, [10**5, 3 * 10**5, 10**6], -1.0)
-    assert rep.max_pairwise_spread(top_half=False) < 1e-1
+    d = rep.differences
+    assert max(abs(a - b) for a in d for b in d) < 1e-1
     # factor z/(z-1) at z = -1 is 1/2
     assert rep.rhs[0] == pytest.approx(
         0.5 * parity_partial(big_table, int(1e5 * math.log(1e5)), -1.0).final_value.real,
@@ -206,7 +210,8 @@ def test_equivalence_phase_minus_one(big_table):
 
 def test_equivalence_phase_i(big_table):
     rep = verify_equivalence(big_table, [10**5, 10**6], 1j)
-    assert rep.max_pairwise_spread(top_half=False) < 2e-1
+    d = rep.differences
+    assert max(abs(a - b) for a in d for b in d) < 2e-1
 
 
 def test_equivalence_errors(big_table):

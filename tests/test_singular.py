@@ -61,8 +61,8 @@ def test_nu_bounds_and_shift(offs, p_idx):
     v = nu(tup, p)
     assert 1 <= v <= min(tup.k, p)
     # nu is shift invariant prime by prime
-    assert nu(tup.shifted(7), p) == v
-    assert nu(tup.shifted(p), p) == v
+    assert nu(OffsetTuple(h + 7 for h in tup), p) == v
+    assert nu(OffsetTuple(h + p for h in tup), p) == v
 
 
 def test_empty_and_non_admissible():
