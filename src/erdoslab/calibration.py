@@ -97,11 +97,9 @@ def calibrate_series(table: PrimeTable) -> dict:
     ratio = avg_tv / raw_tv
 
     anchor = -0.052161
-    errs = {}
-    for n in (10**6, 10**7):
-        tr = S.erdos_partial(table, n + 1, -1.0, dense_windows=((n, n + 1),))
-        av = S.average_consecutive(tr)
-        errs[str(n)] = abs(av.value_at(n).real - anchor)
+    tr = S.erdos_partial(table, 10**7 + 1, -1.0, dense_windows=((10**6, 10**6 + 1), (10**7, 10**7 + 1)))
+    av = S.average_consecutive(tr)
+    errs = {str(n): abs(av.value_at(n).real - anchor) for n in (10**6, 10**7)}
     return {
         "oscillation_raw_tv": raw_tv,
         "oscillation_averaged_tv": avg_tv,

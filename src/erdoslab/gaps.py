@@ -1,10 +1,10 @@
 """Series and counts driven by gaps between consecutive primes.
 
-Covers the three gap series (reciprocal with an iterated-log weight, the
-alternating reciprocal gap, and its index-weighted variant plus the
-n^theta family), dyadic-block gap statistics, small-gap counts in [X, 2X)
-against the Gallagher-type main term, and the empirical parity statistic
-of prime counts in short windows over real primes.
+Covers the gap series (reciprocal with an iterated-log weight, and the
+alternating n^theta family, whose theta = 0 and 1 are the reciprocal gap
+and its index-weighted variant), dyadic-block gap statistics, small-gap
+counts in [X, 2X) against the Gallagher-type main term, and the empirical
+parity statistic of prime counts in short windows over real primes.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ _PARITY_BLOCK, _PARITY_SPAN = 1 << 16, 1 << 20
 class GapSeriesConfig:
     """Which gap series to sum and its exponents.
 
-    ``c`` weights the iterated logarithm of the reciprocal series;
-    ``theta`` is the index exponent of the n^theta family.
+    ``c`` weights the iterated logarithm of the reciprocal series. The
+    alternating kinds are the family sum (-1)^n / (n^theta g_n) at theta 0
+    (alternating_gap), 1 (alternating_weighted_gap) and ``theta`` (theta_family).
     """
 
     kind: str
@@ -77,7 +78,11 @@ def gap_series_partial(table: PrimeTable, config: GapSeriesConfig, n_max: int) -
 
 
 def _gap_terms(table: PrimeTable, config: GapSeriesConfig, n_max: int):
-    """Yield pieces (n, t), one per walk run, of the unsigned gap series terms for start_index <= n <= n_max."""
+    """Yield pieces (n, t), one per walk run, of the unsigned gap series terms for start_index <= n <= n_max.
+
+    An alternating kind's term is 1 / (n^theta g); n**0.0 is 1.0 and n**1.0 is n, exactly.
+    """
+    theta = {"alternating_gap": 0.0, "alternating_weighted_gap": 1.0}.get(config.kind, config.theta)
     # term n takes the gap p_(n+1) - p_n: the walk runs to rank n_max + 1
     for s, _, p in table.walk(config.start_index - 1, n_max + 1):
         g = np.diff(p).astype(np.float64)
@@ -85,14 +90,10 @@ def _gap_terms(table: PrimeTable, config: GapSeriesConfig, n_max: int):
             continue
         idx = np.arange(s + 1, s + 1 + g.size)
         n = idx.astype(np.float64)
-        if config.kind == "reciprocal_weighted":
-            t = 1.0 / (n * np.log(np.log(n)) ** config.c * g)
-        elif config.kind == "alternating_gap":
-            t = 1.0 / g
-        elif config.kind == "alternating_weighted_gap":
-            t = 1.0 / (n * g)
+        if config.alternating:
+            t = 1.0 / (n**theta * g)
         else:
-            t = 1.0 / (n**config.theta * g)
+            t = 1.0 / (n * np.log(np.log(n)) ** config.c * g)
         yield idx, t
 
 

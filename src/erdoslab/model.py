@@ -268,12 +268,12 @@ def _sift(config: ModelConfig, primes: np.ndarray, samples: int, sample_start: i
             yield lo, k, a, alive
 
 
-def _sifting_primes(config: ModelConfig, w: int | None, table: PrimeTable) -> tuple[int, np.ndarray]:
+def _sifting_primes(config: ModelConfig, w: int | None, table: PrimeTable) -> np.ndarray:
     if w is None:
         w = config.cutoff_z
     if w > config.cutoff_z:
         raise ValueError(f"w={w} exceeds the configured cutoff {config.cutoff_z}")
-    return int(w), table.upto(w)
+    return table.upto(w)
 
 
 def sifted_sets(
@@ -282,7 +282,7 @@ def sifted_sets(
     """Surviving offsets of samples 0 .. samples - 1 after every p <= w is sifted."""
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    _, primes = _sifting_primes(config, w, table)
+    primes = _sifting_primes(config, w, table)
     out: list[np.ndarray] = []
     for _, k, _, alive in _sift(config, primes, samples):
         if k == primes.size:
@@ -294,7 +294,7 @@ def draw_sample(
     config: ModelConfig, w: int | None = None, *, table: PrimeTable, sample_index: int = 0,
 ) -> SiftedSample:
     """Materialize one sample: residues for every p <= w and the sifted set."""
-    _, primes = _sifting_primes(config, w, table)
+    primes = _sifting_primes(config, w, table)
     residues: dict[int, int] = {}
     for _, k, a, alive in _sift(config, primes, 1, sample_index):
         if k:
@@ -307,14 +307,10 @@ def membership_probability(tup, w: int, table: PrimeTable) -> float:
     primes = table.upto(w)
     if tup.k and w < tup.span:
         raise ValueError(f"w={w} below tuple span {tup.span}")
-    if tup.k == 0:
-        return 1.0
     total, cut = _log_head(tup, primes, 0)
     if total is None:
         return 0.0
-    big = primes[cut:].astype(np.float64)
-    if big.size:
-        total += np.sum(np.log1p(-tup.k / big).astype(_LD))
+    total += np.sum(np.log1p(-tup.k / primes[cut:].astype(np.float64)).astype(_LD))
     return float(np.exp(total))
 
 
@@ -334,7 +330,7 @@ def _span_counts(configs: list[ModelConfig], samples: int, table: PrimeTable, w:
     if any(c.seed != seed or c.cutoff_z != cutoff for c in configs):
         raise ValueError("configs must share one seed and one cutoff")
     widest = max(configs, key=lambda c: c.window_len)
-    _, primes = _sifting_primes(widest, w, table)
+    primes = _sifting_primes(widest, w, table)
     words = -(-widest.window_len // 64)
     wholes = [_keep_masks(c.window_len, primes[:0])[0] for c in configs]
     # each window's mask, padded to the widest: shape (configs, 1, words)
@@ -505,7 +501,7 @@ def exact_parity_bias(config: ModelConfig, table: PrimeTable) -> float:
                          f"2^53 residue tuples of the primes <= {L}, got {L} and {total}")
     masks, counts = np.full(1, 2**L - 1, dtype=_U64), np.ones(1)
     for p, keep in zip(small, _keep_masks(L, small)[1]):
-        masks, inv = np.unique(np.concatenate([masks & row[0] for row in keep]), return_inverse=True)
+        masks, inv = np.unique((keep[:, :1] & masks).ravel(), return_inverse=True)
         counts = np.bincount(inv, weights=np.tile(counts, p))
     n = np.bincount(np.bitwise_count(masks), weights=counts)  # tuples per survivor count
     binom = [sum(int(c) * math.comb(s, k) for s, c in enumerate(n)) for k in range(n.size)]

@@ -405,11 +405,10 @@ def verify_equivalence(
         raise ValueError(_X_VALUES)
     ms = np.array([int(x * math.log(x)) for x in xs], dtype=np.int64)
     lhs_trace = erdos_partial(table, int(xs[-1]), phase, checkpoints=xs)
-    rhs_trace = parity_partial(table, int(ms[-1]), phase, checkpoints=np.unique(ms))
+    # m = floor(x log x) increases strictly for x >= 3, so each trace's checkpoints are xs and ms
+    rhs_trace = parity_partial(table, int(ms[-1]), phase, checkpoints=ms)
     factor = phase / (phase - 1.0)
-    lhs = np.array([lhs_trace.value_at(int(x)) for x in xs])
-    rhs = factor * np.array([rhs_trace.value_at(int(m)) for m in ms])
-    return EquivalenceReport(x_values=xs, lhs=lhs, rhs=rhs)
+    return EquivalenceReport(x_values=xs, lhs=lhs_trace.values, rhs=factor * rhs_trace.values)
 
 
 def oscillation_stats(table: PrimeTable, n_lo: int, n_hi: int) -> tuple[float, float]:

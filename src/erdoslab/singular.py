@@ -200,15 +200,12 @@ def pair_singular_table(h_max: int, truncation_prime: int = DEFAULT_TRUNCATION) 
     if P < 3:
         raise ValueError(f"truncation prime {P} too small; the twin constant needs P >= 3")
     primes = _primes_upto(P)
-    odd = primes[primes > 2].astype(np.float64)
+    odd = primes[1:].astype(np.float64)
     twin2 = 2.0 * float(np.exp(np.cumsum(np.log1p(-1.0 / (odd - 1.0) ** 2).astype(_LD))[-1]))
 
     vals = np.zeros(h_max + 1, dtype=np.float64)
     vals[2::2] = twin2
-    for p in _primes_upto(min(h_max, P)):
-        p = int(p)
-        if p == 2:
-            continue
+    for p in map(int, _primes_upto(min(h_max, P))[1:]):  # the odd primes
         vals[p::p] *= (p - 1.0) / (p - 2.0)
     vals.flags.writeable = False  # shared by every caller with these arguments
     return vals

@@ -127,6 +127,43 @@ def test_log_integral_edges():
         log_integral(10, 0)
 
 
+# float.hex of log_integral(x, k) for k = 1 ... 8: a rewrite of the rule must
+# keep every bit, as each tuple prediction is sv.value * log_integral(x, k).
+_LOG_INTEGRAL_HEX = {
+    2: ["0x0.0p+0"] * 8,
+    2.5: ["0x1.3e87f08e553e1p-1", "0x1.8eea0917e6605p-1", "0x1.f6d70b68d40d0p-1",
+          "0x1.3ef9bb7f6674bp+0", "0x1.9745ce9e7f4fap+0", "0x1.05a2b680dbbf5p+1",
+          "0x1.5233e66199cd7p+1", "0x1.b7bff4714abbcp+1"],
+    10: ["0x1.47b5380aae852p+2", "0x1.d4d948c10b54ep+1", "0x1.7c20cce8ea8ecp+1",
+         "0x1.5bff4273309f9p+1", "0x1.60dea30984f9ap+1", "0x1.829d07f5d3f23p+1",
+         "0x1.bfb762785531fp+1", "0x1.0d947de198f1ap+2"],
+    1e3: ["0x1.6121056295c2dp+7", "0x1.157aff28d89bap+5", "0x1.1e414a047bcfbp+3",
+          "0x1.fc77c676d63d9p+1", "0x1.86512cf8f991bp+1", "0x1.8c6e2e5910584p+1",
+          "0x1.c2966b072082dp+1", "0x1.0e0a147021ce6p+2"],
+    12345.6: ["0x1.7632bf1d14cbcp+10", "0x1.7a80ee6ad3294p+7", "0x1.b28d66844058cp+4",
+              "0x1.888cacecea080p+2", "0x1.a7613779d3688p+1", "0x1.90697dd8b69b3p+1",
+              "0x1.c312239f5f55ep+1", "0x1.0e11a6240e24ep+2"],
+    1e6: ["0x1.33228105dc6bbp+16", "0x1.866f9c9c8937cp+12", "0x1.f9f65b7f8ede6p+8",
+          "0x1.61f9d320422f5p+5", "0x1.97639a50c6d9cp+2", "0x1.b0163ba6fa276p+1",
+          "0x1.c5a89d817aecap+1", "0x1.0e2cfdbb344ecp+2"],
+    1e8: ["0x1.5fb281523608fp+22", "0x1.45b68c47d2826p+18", "0x1.2f5927f4fd71ep+14",
+          "0x1.1d235ef5b81ecp+10", "0x1.18b3b0d61c634p+6", "0x1.c6bcc8c097654p+2",
+          "0x1.e1aff39ccb610p+1", "0x1.0f00a7deaacafp+2"],
+    4e9: ["0x1.6a5425b734707p+27", "0x1.141aa8474dc59p+23", "0x1.a62e1b845fec7p+18",
+          "0x1.440d3ce224c47p+14", "0x1.f512bd778ca2ep+9", "0x1.9c0e79d25f362p+5",
+          "0x1.787ff2a565c41p+2", "0x1.157de8932f822p+2"],
+    1e12: ["0x1.183378f8c48e0p+35", "0x1.51c728857f5f9p+30", "0x1.97f19a844eb3ep+25",
+           "0x1.edb4679bd18ddp+20", "0x1.2b7383ba6e1c2p+16", "0x1.6c92afdeaef15p+11",
+           "0x1.ca5bd592b525ap+6", "0x1.0f00b252475ebp+3"],
+}
+
+
+@pytest.mark.parametrize("x", list(_LOG_INTEGRAL_HEX))
+def test_log_integral_bits_pinned(x):
+    got = [log_integral(x, k).hex() for k in range(1, 9)]
+    assert got == _LOG_INTEGRAL_HEX[x]
+
+
 @pytest.mark.parametrize(
     "x,k",
     [(100, 1), (10**6, 1), (10**6, 2), (1000, 3), (10, 1), (55, 4), (10**8, 2)],

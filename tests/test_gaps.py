@@ -66,6 +66,19 @@ def test_theta_one_equals_weighted():
     assert np.allclose(a.values, b.values, rtol=1e-12)
 
 
+@pytest.mark.parametrize("loaded", [False, True], ids=["sieved", "loaded"])
+def test_theta_one_is_weighted_bit_for_bit(tmp_path, loaded):
+    # n**1.0 is n exactly, so theta = 1 sums the weighted kind's very terms,
+    # over every walk run of the table (two of them), read from memory or file
+    table = load_table(TABLE.save(tmp_path / "t.bin")) if loaded else TABLE
+    n_max = TABLE.count - 1
+    a = gap_series_partial(table, GapSeriesConfig(kind="theta_family", theta=1.0), n_max)
+    b = gap_series_partial(table, GapSeriesConfig(kind="alternating_weighted_gap"), n_max)
+    assert a.indices.tolist() == b.indices.tolist()
+    for got, want in ((a.values, b.values), (a.compensations, b.compensations)):
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 def test_alternating_direct_oracle():
     got = gap_series_partial(TABLE, GapSeriesConfig(kind="alternating_gap"), 200)
     direct = sum((-1) ** n / _gap(n) for n in range(1, 201))
